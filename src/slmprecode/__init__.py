@@ -24,7 +24,7 @@ from .errors import (
     SearchBudgetExceededError,
     SingularMatrixError,
 )
-from .linalg import EigenSystem, cholesky, det, invert, sym_eigen
+from .linalg import EigenSystem, cholesky, invert, sym_eigen
 from .theory import (
     ChannelMatrix,
     TheoryReport,
@@ -35,7 +35,6 @@ from .theory import (
     e_opt,
     e_slm,
     equivalent_radius_sq,
-    gram,
     optimal_covariance,
     sigma_from_entropy,
     slm_limit_general,
@@ -56,11 +55,9 @@ from .regions import (
     sample_hypercube,
 )
 from .precoders import (
-    NormalizedSignal,
     PrecodeResult,
     fold_interval,
     invert_precode,
-    normalize,
     offset_range,
     receiver_verify,
     slm_random,

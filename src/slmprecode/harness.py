@@ -40,10 +40,11 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -52,6 +53,7 @@ from .errors import (
     ConfigError,
     ParseError,
     ReportIOError,
+    SearchBudgetExceededError,
 )
 from .theory import ChannelMatrix
 
@@ -62,7 +64,27 @@ CSV_HEADER = (
 
 TRIAL_CHUNK = 256
 
-_PRECODER_KINDS = ("plain", "slm_random", "vector_perturb", "trellis", "nested")
+
+def _int(value, name: str) -> int:
+    """An integer config field; booleans and non-integral numbers are rejected."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ConfigError(f"{name} must be an integer, got {value!r}")
+
+
+def _float(value, name: str) -> float:
+    """A real config field; booleans and non-finite numbers are rejected."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value):
+        return float(value)
+    raise ConfigError(f"{name} must be a finite number, got {value!r}")
+
+
+def _object(value, name: str) -> Dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{name} must be a JSON object, got {value!r}")
+    return dict(value)
 
 
 @dataclass(frozen=True)
@@ -90,13 +112,13 @@ class ExperimentConfig:
         if unknown:
             raise ConfigError(f"config has unknown keys: {sorted(unknown)}")
         cfg = ExperimentConfig(
-            m=int(d["m"]),
-            channel_source=dict(d["channel_source"]),
-            tau=float(d["tau"]),
-            precoder=dict(d["precoder"]),
-            trials=int(d["trials"]),
-            master_seed=int(d["master_seed"]),
-            condition_limit=float(d.get("condition_limit", 1e8)),
+            m=_int(d["m"], "m"),
+            channel_source=_object(d["channel_source"], "channel_source"),
+            tau=_float(d["tau"], "tau"),
+            precoder=_object(d["precoder"], "precoder"),
+            trials=_int(d["trials"], "trials"),
+            master_seed=_int(d["master_seed"], "master_seed"),
+            condition_limit=_float(d.get("condition_limit", 1e8), "condition_limit"),
         )
         cfg.validate()
         return cfg
@@ -115,48 +137,11 @@ class ExperimentConfig:
             raise ConfigError(f"channel_source.kind must be file/random/inline, got {kind!r}")
         if kind == "file" and "path" not in self.channel_source:
             raise ConfigError("channel_source.kind=file requires a path")
-        if kind == "random" and "seed" not in self.channel_source:
-            raise ConfigError("channel_source.kind=random requires a seed")
+        if kind == "random":
+            _int(self.channel_source.get("seed"), "channel_source.seed")
         if kind == "inline" and "matrix" not in self.channel_source:
             raise ConfigError("channel_source.kind=inline requires a matrix")
-        p = self.precoder
-        pk = p.get("kind")
-        if pk not in _PRECODER_KINDS:
-            raise ConfigError(f"precoder.kind must be one of {_PRECODER_KINDS}, got {pk!r}")
-        if pk == "slm_random":
-            if int(p.get("n", 0)) < 1:
-                raise ConfigError("slm_random requires n >= 1")
-            region = p.get("region", {"kind": "hypercube", "expand": True})
-            rk = region.get("kind")
-            if rk not in ("hypercube", "ball"):
-                raise ConfigError(f"slm_random region.kind must be hypercube/ball, got {rk!r}")
-            if rk == "ball" and float(region.get("radius", 0.0)) <= 0.0:
-                raise ConfigError("ball region requires a positive radius")
-        elif pk == "vector_perturb":
-            if int(p.get("b", 0)) < 1:
-                raise ConfigError("vector_perturb requires b >= 1")
-        elif pk == "trellis":
-            code = shaping.code_from_octal(
-                p.get("generators", shaping.DEFAULT_CODE_SPEC),
-                k_s=int(p.get("k_s", 1)),
-            )
-            if self.m % code.n_s:
-                raise ConfigError(
-                    f"m = {self.m} is not divisible by the code's n_s = {code.n_s}"
-                )
-            pam = int(p.get("pam", 4))
-            if pam < 2 or pam & (pam - 1):
-                raise ConfigError(f"pam must be a power of two >= 2, got {pam}")
-        elif pk == "nested":
-            k = int(p.get("k", 0))
-            n_u = int(p.get("n_u", 1))
-            q = int(p.get("q", 0))
-            if k < 1 or n_u < 1 or q < 1:
-                raise ConfigError("nested requires k >= 1, n_u >= 1, q >= 1")
-            if k * 2 * n_u != self.m:
-                raise ConfigError(
-                    f"nested needs K*2*n_u = m, got {k}*2*{n_u} != {self.m}"
-                )
+        _scheme(self)
 
     def to_dict(self) -> Dict:
         return {
@@ -234,9 +219,14 @@ def load_channel(
         gen = regions.channel_stream(int(source["seed"]))
         h = gen.standard_normal((m, m))
     elif kind == "inline":
-        h = np.asarray(source["matrix"], dtype=np.float64)
+        try:
+            h = np.asarray(source["matrix"], dtype=np.float64)
+        except (TypeError, ValueError):
+            raise ParseError("channel_source.matrix must be a matrix of numbers") from None
     else:
         raise ConfigError(f"unknown channel source kind {kind!r}")
+    if not np.all(np.isfinite(h)):
+        raise ParseError("channel matrix has non-finite entries")
     if m is not None and h.shape != (m, m):
         raise ConfigError(f"channel is {h.shape} but config says m = {m}")
     return theory.build_channel(h, condition_limit=condition_limit)
@@ -247,88 +237,123 @@ def load_channel(
 # ---------------------------------------------------------------------------
 
 
-def _trial_energies(cfg: ExperimentConfig, ch: ChannelMatrix, t: int) -> Tuple[float, float]:
-    """Run trial t; return (gamma of the precoder, gamma with no selection)."""
+_Trial = Callable[[ChannelMatrix, int], Tuple[float, float]]
+
+
+def _scheme(cfg: ExperimentConfig) -> Tuple[int, float, _Trial]:
+    """Validate the precoder and build its per-report constants once.
+
+    Returns (candidate count, sigma^2 of the information source, trial),
+    where ``trial(ch, t)`` runs trial t and returns (gamma of the precoder,
+    gamma with no selection). This is the only code that branches on the
+    precoder kind.
+    """
     p = cfg.precoder
-    kind = p["kind"]
-    m = cfg.m
-    tau = cfg.tau
+    kind = p.get("kind")
+    m, tau, seed = cfg.m, cfg.tau, cfg.master_seed
+    sigma2 = theory.sigma_from_entropy(math.log2(tau))
     if kind == "plain":
-        sampler = regions.Sampler(regions.hypercube(tau, m), cfg.master_seed, t)
-        u = sampler.draw()
-        res = precoders.invert_precode(ch, u)
-        return res.gamma, res.gamma
+        cube = regions.hypercube(tau, m)
+
+        def trial(ch, t):
+            res = precoders.invert_precode(ch, regions.Sampler(cube, seed, t).draw())
+            return res.gamma, res.gamma
+
+        return 1, sigma2, trial
     if kind == "slm_random":
-        n = int(p["n"])
-        spec = p.get("region", {"kind": "hypercube", "expand": True})
-        if spec["kind"] == "ball":
-            region = regions.ball(float(spec["radius"]), m)
-        else:
+        n = _int(p.get("n", 0), "precoder.n")
+        if n < 1:
+            raise ConfigError("slm_random requires n >= 1")
+        spec = _object(p.get("region", {"kind": "hypercube", "expand": True}), "precoder.region")
+        if spec.get("kind") == "ball":
+            radius = _float(spec.get("radius", 0.0), "region.radius")
+            if radius <= 0.0:
+                raise ConfigError("ball region requires a positive radius")
+            region = regions.ball(radius, m)
+            sigma2 = theory.sigma_from_entropy(region.entropy_bits_per_dim)
+        elif spec.get("kind") == "hypercube":
             base = regions.hypercube(tau, m)
             region = regions.expanded_region(base, n) if spec.get("expand", True) else base
-        sampler = regions.Sampler(region, cfg.master_seed, t)
-        candidates = sampler.draw(n)
-        res = precoders.slm_random(ch, candidates)
-        return res.gamma, ch.energy(candidates[0])
+        else:
+            raise ConfigError(
+                f"slm_random region.kind must be hypercube/ball, got {spec.get('kind')!r}"
+            )
+
+        def trial(ch, t):
+            candidates = regions.Sampler(region, seed, t).draw(n)
+            res = precoders.slm_random(ch, candidates)
+            return res.gamma, ch.energy(candidates[0])
+
+        return n, sigma2, trial
     if kind == "vector_perturb":
-        b = int(p["b"])
-        sampler = regions.Sampler(regions.hypercube(tau, m), cfg.master_seed, t)
-        u = sampler.draw()
-        res = precoders.vector_perturb(ch, u, tau, b)
-        return res.gamma, ch.energy(u)
+        b = _int(p.get("b", 0), "precoder.b")
+        if b < 1:
+            raise ConfigError("vector_perturb requires b >= 1")
+        cube = regions.hypercube(tau, m)
+
+        def trial(ch, t):
+            u = regions.Sampler(cube, seed, t).draw()
+            res = precoders.vector_perturb(ch, u, tau, b)
+            return res.gamma, ch.energy(u)
+
+        return b**m, sigma2, trial
     if kind == "trellis":
-        code = shaping.code_from_octal(
-            p.get("generators", shaping.DEFAULT_CODE_SPEC), k_s=int(p.get("k_s", 1))
-        )
-        pam = int(p.get("pam", 4))
+        k_s = _int(p.get("k_s", 1), "precoder.k_s")
+        code = shaping.code_from_octal(p.get("generators", shaping.DEFAULT_CODE_SPEC), k_s=k_s)
+        if m % code.n_s:
+            raise ConfigError(f"m = {m} is not divisible by the code's n_s = {code.n_s}")
+        pam = _int(p.get("pam", 4), "precoder.pam")
+        if pam < 2 or pam & (pam - 1):
+            raise ConfigError(f"pam must be a power of two >= 2, got {pam}")
         cons = shaping.pam_constellation(pam, spacing=tau / pam, n_s=code.n_s, tau=tau)
-        gen = regions.make_stream(cfg.master_seed, t)
-        payload = gen.integers(0, 2, size=m * cons.bits_per_symbol)
-        res = shaping.trellis_shape(ch, payload, code, cons)
-        u0 = shaping.payload_to_coset(payload, np.zeros(m, dtype=np.int64), cons)
-        return res.gamma, ch.energy(u0)
+        zero_codeword = np.zeros(m, dtype=np.int64)
+
+        def trial(ch, t):
+            payload = regions.make_stream(seed, t).integers(0, 2, size=m * cons.bits_per_symbol)
+            res = shaping.trellis_shape(ch, payload, code, cons)
+            return res.gamma, ch.energy(shaping.payload_to_coset(payload, zero_codeword, cons))
+
+        return code.codeword_count(m // code.n_s), sigma2, trial
     if kind == "nested":
-        k_users = int(p["k"])
-        n_u = int(p.get("n_u", 1))
-        q = int(p["q"])
+        k_users = _int(p.get("k", 0), "precoder.k")
+        n_u = _int(p.get("n_u", 1), "precoder.n_u")
+        q = _int(p.get("q", 0), "precoder.q")
+        if k_users < 1 or n_u < 1 or q < 1:
+            raise ConfigError("nested requires k >= 1, n_u >= 1, q >= 1")
+        if k_users * 2 * n_u != m:
+            raise ConfigError(f"nested needs K*2*n_u = m, got {k_users}*2*{n_u} != {m}")
+        count = q ** (2 * n_u * k_users)
+        # Checked before lattice_partition allocates its q^(2 n_u) cosets.
+        if count > precoders.SEARCH_BUDGET:
+            raise SearchBudgetExceededError(
+                f"q^(2 n_u K) = {count} exceeds the exhaustive-search budget "
+                f"{precoders.SEARCH_BUDGET}"
+            )
         part = shaping.lattice_partition(n_u, q, spacing=tau / q)
-        gen = regions.make_stream(cfg.master_seed, t)
-        idx = gen.integers(0, part.coset_count, size=k_users)
-        symbols = part.cosets[idx]
-        res = shaping.nested_select(ch, symbols, part)
-        return res.gamma, ch.energy(symbols.reshape(-1))
-    raise ConfigError(f"unknown precoder kind {kind!r}")
+
+        def trial(ch, t):
+            idx = regions.make_stream(seed, t).integers(0, part.coset_count, size=k_users)
+            symbols = part.cosets[idx]
+            res = shaping.nested_select(ch, symbols, part)
+            return res.gamma, ch.energy(symbols.reshape(-1))
+
+        return count, sigma2, trial
+    raise ConfigError(
+        f"precoder.kind must be plain/slm_random/vector_perturb/trellis/nested, got {kind!r}"
+    )
 
 
-def _candidate_count(cfg: ExperimentConfig) -> int:
-    p = cfg.precoder
-    kind = p["kind"]
-    if kind == "plain":
-        return 1
-    if kind == "slm_random":
-        return int(p["n"])
-    if kind == "vector_perturb":
-        return int(p["b"]) ** cfg.m
-    if kind == "trellis":
-        code = shaping.code_from_octal(
-            p.get("generators", shaping.DEFAULT_CODE_SPEC), k_s=int(p.get("k_s", 1))
-        )
-        return code.codeword_count(cfg.m // code.n_s)
-    if kind == "nested":
-        return int(p["q"]) ** (2 * int(p.get("n_u", 1)) * int(p["k"]))
-    raise ConfigError(f"unknown precoder kind {kind!r}")
-
-
-def _run_chunk(cfg_dict: Dict, start: int, stop: int) -> Tuple[int, float, float, float]:
+def _run_chunk(
+    cfg_dict: Dict, ch: ChannelMatrix, start: int, stop: int
+) -> Tuple[int, float, float, float]:
     """Worker entry point: accumulate energies for trials [start, stop)."""
-    cfg = ExperimentConfig.from_dict(cfg_dict)
-    ch = load_channel(cfg.channel_source, cfg.m, cfg.condition_limit)
+    _, _, trial = _scheme(ExperimentConfig.from_dict(cfg_dict))
     n = 0
     sum_g = 0.0
     sum_g2 = 0.0
     sum_plain = 0.0
     for t in range(start, stop):
-        g, g_plain = _trial_energies(cfg, ch, t)
+        g, g_plain = trial(ch, t)
         n += 1
         sum_g += g
         sum_g2 += g * g
@@ -353,19 +378,12 @@ class ExperimentReport:
     mean_plain: float
     eigenvalues: np.ndarray
     master_seed: int
-    trial_seeds: Tuple[Tuple[int, int], ...]
     runtime_seconds: float
 
 
 def information_sigma2(cfg: ExperimentConfig) -> float:
     """sigma^2 of the entropy-matched Gaussian for the experiment's data source."""
-    p = cfg.precoder
-    if p.get("kind") == "slm_random":
-        spec = p.get("region", {"kind": "hypercube", "expand": True})
-        if spec.get("kind") == "ball":
-            region = regions.ball(float(spec["radius"]), cfg.m)
-            return theory.sigma_from_entropy(region.entropy_bits_per_dim)
-    return theory.sigma_from_entropy(math.log2(cfg.tau))
+    return _scheme(cfg)[1]
 
 
 def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentReport:
@@ -377,6 +395,7 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentReport:
     """
     t0 = time.perf_counter()
     ch = load_channel(cfg.channel_source, cfg.m, cfg.condition_limit)
+    n_candidates, sigma2, _ = _scheme(cfg)
     cfg_dict = cfg.to_dict()
     bounds = [
         (s, min(s + TRIAL_CHUNK, cfg.trials)) for s in range(0, cfg.trials, TRIAL_CHUNK)
@@ -387,12 +406,13 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentReport:
                 pool.map(
                     _run_chunk,
                     [cfg_dict] * len(bounds),
+                    [ch] * len(bounds),
                     [b[0] for b in bounds],
                     [b[1] for b in bounds],
                 )
             )
     else:
-        partials = [_run_chunk(cfg_dict, s, e) for s, e in bounds]
+        partials = [_run_chunk(cfg_dict, ch, s, e) for s, e in bounds]
     n = 0
     sum_g = 0.0
     sum_g2 = 0.0
@@ -407,12 +427,11 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentReport:
     stderr = math.sqrt(var / n)
     mean_plain = sum_plain / n
 
-    sigma2 = information_sigma2(cfg)
     rep = theory.theory_report(ch, sigma2)
     return ExperimentReport(
         precoder=cfg.precoder["kind"],
         m=cfg.m,
-        n_candidates=_candidate_count(cfg),
+        n_candidates=n_candidates,
         trials=cfg.trials,
         mean_gamma=mean,
         stderr_gamma=stderr,
@@ -423,7 +442,6 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentReport:
         mean_plain=mean_plain,
         eigenvalues=rep.eigenvalues,
         master_seed=cfg.master_seed,
-        trial_seeds=tuple((cfg.master_seed, t) for t in range(cfg.trials)),
         runtime_seconds=time.perf_counter() - t0,
     )
 
@@ -491,9 +509,8 @@ def format_json(reports: Sequence[ExperimentReport]) -> str:
 def write_report(reports, fmt: str, path: Optional[str]) -> str:
     """Serialize one report (or a sweep list) as csv/json; write if path given.
 
-    Returns the serialized text. Excluded from serialization (by design,
-    for byte-identical reruns): runtime and the per-trial seed list, which
-    is fully determined by (master_seed, trials).
+    Returns the serialized text. Runtime is excluded from serialization by
+    design, for byte-identical reruns.
     """
     if isinstance(reports, ExperimentReport):
         reports = [reports]

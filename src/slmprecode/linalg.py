@@ -111,13 +111,6 @@ def invert(m, cond_limit: float = COND_LIMIT) -> np.ndarray:
     return inv
 
 
-def det(m) -> float:
-    """Determinant via LU factorization."""
-    m = as_matrix(m)
-    _require_square(m)
-    return float(np.linalg.det(m))
-
-
 def sym_eigen(m, symmetry_atol: float = SYMMETRY_ATOL) -> EigenSystem:
     """Eigendecompose a symmetric matrix, eigenvalues descending."""
     m = as_matrix(m)

@@ -54,22 +54,6 @@ class PrecodeResult:
     meta: Dict[str, Any] = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
-class NormalizedSignal:
-    """Transmit vector scaled by 1/sqrt(E{gamma}) estimated over an experiment."""
-
-    x: np.ndarray
-    scale: float
-
-
-def normalize(result: PrecodeResult, mean_gamma: float) -> NormalizedSignal:
-    """Scale a transmit vector to unit average energy for its experiment."""
-    if mean_gamma <= 0.0:
-        raise ValueError("mean_gamma must be positive")
-    scale = 1.0 / np.sqrt(mean_gamma)
-    return NormalizedSignal(x=result.s * scale, scale=float(scale))
-
-
 def _check_dim(ch: ChannelMatrix, u: np.ndarray, name: str = "u") -> np.ndarray:
     u = linalg.as_vector(u, name)
     if u.shape[0] != ch.m:

@@ -61,13 +61,6 @@ class Region:
     radius: Optional[float] = None
     sigma: Optional[np.ndarray] = None
 
-    def describe(self) -> str:
-        if self.kind == "hypercube":
-            return f"hypercube(tau={self.tau:g}, M={self.dim})"
-        if self.kind == "ball":
-            return f"ball(radius={self.radius:g}, M={self.dim})"
-        return f"gaussian(M={self.dim})"
-
 
 def hypercube(tau: float, m: int) -> Region:
     """Centered hypercube [-tau/2, tau/2)^M."""

@@ -24,10 +24,9 @@ per-user shift sets.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -185,7 +184,7 @@ class PartitionedConstellation:
     Each symbol carries ``bits_per_symbol`` bits: one sign bit (1 means
     negative) followed by magnitude bits (natural binary, 0 = innermost
     level). One trellis step controls the sign bits of ``n_s`` consecutive
-    symbols; ``subset_of`` labels each n_s-symbol block with its sign
+    symbols; ``subset_label`` labels each n_s-symbol block with its sign
     pattern (first symbol's sign is the most significant bit), giving the
     2**n_s shaping subsets of the block signal set.
     """
@@ -195,7 +194,6 @@ class PartitionedConstellation:
     tau: float
     n_s: int
     bits_per_symbol: int
-    subset_of: Dict[Tuple[float, ...], int]
 
     @property
     def n_levels(self) -> int:
@@ -253,19 +251,12 @@ def pam_constellation(
     levels = spacing * (np.arange(n_levels) - (n_levels - 1) / 2.0)
     if levels[0] < -tau / 2.0 or levels[-1] >= tau / 2.0:
         raise ConfigError("PAM levels must lie inside [-tau/2, tau/2)")
-    subset: Dict[Tuple[float, ...], int] = {}
-    for block in itertools.product(levels.tolist(), repeat=n_s):
-        label = 0
-        for x in block:
-            label = (label << 1) | (1 if x < 0 else 0)
-        subset[block] = label
     return PartitionedConstellation(
         pam_levels=levels,
         spacing=float(spacing),
         tau=tau,
         n_s=n_s,
         bits_per_symbol=int(math.log2(n_levels)),
-        subset_of=subset,
     )
 
 

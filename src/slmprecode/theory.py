@@ -106,13 +106,6 @@ def build_channel(h, condition_limit: float = 1e8) -> ChannelMatrix:
     return ChannelMatrix(h=h, h_inv=h_inv, q=q, eig=eig, chol=chol)
 
 
-def gram(h) -> np.ndarray:
-    """Gram matrix Q = (H^-1)^T H^-1 of the inverted channel."""
-    h_inv = linalg.invert(linalg.as_matrix(h, "channel matrix"))
-    q = h_inv.T @ h_inv
-    return (q + q.T) / 2.0
-
-
 def sigma_from_entropy(entropy_bits_per_dim: float) -> float:
     """Variance of the Gaussian whose differential entropy is the given bits.
 
@@ -239,14 +232,13 @@ class TheoryReport:
 
 def theory_report(ch: ChannelMatrix, sigma2: float) -> TheoryReport:
     """Evaluate all closed-form references for one channel."""
-    r_eq2 = equivalent_radius_sq(ch, sigma2)
     return TheoryReport(
         m=ch.m,
         sigma2=float(sigma2),
-        e_opt=ch.m * r_eq2,
+        e_opt=e_opt(ch, sigma2),
         channel_gain=channel_gain(ch.eig),
-        r_eq2=r_eq2,
+        r_eq2=equivalent_radius_sq(ch, sigma2),
         sigma_opt=optimal_covariance(ch, sigma2),
-        e_slm_limit=math.gamma(1.0 + 2.0 / ch.m) * ch.m * r_eq2,
+        e_slm_limit=e_slm(ch, sigma2),
         eigenvalues=ch.eigenvalues.copy(),
     )

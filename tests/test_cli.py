@@ -1,9 +1,13 @@
 """Tests for the command-line interface and its exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import slmprecode
 from slmprecode import cli, harness
 
 
@@ -118,6 +122,32 @@ def test_exit_code_sweep_values(tmp_path, capsys):
     cfg = _write_cfg(tmp_path, precoder={"kind": "slm_random", "n": 4})
     assert cli.main(["sweep", "--config", cfg, "--param", "n", "--values", "a,b"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"tau": float("nan")},
+        {"channel_source": {"kind": "inline", "matrix": [[1.0, "x"], [0.0, 1.0]]}},
+        {"channel_source": {"kind": "inline", "matrix": [[float("nan"), 0.0], [0.0, 1.0]]}},
+        {"channel_source": "abc"},
+        {"precoder": [1]},
+        {"m": 2.7},
+        {"trials": True},
+    ],
+    ids=["nan_tau", "non_numeric_matrix", "nan_matrix", "string_channel_source",
+         "list_precoder", "fractional_m", "boolean_trials"],
+)
+def test_exit_code_malformed_config(tmp_path, overrides):
+    cfg = _write_cfg(tmp_path, **overrides)
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(slmprecode.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "slmprecode.cli", "run", "--config", cfg],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "error:" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_exit_code_numerical_error(tmp_path, capsys):

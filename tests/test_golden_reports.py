@@ -1,0 +1,85 @@
+"""Golden report bytes: one pinned CSV and JSON report per precoder path.
+
+Each config runs 300 trials, i.e. two 256-trial chunks, so the chunked
+reduction is pinned as well. A change that alters any byte of any report
+fails here. Regenerate ``golden_reports.json`` only when report bytes are
+meant to change::
+
+    PYTHONPATH=src python tests/test_golden_reports.py
+"""
+
+import json
+import pathlib
+
+import pytest
+
+from slmprecode import harness
+
+GOLDENS = pathlib.Path(__file__).with_name("golden_reports.json")
+
+# A well-conditioned 4x4 channel, written with repr floats so it loads exactly.
+CHANNEL_ROWS = (
+    (1.0, 0.25, -0.5, 0.125),
+    (0.375, 1.5, 0.25, -0.25),
+    (-0.125, 0.5, 0.875, 0.375),
+    (0.25, -0.375, 0.125, 1.25),
+)
+
+PRECODERS = {
+    "plain": {"kind": "plain"},
+    "slm_expanded": {
+        "kind": "slm_random", "n": 16, "region": {"kind": "hypercube", "expand": True}
+    },
+    "slm_fixed": {
+        "kind": "slm_random", "n": 16, "region": {"kind": "hypercube", "expand": False}
+    },
+    "slm_ball": {"kind": "slm_random", "n": 16, "region": {"kind": "ball", "radius": 1.5}},
+    "vector_perturb": {"kind": "vector_perturb", "b": 3},
+    "trellis": {"kind": "trellis", "generators": "7,5", "k_s": 1, "pam": 4},
+    "nested": {"kind": "nested", "k": 2, "n_u": 1, "q": 2},
+    "file_channel": {"kind": "vector_perturb", "b": 2},
+}
+
+
+def _config(name, workdir):
+    source = {"kind": "random", "seed": 11}
+    if name == "file_channel":
+        path = pathlib.Path(workdir) / "channel.csv"
+        path.write_text("".join(", ".join(repr(x) for x in row) + "\n" for row in CHANNEL_ROWS))
+        source = {"kind": "file", "path": str(path)}
+    return {
+        "m": 4,
+        "channel_source": source,
+        "tau": 4.0,
+        "precoder": PRECODERS[name],
+        "trials": 300,
+        "master_seed": 2024,
+    }
+
+
+def _report_bytes(name, workdir, workers=1):
+    cfg = harness.ExperimentConfig.from_dict(_config(name, workdir))
+    rep = harness.run_experiment(cfg, workers=workers)
+    return {fmt: harness.write_report(rep, fmt, None) for fmt in ("csv", "json")}
+
+
+@pytest.fixture(scope="module")
+def goldens():
+    return json.loads(GOLDENS.read_text())
+
+
+@pytest.mark.parametrize("name", sorted(PRECODERS))
+def test_report_bytes_match_golden(name, tmp_path, goldens):
+    assert _report_bytes(name, tmp_path) == goldens[name]
+
+
+def test_report_bytes_match_golden_two_workers(tmp_path, goldens):
+    assert _report_bytes("file_channel", tmp_path, workers=2) == goldens["file_channel"]
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        out = {name: _report_bytes(name, tmp) for name in sorted(PRECODERS)}
+    GOLDENS.write_text(json.dumps(out, indent=2, sort_keys=True) + "\n")

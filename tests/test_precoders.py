@@ -283,21 +283,6 @@ def test_receiver_verify_detects_corruption():
 
 
 # ---------------------------------------------------------------------------
-# normalization
-# ---------------------------------------------------------------------------
-
-
-def test_normalize_unit_average_energy():
-    ch = theory.build_channel(np.eye(2))
-    res = precoders.invert_precode(ch, np.array([3.0, 4.0]))
-    norm = precoders.normalize(res, mean_gamma=25.0)
-    assert np.allclose(norm.x, [0.6, 0.8])
-    assert norm.scale == pytest.approx(0.2)
-    with pytest.raises(ValueError):
-        precoders.normalize(res, mean_gamma=0.0)
-
-
-# ---------------------------------------------------------------------------
 # distribution-level corollary
 # ---------------------------------------------------------------------------
 

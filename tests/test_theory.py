@@ -19,7 +19,7 @@ def _rng():
 
 
 # ---------------------------------------------------------------------------
-# channel construction / gram
+# channel construction / Gram matrix Q
 # ---------------------------------------------------------------------------
 
 
@@ -32,7 +32,7 @@ def test_build_channel_identity():
 
 def test_gram_diagonal():
     # H = diag(2, 1) -> Q = diag(1/4, 1)
-    q = theory.gram(np.diag([2.0, 1.0]))
+    q = theory.build_channel(np.diag([2.0, 1.0])).q
     assert np.allclose(q, np.diag([0.25, 1.0]), rtol=0, atol=1e-14)
 
 
@@ -42,7 +42,7 @@ def test_gram_random_agreement():
         h = rng.standard_normal((4, 4))
         if np.linalg.cond(h) > 1e4:
             continue
-        q = theory.gram(h)
+        q = theory.build_channel(h).q
         h_inv = np.linalg.inv(h)
         assert np.linalg.norm(q - h_inv.T @ h_inv) <= 1e-10 * np.linalg.norm(q)
         assert np.allclose(q, q.T)
