@@ -25,7 +25,7 @@ Precoder variants:
    "region": {"kind": "hypercube", "expand": true}}      # or
    "region": {"kind": "ball", "radius": 1.0}
   {"kind": "vector_perturb", "b": 3}
-  {"kind": "trellis", "generators": "7,5", "k_s": 1, "pam": 4}
+  {"kind": "trellis", "generators": "7,5", "k_s": 1, "pam": 4}   # k_s must be 1
   {"kind": "nested", "k": 2, "n_u": 1, "q": 2}
 
 For ``slm_random`` the hypercube region may be expanded so the carrier
@@ -34,6 +34,11 @@ region is always used as-is (the fixed-region law). The information
 entropy — hence sigma^2 and the theory references — always comes from the
 base region: log2(tau) bits per dimension for hypercube-family precoders,
 (1/M) log2(volume) for the ball.
+
+Shaping codes have rate 1/n_s, so ``k_s`` may be omitted and any value
+other than 1 is rejected. ``nested`` is vector perturbation of the K
+users' stacked blocks with period q*spacing (spacing = tau/q) and q
+offsets per coordinate.
 """
 
 from __future__ import annotations
@@ -141,7 +146,14 @@ class ExperimentConfig:
             _int(self.channel_source.get("seed"), "channel_source.seed")
         if kind == "inline" and "matrix" not in self.channel_source:
             raise ConfigError("channel_source.kind=inline requires a matrix")
-        _scheme(self)
+        try:
+            _scheme(self)
+        except OverflowError:
+            # tau**m, radius**m or 2**(2h) beyond the float range
+            raise ConfigError(
+                "tau or region size is too large: the region volume or the "
+                "source power overflows a float"
+            ) from None
 
     def to_dict(self) -> Dict:
         return {
@@ -298,8 +310,9 @@ def _scheme(cfg: ExperimentConfig) -> Tuple[int, float, _Trial]:
 
         return b**m, sigma2, trial
     if kind == "trellis":
-        k_s = _int(p.get("k_s", 1), "precoder.k_s")
-        code = shaping.code_from_octal(p.get("generators", shaping.DEFAULT_CODE_SPEC), k_s=k_s)
+        if _int(p.get("k_s", 1), "precoder.k_s") != 1:
+            raise ConfigError("trellis shaping codes have rate 1/n_s: k_s must be 1")
+        code = shaping.code_from_octal(p.get("generators", shaping.DEFAULT_CODE_SPEC))
         if m % code.n_s:
             raise ConfigError(f"m = {m} is not divisible by the code's n_s = {code.n_s}")
         pam = _int(p.get("pam", 4), "precoder.pam")

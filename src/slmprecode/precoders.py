@@ -54,6 +54,20 @@ class PrecodeResult:
     meta: Dict[str, Any] = field(default_factory=dict)
 
 
+def precode_result(ch: ChannelMatrix, u: np.ndarray, index: int, count: int,
+                   **meta: Any) -> PrecodeResult:
+    """The result of transmitting ``u``: s = H^-1 u and gamma = ||s||^2."""
+    s = ch.h_inv @ u
+    return PrecodeResult(
+        u_chosen=u,
+        s=s,
+        gamma=float(s @ s),
+        candidate_index=index,
+        n_candidates=count,
+        meta=meta,
+    )
+
+
 def _check_dim(ch: ChannelMatrix, u: np.ndarray, name: str = "u") -> np.ndarray:
     u = linalg.as_vector(u, name)
     if u.shape[0] != ch.m:
@@ -65,15 +79,7 @@ def _check_dim(ch: ChannelMatrix, u: np.ndarray, name: str = "u") -> np.ndarray:
 
 def invert_precode(ch: ChannelMatrix, u) -> PrecodeResult:
     """Plain channel inversion: s = H^-1 u, no selection."""
-    u = _check_dim(ch, u)
-    s = ch.h_inv @ u
-    return PrecodeResult(
-        u_chosen=u,
-        s=s,
-        gamma=float(s @ s),
-        candidate_index=0,
-        n_candidates=1,
-    )
+    return precode_result(ch, _check_dim(ch, u), 0, 1)
 
 
 def slm_random(ch: ChannelMatrix, candidates) -> PrecodeResult:
@@ -93,15 +99,7 @@ def slm_random(ch: ChannelMatrix, candidates) -> PrecodeResult:
         )
     energies = ch.energies(rows)
     best = int(np.argmin(energies))
-    u = rows[best].copy()
-    s = ch.h_inv @ u
-    return PrecodeResult(
-        u_chosen=u,
-        s=s,
-        gamma=float(s @ s),
-        candidate_index=best,
-        n_candidates=rows.shape[0],
-    )
+    return precode_result(ch, rows[best].copy(), best, rows.shape[0])
 
 
 def offset_range(b: int) -> np.ndarray:
@@ -152,15 +150,7 @@ def vector_perturb(
     best = int(np.argmin(energies))
     u_chosen = candidates[best].copy()
     l_total = np.rint((u_chosen - u) / tau).astype(np.int64)
-    s = ch.h_inv @ u_chosen
-    return PrecodeResult(
-        u_chosen=u_chosen,
-        s=s,
-        gamma=float(s @ s),
-        candidate_index=best,
-        n_candidates=n,
-        meta={"offset": l_total, "tau": float(tau), "b": b},
-    )
+    return precode_result(ch, u_chosen, best, n, offset=l_total, tau=float(tau), b=b)
 
 
 def fold_interval(x, tau: float):

@@ -17,16 +17,17 @@ increments (a depth-first branch-and-bound over the trellis; see
 
 Nested-lattice selection gives each user K a partition Lambda/Lambda' of a
 scaled integer lattice in 2*n_u dimensions; shifting a user's block by any
-element of Lambda' preserves its information modulo Lambda', and the
-transmitter exhaustively minimizes gamma over the Cartesian product of
-per-user shift sets.
+element of Lambda' preserves its information modulo Lambda'. Since
+Lambda' = q*spacing * Z^(2 n_u), a joint shift of all K blocks is an integer
+perturbation with period q*spacing, so ``nested_select`` is vector
+perturbation (``precoders.vector_perturb``) with q offsets per coordinate.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -37,7 +38,13 @@ from .errors import (
     LengthMismatchError,
     SearchBudgetExceededError,
 )
-from .precoders import SEARCH_BUDGET, PrecodeResult, offset_range
+from .precoders import (
+    SEARCH_BUDGET,
+    PrecodeResult,
+    offset_range,
+    precode_result,
+    vector_perturb,
+)
 from .theory import ChannelMatrix
 
 ORACLE_BUDGET = 2**16
@@ -50,64 +57,46 @@ ORACLE_BUDGET = 2**16
 
 @dataclass(frozen=True)
 class ShapingCode:
-    """Feed-forward binary convolutional code of rate k_s/n_s.
+    """Feed-forward binary convolutional code of rate 1/n_s.
 
-    ``generators[i][j]`` is the tap mask of output i over input stream j:
-    bit ``memory`` of the mask taps the current input bit, bit
-    ``memory - d`` taps the input delayed by d steps (the usual
-    most-significant-digit-first octal convention, e.g. 0o7 = 1 + D + D^2
-    and 0o5 = 1 + D^2 at memory 2). Each input stream drives its own
-    shift register of ``memory`` bits; the encoder state is their
-    concatenation, 2**(k_s * memory) states in all.
+    ``generators[i]`` is the tap mask of output i: bit ``memory`` of the
+    mask taps the current input bit, bit ``memory - d`` taps the input
+    delayed by d steps (the usual most-significant-digit-first octal
+    convention, e.g. 0o7 = 1 + D + D^2 and 0o5 = 1 + D^2 at memory 2). The
+    encoder state is the shift register of the last ``memory`` input bits,
+    2**memory states in all.
     """
 
-    k_s: int
     n_s: int
-    generators: Tuple[Tuple[int, ...], ...]
+    generators: Tuple[int, ...]
     memory: int
 
     @property
     def n_states(self) -> int:
-        return 1 << (self.k_s * self.memory)
+        return 1 << self.memory
 
     def codeword_count(self, n_steps: int) -> int:
-        """Number of distinct terminated input sequences over n_steps."""
-        free = max(0, n_steps - self.term_steps) * self.k_s
-        return 1 << free
+        """Number of distinct terminated input sequences over n_steps.
 
-    @property
-    def term_steps(self) -> int:
-        """Zero-input steps needed to drive the encoder back to state 0."""
-        return self.memory  # one register bit retired per step, per stream
+        The last ``memory`` steps take forced zero inputs, which drive the
+        encoder back to state 0.
+        """
+        return 1 << max(0, n_steps - self.memory)
 
 
-def shaping_code(generators, k_s: int = 1, memory: Optional[int] = None) -> ShapingCode:
-    """Build a ShapingCode from tap masks.
+def shaping_code(generators, memory: Optional[int] = None) -> ShapingCode:
+    """Build a ShapingCode from its n_s tap masks.
 
-    ``generators`` is a sequence of n_s masks (ints, already in numeric
-    form — write them as octal literals) for k_s = 1, or a sequence of n_s
-    length-k_s mask sequences for k_s > 1. ``memory`` defaults to the
-    largest tap degree.
+    The masks are ints, already in numeric form (write them as octal
+    literals). ``memory`` defaults to the largest tap degree.
     """
-    if k_s < 1:
-        raise ConfigError("k_s must be >= 1")
-    rows: List[Tuple[int, ...]] = []
-    for g in generators:
-        if isinstance(g, (int, np.integer)):
-            row = (int(g),)
-        else:
-            row = tuple(int(x) for x in g)
-        if len(row) != k_s:
-            raise ConfigError(
-                f"each generator needs {k_s} tap mask(s), got {len(row)}"
-            )
-        if any(x < 0 for x in row):
-            raise ConfigError("tap masks must be non-negative")
-        rows.append(row)
-    n_s = len(rows)
-    if n_s <= k_s:
-        raise ConfigError(f"need n_s > k_s >= 1, got k_s={k_s}, n_s={n_s}")
-    max_deg = max((x.bit_length() - 1 for row in rows for x in row if x), default=0)
+    masks = tuple(generators)
+    if any(not isinstance(g, (int, np.integer)) or g < 0 for g in masks):
+        raise ConfigError(f"tap masks must be non-negative integers, got {masks!r}")
+    masks = tuple(int(g) for g in masks)
+    if len(masks) < 2:
+        raise ConfigError(f"need n_s >= 2 output streams, got {len(masks)}")
+    max_deg = max((g.bit_length() - 1 for g in masks if g), default=0)
     if memory is None:
         memory = max_deg
     memory = int(memory)
@@ -115,10 +104,10 @@ def shaping_code(generators, k_s: int = 1, memory: Optional[int] = None) -> Shap
         raise ConfigError(
             f"generator degree {max_deg} exceeds declared memory {memory}"
         )
-    return ShapingCode(k_s=k_s, n_s=n_s, generators=tuple(rows), memory=memory)
+    return ShapingCode(n_s=len(masks), generators=masks, memory=memory)
 
 
-def code_from_octal(spec: str, k_s: int = 1, memory: Optional[int] = None) -> ShapingCode:
+def code_from_octal(spec: str, memory: Optional[int] = None) -> ShapingCode:
     """Parse a comma-separated octal generator string, e.g. "7,5"."""
     toks = [t.strip() for t in str(spec).split(",") if t.strip()]
     if not toks:
@@ -127,7 +116,7 @@ def code_from_octal(spec: str, k_s: int = 1, memory: Optional[int] = None) -> Sh
         masks = [int(t, 8) for t in toks]
     except ValueError as exc:
         raise ConfigError(f"bad octal generator in {spec!r}: {exc}") from None
-    return shaping_code(masks, k_s=k_s, memory=memory)
+    return shaping_code(masks, memory=memory)
 
 
 DEFAULT_CODE_SPEC = "7,5"
@@ -149,26 +138,15 @@ def _as_bits(bits, name: str) -> np.ndarray:
 
 
 def conv_encode(code: ShapingCode, bits) -> np.ndarray:
-    """Encode from the all-zero state, n_s output bits per k_s input bits."""
+    """Encode from the all-zero state, n_s output bits per input bit."""
     bits = _as_bits(bits, "input bits")
-    if bits.size % code.k_s:
-        raise LengthMismatchError(
-            f"input length {bits.size} is not a multiple of k_s={code.k_s}"
-        )
-    steps = bits.size // code.k_s
-    state = [0] * code.k_s
-    out = np.empty(steps * code.n_s, dtype=np.int64)
-    for t in range(steps):
-        windows = [
-            (int(bits[t * code.k_s + j]) << code.memory) | state[j]
-            for j in range(code.k_s)
-        ]
-        for i in range(code.n_s):
-            acc = 0
-            for j in range(code.k_s):
-                acc ^= (code.generators[i][j] & windows[j]).bit_count() & 1
-            out[t * code.n_s + i] = acc
-        state = [w >> 1 for w in windows]
+    state = 0
+    out = np.empty(bits.size * code.n_s, dtype=np.int64)
+    for t, bit in enumerate(bits):
+        window = (int(bit) << code.memory) | state
+        for i, g in enumerate(code.generators):
+            out[t * code.n_s + i] = (g & window).bit_count() & 1
+        state = window >> 1
     return out
 
 
@@ -315,8 +293,6 @@ def coset_to_payload(u, codeword_bits, cons: PartitionedConstellation) -> np.nda
 
 def _check_trellis_args(ch: ChannelMatrix, payload_bits, code: ShapingCode,
                         cons: PartitionedConstellation):
-    if code.k_s != 1:
-        raise ConfigError("trellis search supports k_s = 1 codes only")
     if code.n_s != cons.n_s:
         raise ConfigError(
             f"code emits {code.n_s} bits per step but constellation groups {cons.n_s}"
@@ -352,30 +328,16 @@ def _symbol_options(payload: np.ndarray, cons: PartitionedConstellation, m: int)
 def _reachable_states(code: ShapingCode, n_steps: int) -> np.ndarray:
     """reach[t, s] = encoder can be in state s at time t on a terminated path."""
     m_reg = code.memory
-    n_states = 1 << m_reg
-    reach = np.zeros((n_steps + 1, n_states), dtype=bool)
+    reach = np.zeros((n_steps + 1, code.n_states), dtype=bool)
     reach[0, 0] = True
     for t in range(n_steps):
         inputs = (0,) if t >= n_steps - m_reg else (0, 1)
-        for s in range(n_states):
+        for s in range(code.n_states):
             if reach[t, s]:
                 for u in inputs:
                     nxt = ((u << (m_reg - 1)) | (s >> 1)) if m_reg else 0
                     reach[t + 1, nxt] = True
     return reach
-
-
-def _result_from_u(ch: ChannelMatrix, u: np.ndarray, index: int, count: int,
-                   meta: dict) -> PrecodeResult:
-    s = ch.h_inv @ u
-    return PrecodeResult(
-        u_chosen=u,
-        s=s,
-        gamma=float(s @ s),
-        candidate_index=index,
-        n_candidates=count,
-        meta=meta,
-    )
 
 
 def trellis_shape(
@@ -407,7 +369,7 @@ def trellis_shape(
     if not reach[n_steps, 0]:
         raise ConfigError("shaping code cannot terminate in the given step count")
     g_upper = ch.chol.T
-    masks = [row[0] for row in code.generators]
+    masks = code.generators
 
     u_vec = np.zeros(m, dtype=np.float64)
     cw = np.zeros(m, dtype=np.int64)
@@ -472,14 +434,14 @@ def trellis_shape(
     index = 0
     for t in range(free):
         index = (index << 1) | int(best_inputs[t])
-    meta = {
-        "codeword": np.array(best_cw, dtype=np.int64),
-        "inputs": best_inputs,
-        "payload": payload.copy(),
-        "path_metric": best_metric,
-        "tau": cons.tau,
-    }
-    return _result_from_u(ch, best_u, index, code.codeword_count(n_steps), meta)
+    return precode_result(
+        ch, best_u, index, code.codeword_count(n_steps),
+        codeword=np.array(best_cw, dtype=np.int64),
+        inputs=best_inputs,
+        payload=payload.copy(),
+        path_metric=best_metric,
+        tau=cons.tau,
+    )
 
 
 def exhaustive_shape(
@@ -516,16 +478,16 @@ def exhaustive_shape(
             best = key + (v, u, codeword)
     assert best is not None
     gamma, cw_tuple, v, u, codeword = best
-    meta = {
-        "codeword": codeword,
-        "inputs": np.array(
+    return precode_result(
+        ch, u, v, count,
+        codeword=codeword,
+        inputs=np.array(
             [(v >> (free - 1 - t)) & 1 for t in range(free)] + [0] * (n_steps - free),
             dtype=np.int64,
         ),
-        "payload": payload.copy(),
-        "tau": cons.tau,
-    }
-    return _result_from_u(ch, u, v, count, meta)
+        payload=payload.copy(),
+        tau=cons.tau,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -598,49 +560,25 @@ def nested_select(
     """Jointly minimize gamma over the per-user Lambda' shift sets.
 
     ``user_symbols`` is a (K, 2*n_u) array of per-user blocks with
-    K * 2*n_u = M. Every combination of per-user shifts (q^(2*n_u) each,
+    K * 2*n_u = M (or its flattening). The search is vector perturbation
+    of the flattened blocks with period q*spacing and q offsets per
+    coordinate: the symbols are first folded into the fundamental domain
+    [-q*spacing/2, q*spacing/2), which leaves coset representatives
+    unchanged, then every combination of per-user shifts (q^(2*n_u) each,
     |Lambda/Lambda'|^K in total) is evaluated; ties go to the
-    lexicographically smallest flattened shift vector. Receivers recover
-    their block by folding modulo q*spacing per coordinate.
+    lexicographically smallest flattened shift vector. ``meta["offset"]``
+    is the integer shift in units of q*spacing. Receivers recover their
+    block by folding modulo q*spacing per coordinate.
     """
     symbols = np.asarray(user_symbols, dtype=np.float64)
-    if symbols.ndim == 1:
+    if symbols.ndim == 1 and symbols.size % part.dim == 0:
         symbols = symbols.reshape(-1, part.dim)
     if symbols.ndim != 2 or symbols.shape[1] != part.dim:
         raise DimensionMismatchError(
             f"user_symbols must be (K, {part.dim}), got {symbols.shape}"
         )
-    k_users = symbols.shape[0]
-    m = k_users * part.dim
-    if m != ch.m:
+    if symbols.size != ch.m:
         raise DimensionMismatchError(
-            f"K * 2n_u = {m} does not match channel dimension {ch.m}"
+            f"K * 2n_u = {symbols.size} does not match channel dimension {ch.m}"
         )
-    per_user = part.coset_count
-    total = per_user**k_users
-    if total > budget:
-        raise SearchBudgetExceededError(
-            f"q^(2 n_u K) = {total} exceeds the exhaustive-search budget {budget}"
-        )
-    offsets = part.offsets()
-    # Joint enumeration, user 0 varying slowest: lexicographic in the
-    # flattened shift vector because each user's offset rows already are.
-    idx_grids = np.meshgrid(*([np.arange(per_user)] * k_users), indexing="ij")
-    idx = np.stack([g.ravel() for g in idx_grids], axis=-1)  # (total, K)
-    u0 = symbols.reshape(-1)
-    candidates = np.empty((total, m), dtype=np.float64)
-    for k in range(k_users):
-        candidates[:, k * part.dim : (k + 1) * part.dim] = (
-            symbols[k][None, :] + offsets[idx[:, k]]
-        )
-    energies = ch.energies(candidates)
-    best = int(np.argmin(energies))
-    u = candidates[best].copy()
-    meta = {
-        "offset": (u - u0).copy(),
-        "user_offset_indices": idx[best].copy(),
-        "q": part.q,
-        "spacing": part.spacing,
-        "tau": part.modulo_period,
-    }
-    return _result_from_u(ch, u, best, total, meta)
+    return vector_perturb(ch, symbols.reshape(-1), part.modulo_period, part.q, budget)

@@ -134,9 +134,15 @@ def test_exit_code_sweep_values(tmp_path, capsys):
         {"precoder": [1]},
         {"m": 2.7},
         {"trials": True},
+        {"precoder": {"kind": "slm_random", "n": 4,
+                      "region": {"kind": "ball", "radius": 1e300}}},
+        {"tau": 1e300},
+        {"tau": 1e300, "precoder": {"kind": "vector_perturb", "b": 3}},
+        {"precoder": {"kind": "trellis", "generators": "7,5", "k_s": 2, "pam": 4}},
     ],
     ids=["nan_tau", "non_numeric_matrix", "nan_matrix", "string_channel_source",
-         "list_precoder", "fractional_m", "boolean_trials"],
+         "list_precoder", "fractional_m", "boolean_trials", "huge_ball_radius",
+         "huge_tau_plain", "huge_tau_vector_perturb", "trellis_k_s_2"],
 )
 def test_exit_code_malformed_config(tmp_path, overrides):
     cfg = _write_cfg(tmp_path, **overrides)

@@ -1,7 +1,9 @@
 """Tests for experiment configs, the Monte Carlo runner, and reports."""
 
+import importlib
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -210,6 +212,27 @@ def test_run_experiment_loads_channel_once(monkeypatch):
     cfg = harness.ExperimentConfig.from_dict(_base_cfg(trials=600))
     harness.run_experiment(cfg)
     assert len(calls) == 1
+
+
+def test_benchmark_trace_hooks_install(monkeypatch):
+    # the benchmark's traced run wraps every (owner, attr) in its TARGETS
+    # list; renaming or removing one in the package must fail these tests,
+    # not only the benchmark
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    tracing = importlib.import_module("tracing")
+    originals = [owner.__dict__[attr] for owner, attr, _, _ in tracing.TARGETS]
+    cfg = harness.ExperimentConfig.from_dict(
+        _base_cfg(m=4, channel_source={"kind": "random", "seed": 3}, trials=3,
+                  precoder={"kind": "nested", "k": 2, "n_u": 1, "q": 2})
+    )
+    with tracing.installed(tracing.Tracer()) as tr:
+        harness.run_experiment(cfg)
+    restored = [owner.__dict__[attr] for owner, attr, _, _ in tracing.TARGETS]
+    assert all(a is b for a, b in zip(restored, originals))
+    assert tr.counts["harness.channel_loads"] == 1
+    # a nested trial's 2^4 candidates are counted once, not again by the
+    # vector perturbation search it runs on
+    assert tr.counts["candidates"] == 3 * 16
 
 
 def test_run_experiment_single_trial():

@@ -33,18 +33,17 @@ def _random_channel(rng, m, cond_cap=300.0):
 
 def test_shaping_code_default():
     code = shaping.default_code()
-    assert code.k_s == 1
     assert code.n_s == 2
     assert code.memory == 2
     assert code.n_states == 4
-    assert code.generators == ((0o7,), (0o5,))
+    assert code.generators == (0o7, 0o5)
 
 
 def test_code_from_octal():
     code = shaping.code_from_octal("7,5")
-    assert code.generators == ((7,), (5,))
+    assert code.generators == (7, 5)
     code2 = shaping.code_from_octal("17,13", memory=3)
-    assert code2.generators == ((0o17,), (0o13,))
+    assert code2.generators == (0o17, 0o13)
     assert code2.memory == 3
     with pytest.raises(ConfigError):
         shaping.code_from_octal("7,9")  # 9 is not an octal digit
@@ -54,19 +53,14 @@ def test_code_from_octal():
 
 def test_shaping_code_validation():
     with pytest.raises(ConfigError):
-        # n_s must exceed k_s
-        shaping.shaping_code([[1, 1], [1, 1]], k_s=2, memory=1)
-    with pytest.raises(ConfigError):
-        shaping.shaping_code([1, 1], k_s=0)
-    with pytest.raises(ConfigError):
         # generator degree exceeds declared memory
         shaping.shaping_code([0o7, 0o5], memory=1)
     with pytest.raises(ConfigError):
         # single output stream cannot shape
         shaping.shaping_code([0o7])
     with pytest.raises(ConfigError):
-        # row length must equal k_s
-        shaping.shaping_code([[1], [1, 1], [1, 1]], k_s=2)
+        # each generator is one tap mask
+        shaping.shaping_code([[1], [1, 1], [1, 1]])
 
 
 def test_codeword_count():
@@ -105,27 +99,6 @@ def test_conv_encode_linearity():
         cb = shaping.conv_encode(code, b)
         cab = shaping.conv_encode(code, (a + b) % 2)
         assert np.array_equal(cab, (ca + cb) % 2)
-
-
-def test_conv_encode_rate_two_thirds():
-    # k_s = 2, n_s = 3 memoryless code: outputs are xor taps of the inputs
-    code = shaping.shaping_code([[1, 0], [0, 1], [1, 1]], k_s=2, memory=0)
-    bits = shaping.conv_encode(code, [1, 0, 0, 1, 1, 1])
-    assert np.array_equal(bits, [1, 0, 1, 0, 1, 1, 1, 1, 0])
-    rng = _rng()
-    for _ in range(20):
-        a = rng.integers(0, 2, size=6)
-        b = rng.integers(0, 2, size=6)
-        ca = shaping.conv_encode(code, a)
-        cb = shaping.conv_encode(code, b)
-        cab = shaping.conv_encode(code, (a + b) % 2)
-        assert np.array_equal(cab, (ca + cb) % 2)
-
-
-def test_conv_encode_length_check():
-    code = shaping.shaping_code([[1, 0], [0, 1], [1, 1]], k_s=2, memory=0)
-    with pytest.raises(LengthMismatchError):
-        shaping.conv_encode(code, [1, 0, 1])
 
 
 def test_conv_encode_rejects_non_binary():
@@ -334,9 +307,6 @@ def test_trellis_shape_validation():
     con3 = shaping.pam_constellation(4, spacing=1.0, n_s=3)
     with pytest.raises(ConfigError):
         shaping.trellis_shape(ch, [0] * 8, code, con3)
-    code22 = shaping.shaping_code([[1, 0], [0, 1], [1, 1]], k_s=2, memory=0)
-    with pytest.raises(ConfigError):
-        shaping.trellis_shape(ch, [0] * 8, code22, con)
 
 
 def test_exhaustive_shape_budget():
@@ -432,19 +402,24 @@ def test_nested_select_matches_independent_scan():
 
 
 def test_nested_select_equals_blockwise_vector_perturb():
-    # with one user the nested search is exactly a vector perturbation with
-    # period q * spacing and q offsets per dimension
+    # the joint nested search over K users is exactly a vector perturbation
+    # of the stacked blocks with period q * spacing and q offsets per
+    # dimension, bit for bit
     rng = _rng()
-    part = shaping.lattice_partition(n_u=2, q=3, spacing=0.7)
-    ch = _random_channel(rng, 4)
-    for _ in range(20):
-        symbols = part.cosets[rng.integers(0, part.coset_count, size=1)]
-        res = shaping.nested_select(ch, symbols, part)
-        vp = precoders.vector_perturb(
-            ch, symbols.ravel(), tau=part.modulo_period, b=part.q
-        )
-        assert res.gamma == pytest.approx(vp.gamma, rel=1e-12)
-        assert np.allclose(res.u_chosen, vp.u_chosen, atol=1e-12)
+    for k, q, spacing in itertools.product((1, 2, 3), (2, 3, 4), (1.0, 0.7)):
+        part = shaping.lattice_partition(n_u=1, q=q, spacing=spacing)
+        ch = _random_channel(rng, 2 * k)
+        for _ in range(5):
+            symbols = part.cosets[rng.integers(0, part.coset_count, size=k)]
+            res = shaping.nested_select(ch, symbols, part)
+            vp = precoders.vector_perturb(
+                ch, symbols.ravel(), tau=part.modulo_period, b=part.q
+            )
+            assert res.gamma == vp.gamma
+            assert np.array_equal(res.u_chosen, vp.u_chosen)
+            assert np.array_equal(res.s, vp.s)
+            assert res.candidate_index == vp.candidate_index
+            assert res.n_candidates == vp.n_candidates == q ** (2 * k)
 
 
 def test_nested_select_receiver_folds_back():
@@ -459,14 +434,18 @@ def test_nested_select_receiver_folds_back():
 
 
 def test_nested_select_offset_is_coarse_lattice_point():
+    # meta["offset"] is the integer shift in units of the coarse period
     rng = _rng()
     part = shaping.lattice_partition(n_u=1, q=2, spacing=1.0)
     ch = _random_channel(rng, 4)
     for _ in range(20):
         symbols = part.cosets[rng.integers(0, 4, size=2)]
         res = shaping.nested_select(ch, symbols, part)
-        ratio = np.asarray(res.meta["offset"]) / part.modulo_period
-        assert np.allclose(ratio, np.rint(ratio), atol=1e-12)
+        offset = np.asarray(res.meta["offset"])
+        assert np.issubdtype(offset.dtype, np.integer)
+        assert np.allclose(
+            res.u_chosen - symbols.ravel(), part.modulo_period * offset, atol=1e-12
+        )
 
 
 def test_nested_select_validation():
@@ -476,6 +455,8 @@ def test_nested_select_validation():
         shaping.nested_select(ch, part.cosets[:3], part)  # 3*2 != 4
     with pytest.raises(DimensionMismatchError):
         shaping.nested_select(ch, np.zeros((2, 3)), part)
+    with pytest.raises(DimensionMismatchError):
+        shaping.nested_select(ch, np.zeros(3), part)  # 3 is not a multiple of 2
 
 
 def test_nested_select_budget():
