@@ -276,6 +276,11 @@ def _scheme(cfg: ExperimentConfig) -> Tuple[int, float, _Trial]:
         n = _int(p.get("n", 0), "precoder.n")
         if n < 1:
             raise ConfigError("slm_random requires n >= 1")
+        # Checked before a trial allocates its (n, m) candidate array.
+        if n > precoders.SEARCH_BUDGET:
+            raise SearchBudgetExceededError(
+                f"n = {n} exceeds the candidate budget {precoders.SEARCH_BUDGET}"
+            )
         spec = _object(p.get("region", {"kind": "hypercube", "expand": True}), "precoder.region")
         if spec.get("kind") == "ball":
             radius = _float(spec.get("radius", 0.0), "region.radius")
@@ -406,6 +411,19 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentReport:
     grouped into fixed chunks of 256 whose partial sums are reduced in
     chunk order, so scheduling cannot change the result.
     """
+    return _run_all([cfg], workers)[0]
+
+
+def _run_all(cfgs: Sequence[ExperimentConfig], workers: int) -> List[ExperimentReport]:
+    """Reports of the configs, in order; chunks of all of them share one process pool."""
+    if workers > 1 and any(c.trials > TRIAL_CHUNK for c in cfgs):
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return [_run(c, pool) for c in cfgs]
+    return [_run(c, None) for c in cfgs]
+
+
+def _run(cfg: ExperimentConfig, pool: Optional[ProcessPoolExecutor]) -> ExperimentReport:
+    """One report; its chunks run in ``pool`` if one is given, else in this process."""
     t0 = time.perf_counter()
     ch = load_channel(cfg.channel_source, cfg.m, cfg.condition_limit)
     n_candidates, sigma2, _ = _scheme(cfg)
@@ -413,17 +431,16 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentReport:
     bounds = [
         (s, min(s + TRIAL_CHUNK, cfg.trials)) for s in range(0, cfg.trials, TRIAL_CHUNK)
     ]
-    if workers > 1 and len(bounds) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            partials = list(
-                pool.map(
-                    _run_chunk,
-                    [cfg_dict] * len(bounds),
-                    [ch] * len(bounds),
-                    [b[0] for b in bounds],
-                    [b[1] for b in bounds],
-                )
+    if pool is not None:
+        partials = list(
+            pool.map(
+                _run_chunk,
+                [cfg_dict] * len(bounds),
+                [ch] * len(bounds),
+                [b[0] for b in bounds],
+                [b[1] for b in bounds],
             )
+        )
     else:
         partials = [_run_chunk(cfg_dict, ch, s, e) for s, e in bounds]
     n = 0
@@ -465,16 +482,20 @@ def sweep_experiment(
     values: Sequence[int],
     workers: int = 1,
 ) -> List[ExperimentReport]:
-    """Re-run the experiment with the precoder's N or b swept over values."""
+    """Re-run the experiment with the precoder's N or b swept over values.
+
+    Every point is validated before any runs, and all points share one
+    process pool when ``workers > 1``.
+    """
     if param not in ("n", "b"):
         raise ConfigError(f"sweep parameter must be 'n' or 'b', got {param!r}")
-    reports = []
+    cfgs = []
     for v in values:
         d = cfg.to_dict()
         d["precoder"] = dict(d["precoder"])
         d["precoder"][param] = int(v)
-        reports.append(run_experiment(ExperimentConfig.from_dict(d), workers=workers))
-    return reports
+        cfgs.append(ExperimentConfig.from_dict(d))
+    return _run_all(cfgs, workers)
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ data exactly (the independency condition).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Any, Dict
 
@@ -109,6 +110,21 @@ def offset_range(b: int) -> np.ndarray:
     return np.arange(lo, hi + 1)
 
 
+@functools.lru_cache(maxsize=1)
+def _offset_grid(b: int, m: int) -> np.ndarray:
+    """The b^m offset vectors as float rows, read-only and built once per (b, m).
+
+    Only the latest grid is kept: a report or a sweep point uses one (b, m),
+    and a grid may be as large as SEARCH_BUDGET rows.
+
+    Lexicographic row order: the first coordinate varies slowest.
+    """
+    grids = np.meshgrid(*([offset_range(b)] * m), indexing="ij")
+    rows = np.stack([g.ravel() for g in grids], axis=-1).astype(np.float64)
+    rows.flags.writeable = False
+    return rows
+
+
 def vector_perturb(
     ch: ChannelMatrix,
     u,
@@ -141,11 +157,7 @@ def vector_perturb(
             f"b^M = {b}^{m} = {n} exceeds the exhaustive-search budget {budget}"
         )
     base = fold_interval(u, tau)
-    offsets = offset_range(b)
-    # Lexicographic row order: first coordinate varies slowest.
-    grids = np.meshgrid(*([offsets] * m), indexing="ij")
-    l_rows = np.stack([g.ravel() for g in grids], axis=-1).astype(np.float64)
-    candidates = base[None, :] + tau * l_rows
+    candidates = base[None, :] + tau * _offset_grid(b, m)
     energies = ch.energies(candidates)
     best = int(np.argmin(energies))
     u_chosen = candidates[best].copy()

@@ -37,6 +37,9 @@ from .linalg import EigenSystem
 
 TWO_PI_E = 2.0 * math.pi * math.e
 
+# Rows per matrix product in ChannelMatrix.energies; see the comment there.
+ENERGY_BLOCK = 4096
+
 
 @dataclass(frozen=True)
 class ChannelMatrix:
@@ -76,8 +79,26 @@ class ChannelMatrix:
 
     def energies(self, u_rows: np.ndarray) -> np.ndarray:
         """Transmit energies of data vectors stacked as rows."""
-        w = np.asarray(u_rows, dtype=np.float64) @ self.chol
-        return np.einsum("ij,ij->i", w, w)
+        u_rows = np.asarray(u_rows, dtype=np.float64)
+        n = u_rows.shape[0]
+        # Blocks of ENERGY_BLOCK rows keep each (rows, M) @ (M, M) product
+        # under OpenBLAS's multithreading threshold (about 2^18 for m*n*k)
+        # for M < 8; at M = 8 a block sits on the threshold. One large
+        # product wakes BLAS threads: that costs time in a serial run and,
+        # in forked pool workers, oversubscribes the cores, so that
+        # --workers runs slower than serial. Every row still goes through
+        # the same GEMM kernel, so the bits do not depend on the blocking.
+        # A 1-row tail is folded into the block before it, because numpy
+        # sends a (1, M) @ (M, M) product to GEMV, which sums in another
+        # order.
+        stops = list(range(ENERGY_BLOCK, n - 1, ENERGY_BLOCK)) + [n]
+        out = np.empty(n)
+        start = 0
+        for stop in stops:
+            w = u_rows[start:stop] @ self.chol
+            out[start:stop] = np.einsum("ij,ij->i", w, w)
+            start = stop
+        return out
 
 
 def build_channel(h, condition_limit: float = 1e8) -> ChannelMatrix:

@@ -125,33 +125,37 @@ def test_exit_code_sweep_values(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "overrides",
+    "overrides,code",
     [
-        {"tau": float("nan")},
-        {"channel_source": {"kind": "inline", "matrix": [[1.0, "x"], [0.0, 1.0]]}},
-        {"channel_source": {"kind": "inline", "matrix": [[float("nan"), 0.0], [0.0, 1.0]]}},
-        {"channel_source": "abc"},
-        {"precoder": [1]},
-        {"m": 2.7},
-        {"trials": True},
-        {"precoder": {"kind": "slm_random", "n": 4,
-                      "region": {"kind": "ball", "radius": 1e300}}},
-        {"tau": 1e300},
-        {"tau": 1e300, "precoder": {"kind": "vector_perturb", "b": 3}},
-        {"precoder": {"kind": "trellis", "generators": "7,5", "k_s": 2, "pam": 4}},
+        ({"tau": float("nan")}, 2),
+        ({"channel_source": {"kind": "inline", "matrix": [[1.0, "x"], [0.0, 1.0]]}}, 2),
+        ({"channel_source": {"kind": "inline", "matrix": [[float("nan"), 0.0], [0.0, 1.0]]}}, 2),
+        ({"channel_source": "abc"}, 2),
+        ({"precoder": [1]}, 2),
+        ({"m": 2.7}, 2),
+        ({"trials": True}, 2),
+        ({"precoder": {"kind": "slm_random", "n": 4,
+                       "region": {"kind": "ball", "radius": 1e300}}}, 2),
+        ({"tau": 1e300}, 2),
+        ({"tau": 1e300, "precoder": {"kind": "vector_perturb", "b": 3}}, 2),
+        ({"precoder": {"kind": "trellis", "generators": "7,5", "k_s": 2, "pam": 4}}, 2),
+        # n beyond precoders.SEARCH_BUDGET is refused before a trial
+        # allocates its (n, m) candidate array
+        ({"precoder": {"kind": "slm_random", "n": 2**40}}, 3),
     ],
     ids=["nan_tau", "non_numeric_matrix", "nan_matrix", "string_channel_source",
          "list_precoder", "fractional_m", "boolean_trials", "huge_ball_radius",
-         "huge_tau_plain", "huge_tau_vector_perturb", "trellis_k_s_2"],
+         "huge_tau_plain", "huge_tau_vector_perturb", "trellis_k_s_2",
+         "slm_n_over_budget"],
 )
-def test_exit_code_malformed_config(tmp_path, overrides):
+def test_exit_code_malformed_config(tmp_path, overrides, code):
     cfg = _write_cfg(tmp_path, **overrides)
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(slmprecode.__file__)))
     proc = subprocess.run(
         [sys.executable, "-m", "slmprecode.cli", "run", "--config", cfg],
         capture_output=True, text=True, env=env, timeout=60,
     )
-    assert proc.returncode == 2, proc.stderr
+    assert proc.returncode == code, proc.stderr
     assert "error:" in proc.stderr
     assert "Traceback" not in proc.stderr
 

@@ -353,6 +353,24 @@ def test_sweep_monotone_in_candidates():
         assert lo.mean_gamma <= hi.mean_gamma + 2 * pooled
 
 
+def test_sweep_uses_one_pool(monkeypatch):
+    built = []
+
+    class CountingPool(harness.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            built.append(1)
+            super().__init__(*args, **kwargs)
+
+    cfg = harness.ExperimentConfig.from_dict(
+        _base_cfg(trials=600, precoder={"kind": "slm_random", "n": 4})
+    )
+    serial = harness.write_report(harness.sweep_experiment(cfg, "n", [4, 16, 64]), "csv", None)
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", CountingPool)
+    pooled = harness.sweep_experiment(cfg, "n", [4, 16, 64], workers=2)
+    assert len(built) == 1
+    assert harness.write_report(pooled, "csv", None) == serial
+
+
 def test_sweep_param_validation():
     cfg = harness.ExperimentConfig.from_dict(_base_cfg())
     with pytest.raises(ConfigError):

@@ -65,6 +65,18 @@ def test_channel_energy_matches_quadratic_form():
     assert np.allclose(batch, single, rtol=1e-12)
 
 
+@pytest.mark.parametrize("m", [4, 8])
+def test_energies_blocked_bit_identical(m):
+    # more than ENERGY_BLOCK rows run in blocks; 4097 and 8193 end in a
+    # 1-row tail, which must not go through numpy's GEMV path
+    rng = _rng()
+    ch = theory.build_channel(rng.standard_normal((m, m)))
+    for n in (1, 4096, 4097, 8193, 65537):
+        x = rng.standard_normal((n, m))
+        w = x @ ch.chol
+        assert np.array_equal(ch.energies(x), np.einsum("ij,ij->i", w, w)), n
+
+
 # ---------------------------------------------------------------------------
 # entropy-matched variance
 # ---------------------------------------------------------------------------
