@@ -50,9 +50,6 @@ from .regions import (
     gaussian,
     hypercube,
     make_stream,
-    sample_ball,
-    sample_gaussian,
-    sample_hypercube,
 )
 from .precoders import (
     PrecodeResult,

@@ -50,7 +50,8 @@ class Region:
     ball) and None for the Gaussian. ``entropy_bits_per_dim`` is the
     differential entropy per dimension of the region's distribution:
     log2(tau) for the hypercube, (1/M) log2(volume) for the ball, and the
-    Gaussian closed form for the oval case.
+    Gaussian closed form for the oval case. ``chol`` is the lower Cholesky
+    factor of the Gaussian's covariance.
     """
 
     kind: str
@@ -59,7 +60,7 @@ class Region:
     entropy_bits_per_dim: float
     tau: Optional[float] = None
     radius: Optional[float] = None
-    sigma: Optional[np.ndarray] = None
+    chol: Optional[np.ndarray] = None
 
 
 def hypercube(tau: float, m: int) -> Region:
@@ -111,7 +112,7 @@ def gaussian(sigma) -> Region:
         dim=m,
         volume=None,
         entropy_bits_per_dim=entropy,
-        sigma=sigma,
+        chol=linalg.cholesky(sigma),
     )
 
 
@@ -131,52 +132,25 @@ class Sampler:
         self.gen = make_stream(self.seed, self.stream_index)
 
     def draw(self, n: Optional[int] = None) -> np.ndarray:
-        """One sample (shape (M,)) or a batch of n samples (shape (n, M))."""
+        """One sample (shape (M,)) or a batch of n samples (shape (n, M)).
+
+        Hypercube coordinates are i.i.d. uniform on [-tau/2, tau/2). A ball
+        sample is a normalized standard Gaussian direction with norm
+        radius * U^(1/M), the inverse CDF of the radial distribution. A
+        Gaussian sample colors white noise with the region's Cholesky factor.
+        """
         r = self.region
+        shape = (r.dim,) if n is None else (int(n), r.dim)
         if r.kind == "hypercube":
-            return sample_hypercube(r.tau, r.dim, self, n)
+            return r.tau * (self.gen.random(shape) - 0.5)
         if r.kind == "ball":
-            return sample_ball(r.radius, r.dim, self, n)
-        return sample_gaussian(r.sigma, self, n)
-
-
-def _uniform(sampler, n: Optional[int], m: int) -> np.ndarray:
-    shape = (m,) if n is None else (int(n), m)
-    return sampler.gen.random(shape)
-
-
-def sample_hypercube(tau: float, m: int, sampler: Sampler, n: Optional[int] = None) -> np.ndarray:
-    """I.i.d. coordinates uniform on the half-open interval [-tau/2, tau/2)."""
-    if tau <= 0.0:
-        raise ValueError("tau must be positive")
-    return tau * (_uniform(sampler, n, m) - 0.5)
-
-
-def sample_ball(radius: float, m: int, sampler: Sampler, n: Optional[int] = None) -> np.ndarray:
-    """Uniform over the solid M-ball via the exact radial inverse CDF.
-
-    Direction is a normalized standard Gaussian; the norm is
-    radius * U^(1/M), the inverse CDF of the radial distribution.
-    """
-    if radius <= 0.0:
-        raise ValueError("radius must be positive")
-    shape = (m,) if n is None else (int(n), m)
-    g = sampler.gen.standard_normal(shape)
-    norms = np.linalg.norm(g, axis=-1, keepdims=True)
-    # A zero Gaussian draw has probability zero; guard anyway.
-    norms = np.where(norms == 0.0, 1.0, norms)
-    u = sampler.gen.random(shape[:-1] + (1,))
-    return g / norms * (radius * u ** (1.0 / m))
-
-
-def sample_gaussian(sigma, sampler: Sampler, n: Optional[int] = None) -> np.ndarray:
-    """Zero-mean Gaussian with covariance sigma via Cholesky coloring."""
-    sigma = linalg.as_matrix(sigma, "sigma")
-    chol = linalg.cholesky(sigma)
-    m = sigma.shape[0]
-    shape = (m,) if n is None else (int(n), m)
-    white = sampler.gen.standard_normal(shape)
-    return white @ chol.T
+            g = self.gen.standard_normal(shape)
+            norms = np.linalg.norm(g, axis=-1, keepdims=True)
+            # A zero Gaussian draw has probability zero; guard anyway.
+            norms = np.where(norms == 0.0, 1.0, norms)
+            u = self.gen.random(shape[:-1] + (1,))
+            return g / norms * (r.radius * u ** (1.0 / r.dim))
+        return self.gen.standard_normal(shape) @ r.chol.T
 
 
 def expanded_region(base: Region, n_candidates: int) -> Region:

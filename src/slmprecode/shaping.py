@@ -8,12 +8,15 @@ Sign-bit shaping maps payload bits onto PAM symbols (one sign bit plus
 magnitude bits per symbol) and XORs the sign bits with a codeword of a
 binary convolutional code; every codeword yields the same information, so
 the transmitter searches the coset {u(payload, c) : c in C} for the vector
-minimizing gamma = u^T Q u. Because Q couples all dimensions, branch
-metrics come from the triangular factorization Q = L L^T: with G = L^T,
-gamma = ||G u||^2 and component i of G u depends only on u_i..u_M, so the
-code tree is searched in reverse symbol order with exact additive metric
-increments (a depth-first branch-and-bound over the trellis; see
-``trellis_shape``).
+minimizing gamma = u^T Q u. A codeword bit flips the sign of its symbol,
+so u(payload, c) = u0 * (1 - 2c) with u0 the zero-codeword point, and the
+codewords are indexed by the encoder's free input bits. Because Q couples
+all dimensions, branch metrics come from the triangular factorization
+Q = L L^T: with G = L^T, gamma = ||G u||^2 and component i of G u depends
+only on u_i..u_M, so the code tree is searched in reverse symbol order with
+exact additive metric increments (a depth-first branch-and-bound on an
+explicit stack, bounded by ``SEARCH_BUDGET`` visited nodes; ties go to the
+smallest codeword, then the smallest input index; see ``trellis_shape``).
 
 Nested-lattice selection gives each user K a partition Lambda/Lambda' of a
 scaled integer lattice in 2*n_u dimensions; shifting a user's block by any
@@ -27,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -63,17 +66,12 @@ class ShapingCode:
     mask taps the current input bit, bit ``memory - d`` taps the input
     delayed by d steps (the usual most-significant-digit-first octal
     convention, e.g. 0o7 = 1 + D + D^2 and 0o5 = 1 + D^2 at memory 2). The
-    encoder state is the shift register of the last ``memory`` input bits,
-    2**memory states in all.
+    encoder state is the shift register of the last ``memory`` input bits.
     """
 
     n_s: int
     generators: Tuple[int, ...]
     memory: int
-
-    @property
-    def n_states(self) -> int:
-        return 1 << self.memory
 
     def codeword_count(self, n_steps: int) -> int:
         """Number of distinct terminated input sequences over n_steps.
@@ -162,9 +160,7 @@ class PartitionedConstellation:
     Each symbol carries ``bits_per_symbol`` bits: one sign bit (1 means
     negative) followed by magnitude bits (natural binary, 0 = innermost
     level). One trellis step controls the sign bits of ``n_s`` consecutive
-    symbols; ``subset_label`` labels each n_s-symbol block with its sign
-    pattern (first symbol's sign is the most significant bit), giving the
-    2**n_s shaping subsets of the block signal set.
+    symbols, so the 2**n_s sign patterns of a block are its shaping subsets.
     """
 
     pam_levels: np.ndarray
@@ -192,16 +188,6 @@ class PartitionedConstellation:
         if not 0 <= magnitude < self.n_levels // 2:
             raise ValueError(f"magnitude index {magnitude} out of range")
         return (1.0 - 2.0 * sign) * self.spacing * (magnitude + 0.5)
-
-    def subset_label(self, block: Sequence[float]) -> int:
-        if len(block) != self.n_s:
-            raise LengthMismatchError(
-                f"block needs {self.n_s} symbols, got {len(block)}"
-            )
-        label = 0
-        for x in block:
-            label = (label << 1) | self.sign_bit(float(x))
-        return label
 
 
 def pam_constellation(
@@ -311,35 +297,6 @@ def _check_trellis_args(ch: ChannelMatrix, payload_bits, code: ShapingCode,
     return payload
 
 
-def _symbol_options(payload: np.ndarray, cons: PartitionedConstellation, m: int) -> np.ndarray:
-    """u_opt[j, c] = value of symbol j when its codeword bit is c."""
-    bps = cons.bits_per_symbol
-    u_opt = np.empty((m, 2), dtype=np.float64)
-    for j in range(m):
-        sign = int(payload[j * bps])
-        k = 0
-        for bit in payload[j * bps + 1 : (j + 1) * bps]:
-            k = (k << 1) | int(bit)
-        u_opt[j, 0] = cons.level(sign, k)
-        u_opt[j, 1] = cons.level(sign ^ 1, k)
-    return u_opt
-
-
-def _reachable_states(code: ShapingCode, n_steps: int) -> np.ndarray:
-    """reach[t, s] = encoder can be in state s at time t on a terminated path."""
-    m_reg = code.memory
-    reach = np.zeros((n_steps + 1, code.n_states), dtype=bool)
-    reach[0, 0] = True
-    for t in range(n_steps):
-        inputs = (0,) if t >= n_steps - m_reg else (0, 1)
-        for s in range(code.n_states):
-            if reach[t, s]:
-                for u in inputs:
-                    nxt = ((u << (m_reg - 1)) | (s >> 1)) if m_reg else 0
-                    reach[t + 1, nxt] = True
-    return reach
-
-
 def trellis_shape(
     ch: ChannelMatrix,
     payload_bits,
@@ -348,96 +305,94 @@ def trellis_shape(
 ) -> PrecodeResult:
     """Exact minimum-energy coset member via search over the code trellis.
 
-    The encoder runs M/n_s steps (the last ``memory`` with forced zero
-    inputs so every codeword is terminated). gamma = ||G u||^2 with
-    G = L^T upper triangular, so the search walks the trellis backward
-    from the final all-zero state: stepping from time t+1 to t fixes the
-    step's output bits, hence symbols t*n_s..t*n_s+n_s-1, completing
-    components t*n_s..t*n_s+n_s-1 of G u — exact additive metric
-    increments. A branch is pruned when its partial metric already exceeds
-    the incumbent energy. Among exact energy ties the lexicographically
-    smallest codeword wins; the result is bit-identical to exhaustive
-    coset enumeration under the same tie-break.
+    A codeword bit flips the sign of its symbol, so the coset member of
+    codeword c is u0 * (1 - 2c) with u0 = payload_to_coset(payload, 0).
+    The encoder runs n = M/n_s steps, the last ``memory`` with forced zero
+    inputs, so the codewords are indexed by the F = n - memory free inputs
+    x_0..x_{F-1}, and the n_s output bits of step t depend only on the
+    window x_{t-memory}..x_t (inputs before x_0 are zero). gamma =
+    ||G u||^2 with G = L^T upper triangular, so the search assigns the
+    steps backward from t = n - 1: step t fixes x_{t-memory} (a single
+    child when t < memory) and symbols t*n_s..t*n_s+n_s-1, which completes
+    components t*n_s..t*n_s+n_s-1 of G u: exact additive metric
+    increments.
+
+    The depth-first search runs on an explicit stack and tries a node's
+    children in increasing order of their increment. A node is pruned when
+    its partial metric exceeds the incumbent energy by more than
+    1e-9 * (1 + incumbent); leaves are scored with ``ch.energy``. Among the
+    leaves the winner has the smallest (gamma, codeword, input index),
+    where the input index reads x_0..x_{F-1} as a binary number with x_0
+    most significant, so the result is bit-identical to
+    ``exhaustive_shape``. A search that visits more than ``SEARCH_BUDGET``
+    unpruned nodes, leaves included, raises SearchBudgetExceededError.
     """
     payload = _check_trellis_args(ch, payload_bits, code, cons)
-    m = ch.m
-    n_s = code.n_s
-    n_steps = m // n_s
-    m_reg = code.memory
-    u_opt = _symbol_options(payload, cons, m)
-    reach = _reachable_states(code, n_steps)
-    if not reach[n_steps, 0]:
-        raise ConfigError("shaping code cannot terminate in the given step count")
+    n_s, mem = code.n_s, code.memory
+    n_steps = ch.m // n_s
+    u0 = payload_to_coset(payload, np.zeros(ch.m, dtype=np.int64), cons)
     g_upper = ch.chol.T
-    masks = code.generators
-
-    u_vec = np.zeros(m, dtype=np.float64)
-    cw = np.zeros(m, dtype=np.int64)
+    g_rows = [g_upper[j, j:] for j in range(ch.m)]
+    keep = (1 << (mem + 1)) - 1
+    u = u0.copy()
     inputs = np.zeros(n_steps, dtype=np.int64)
 
+    def place(t: int, window: int) -> None:
+        """Set step t's symbols from the window's output bits."""
+        for i, g in enumerate(code.generators):
+            j = t * n_s + i
+            u[j] = -u0[j] if (g & window).bit_count() & 1 else u0[j]
+
+    best_key = best_u = best_metric = None
     best_gamma = math.inf
-    best_cw: Optional[Tuple[int, ...]] = None
-    best_u: Optional[np.ndarray] = None
-    best_inputs: Optional[np.ndarray] = None
-    best_metric = math.inf
-
-    def expand(t_next: int, state_next: int, partial: float):
-        """Assign step t = t_next - 1; steps t_next..end already fixed."""
-        nonlocal best_gamma, best_cw, best_u, best_inputs, best_metric
-        if t_next == 0:
-            gamma = ch.energy(u_vec)
-            cw_tuple = tuple(int(b) for b in cw)
-            if gamma < best_gamma or (gamma == best_gamma and
-                                      (best_cw is None or cw_tuple < best_cw)):
-                best_gamma = gamma
-                best_cw = cw_tuple
-                best_u = u_vec.copy()
-                best_inputs = inputs.copy()
-                best_metric = partial
-            return
-        t = t_next - 1
-        base = t * n_s
-        if m_reg:
-            u_in = (state_next >> (m_reg - 1)) & 1
-            low = state_next & ((1 << (m_reg - 1)) - 1)
-            prevs = [((low << 1) | b, u_in) for b in (0, 1)]
-        else:
-            prevs = [(0, 0), (0, 1)]
+    nodes = 0
+    # (partial metric, step t, window): steps t..n-1 are assigned, and bit
+    # memory - d of the window holds x_{t-d}; the root is step n.
+    stack = [(0.0, n_steps, 0)]
+    while stack:
+        partial, t, window = stack.pop()
+        if partial > best_gamma + 1e-9 * (1.0 + abs(best_gamma)):
+            continue
+        nodes += 1
+        if nodes > SEARCH_BUDGET:
+            raise SearchBudgetExceededError(
+                f"trellis search visited more than {SEARCH_BUDGET} nodes"
+            )
+        if t < n_steps:
+            place(t, window)
+            if t >= mem:
+                inputs[t - mem] = window & 1
+        if t == 0:
+            gamma = ch.energy(u)
+            if gamma <= best_gamma:
+                # A codeword bit is set exactly where u differs from u0.
+                key = (gamma, (u != u0).tolist(), inputs.tolist())
+                if best_key is None or key < best_key:
+                    best_key, best_u, best_metric = key, u.copy(), partial
+                    best_gamma = gamma
+            continue
+        s = t - 1
+        shifted = (window << 1) & keep
         children = []
-        for state_prev, u_in in prevs:
-            if not reach[t, state_prev]:
-                continue
-            window = (u_in << m_reg) | state_prev
-            bits = [(masks[i] & window).bit_count() & 1 for i in range(n_s)]
+        for w in (shifted, shifted | 1) if s >= mem else (shifted,):
+            place(s, w)
             inc = 0.0
-            for i in range(n_s):
-                u_vec[base + i] = u_opt[base + i, bits[i]]
-            for i in range(n_s):
-                comp = float(g_upper[base + i, base + i:] @ u_vec[base + i:])
+            for j in range(s * n_s, t * n_s):
+                comp = float(g_rows[j] @ u[j:])
                 inc += comp * comp
-            children.append((inc, bits, state_prev, u_in,
-                             u_vec[base:base + n_s].copy()))
-        children.sort(key=lambda c: (c[0], c[1]))
-        slack = 1e-9 * (1.0 + abs(best_gamma)) if math.isfinite(best_gamma) else math.inf
-        for inc, bits, state_prev, u_in, block in children:
-            if partial + inc > best_gamma + slack:
-                break  # children are sorted; the rest prune too
-            u_vec[base:base + n_s] = block
-            cw[base:base + n_s] = bits
-            inputs[t] = u_in
-            expand(t, state_prev, partial + inc)
+            children.append((inc, w))
+        children.sort(reverse=True)  # the smallest increment is popped first
+        stack.extend((partial + inc, s, w) for inc, w in children)
 
-    expand(n_steps, 0, 0.0)
-    assert best_u is not None  # the all-zero codeword path always exists
-
-    free = max(0, n_steps - m_reg)
+    _, codeword, best_inputs = best_key
+    free = max(0, n_steps - mem)
     index = 0
-    for t in range(free):
-        index = (index << 1) | int(best_inputs[t])
+    for bit in best_inputs[:free]:
+        index = (index << 1) | bit
     return precode_result(
         ch, best_u, index, code.codeword_count(n_steps),
-        codeword=np.array(best_cw, dtype=np.int64),
-        inputs=best_inputs,
+        codeword=np.array(codeword, dtype=np.int64),
+        inputs=np.array(best_inputs, dtype=np.int64),
         payload=payload.copy(),
         path_metric=best_metric,
         tau=cons.tau,

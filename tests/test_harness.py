@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from slmprecode import harness, theory
+from slmprecode import harness, shaping, theory
 from slmprecode.errors import ConfigError, ParseError, ReportIOError
 
 
@@ -233,6 +233,15 @@ def test_benchmark_trace_hooks_install(monkeypatch):
     # a nested trial's 2^4 candidates are counted once, not again by the
     # vector perturbation search it runs on
     assert tr.counts["candidates"] == 3 * 16
+    # perfbench's shaping.leaves_per_trial reads these two counters
+    cfg = harness.ExperimentConfig.from_dict(
+        _base_cfg(m=8, channel_source={"kind": "random", "seed": 3}, trials=3,
+                  precoder={"kind": "trellis", "generators": "7,5", "pam": 4})
+    )
+    with tracing.installed(tracing.Tracer()) as tr:
+        harness.run_experiment(cfg)
+    assert tr.counts["codewords"] == 3 * shaping.default_code().codeword_count(4)
+    assert tr.counts["rows.shaping.trellis_shape"] >= 3
 
 
 def test_run_experiment_single_trial():

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -35,7 +36,6 @@ def test_shaping_code_default():
     code = shaping.default_code()
     assert code.n_s == 2
     assert code.memory == 2
-    assert code.n_states == 4
     assert code.generators == (0o7, 0o5)
 
 
@@ -139,20 +139,6 @@ def test_pam_constellation_sign_magnitude():
         con.level(0, 2)
 
 
-def test_pam_constellation_subsets_partition():
-    con = shaping.pam_constellation(4, spacing=1.0, n_s=2)
-    seen = {}
-    for pair in itertools.product(con.pam_levels.tolist(), repeat=2):
-        label = con.subset_label(pair)
-        seen.setdefault(label, []).append(pair)
-    # 2^2 sign-pattern subsets, each with 4 magnitude pairs
-    assert sorted(seen) == [0, 1, 2, 3]
-    assert all(len(v) == 4 for v in seen.values())
-    # label packs sign bits first-symbol-first
-    assert con.subset_label([0.5, -1.5]) == 0b01
-    assert con.subset_label([-0.5, 1.5]) == 0b10
-
-
 def test_pam_constellation_validation():
     with pytest.raises(ConfigError):
         shaping.pam_constellation(3, spacing=1.0)
@@ -236,22 +222,64 @@ def test_trellis_shape_identity_channel_prefers_zero_codeword():
         assert res.candidate_index == 0
 
 
-def test_trellis_shape_matches_exhaustive():
+@pytest.mark.parametrize(
+    "spec, n_s, symbols",
+    [
+        pytest.param("7,5", 2, (4, 6, 8, 10), id="7,5"),
+        pytest.param("5,7", 2, (4, 6, 8, 10), id="5,7"),
+        pytest.param("17,15", 2, (4, 6, 8, 10, 12), id="17,15"),
+        # memory 0: every input bit is free
+        pytest.param("1,1", 2, (2, 4, 6, 8, 10), id="1,1"),
+        # every input sequence gives the zero codeword, so all tie on it
+        pytest.param("0,0", 2, (2, 4, 6, 8), id="0,0"),
+        pytest.param("7,7,5", 3, (3, 6, 9, 12), id="7,7,5"),
+        # M/n_s <= memory: one codeword
+        pytest.param("7,5", 2, (2,), id="7,5-one-codeword"),
+    ],
+)
+def test_trellis_shape_matches_exhaustive(spec, n_s, symbols):
     rng = _rng()
-    code = shaping.default_code()
-    con = shaping.pam_constellation(4, spacing=1.0)
-    for trial in range(50):
-        m = int(rng.choice([4, 6, 8, 10]))
+    code = shaping.code_from_octal(spec)
+    for trial in range(20):
+        m = int(rng.choice(symbols))
+        con = shaping.pam_constellation(int(rng.choice([2, 4, 8])), spacing=1.0, n_s=n_s)
         ch = _random_channel(rng, m)
-        payload = rng.integers(0, 2, size=2 * m)
+        payload = rng.integers(0, 2, size=m * con.bits_per_symbol)
         fast = shaping.trellis_shape(ch, payload, code, con)
         slow = shaping.exhaustive_shape(ch, payload, code, con)
-        # bit-identical: same codeword, same chosen point, same energy
+        # bit-identical under the (gamma, codeword, input index) tie-break
         assert np.array_equal(fast.meta["codeword"], slow.meta["codeword"]), f"trial {trial}"
+        assert np.array_equal(fast.meta["inputs"], slow.meta["inputs"])
         assert np.array_equal(fast.u_chosen, slow.u_chosen)
         assert fast.gamma == slow.gamma
         assert fast.candidate_index == slow.candidate_index
         assert fast.n_candidates == slow.n_candidates
+
+
+def test_trellis_shape_budget(monkeypatch):
+    # H = I ties every leaf, so nothing is pruned: M = 8 under (7,5) visits
+    # the root, 2 + 4 nodes that fix a free input and 4 + 4 forced ones
+    ch = theory.build_channel(np.eye(8))
+    code = shaping.default_code()
+    con = shaping.pam_constellation(4, spacing=1.0)
+    payload = _rng().integers(0, 2, size=16)
+    monkeypatch.setattr(shaping, "SEARCH_BUDGET", 15)
+    assert shaping.trellis_shape(ch, payload, code, con).n_candidates == 4
+    monkeypatch.setattr(shaping, "SEARCH_BUDGET", 14)
+    with pytest.raises(SearchBudgetExceededError):
+        shaping.trellis_shape(ch, payload, code, con)
+
+
+def test_trellis_shape_deeper_than_recursion_limit(monkeypatch):
+    # more trellis steps than Python allows nested calls: the first dive
+    # reaches a leaf, and the search then stops at its node budget
+    n_steps = sys.getrecursionlimit() + 50
+    ch = theory.build_channel(np.eye(2 * n_steps))
+    code = shaping.default_code()
+    con = shaping.pam_constellation(4, spacing=1.0)
+    monkeypatch.setattr(shaping, "SEARCH_BUDGET", n_steps + 10)
+    with pytest.raises(SearchBudgetExceededError):
+        shaping.trellis_shape(ch, np.zeros(4 * n_steps, dtype=np.int64), code, con)
 
 
 def test_trellis_shape_dominates_zero_codeword():
