@@ -123,9 +123,7 @@ def cmd_theory(args) -> int:
 def cmd_run(args) -> int:
     cfg = _load(args)
     report = harness.run_experiment(cfg, workers=max(1, args.workers))
-    text = harness.write_report(report, args.format, args.out)
-    if args.out is None:
-        sys.stdout.write(text)
+    _emit(harness.write_report(report, args.format, None), args.out)
     return 0
 
 
@@ -138,9 +136,7 @@ def cmd_sweep(args) -> int:
     if not values:
         raise ConfigError("--values is empty")
     reports = harness.sweep_experiment(cfg, args.param, values, workers=max(1, args.workers))
-    text = harness.write_report(reports, args.format, args.out)
-    if args.out is None:
-        sys.stdout.write(text)
+    _emit(harness.write_report(reports, args.format, None), args.out)
     return 0
 
 

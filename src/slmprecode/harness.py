@@ -43,6 +43,7 @@ offsets per coordinate.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import numbers
@@ -57,6 +58,7 @@ from . import precoders, regions, shaping, theory
 from .errors import (
     ConfigError,
     ParseError,
+    PrecodingError,
     ReportIOError,
     SearchBudgetExceededError,
 )
@@ -92,6 +94,36 @@ def _object(value, name: str) -> Dict:
     return dict(value)
 
 
+def _within_budget(base: int, power: int, what: str) -> int:
+    """base**power, refused above SEARCH_BUDGET before anything that large is allocated."""
+    if base > precoders.SEARCH_BUDGET or base**power > precoders.SEARCH_BUDGET:
+        raise SearchBudgetExceededError(f"{what} exceeds the budget {precoders.SEARCH_BUDGET}")
+    return base**power
+
+
+def _kind(obj: Dict, keys: Dict[str, Tuple[str, ...]], name: str) -> str:
+    """``obj["kind"]``, a key of ``keys``; obj may hold only the keys that kind takes."""
+    kind = obj.get("kind")
+    if not isinstance(kind, str) or kind not in keys:
+        raise ConfigError(f"{name}.kind must be {'/'.join(keys)}, got {kind!r}")
+    unknown = obj.keys() - {"kind", *keys[kind]}
+    if unknown:
+        raise ConfigError(f"{name} has unknown keys: {sorted(unknown, key=str)}")
+    return kind
+
+
+# The keys each kind of channel source, precoder and region takes besides "kind".
+_CHANNEL_KEYS = {"file": ("path",), "random": ("seed",), "inline": ("matrix",)}
+_PRECODER_KEYS = {
+    "plain": (),
+    "slm_random": ("n", "region"),
+    "vector_perturb": ("b",),
+    "trellis": ("generators", "k_s", "pam"),
+    "nested": ("k", "n_u", "q"),
+}
+_REGION_KEYS = {"hypercube": ("expand",), "ball": ("radius",)}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Validated experiment description; see the module docstring for the schema."""
@@ -102,7 +134,7 @@ class ExperimentConfig:
     precoder: Dict
     trials: int
     master_seed: int
-    condition_limit: float = 1e8
+    condition_limit: float
 
     @staticmethod
     def from_dict(d: Dict) -> "ExperimentConfig":
@@ -123,7 +155,9 @@ class ExperimentConfig:
             precoder=_object(d["precoder"], "precoder"),
             trials=_int(d["trials"], "trials"),
             master_seed=_int(d["master_seed"], "master_seed"),
-            condition_limit=_float(d.get("condition_limit", 1e8), "condition_limit"),
+            condition_limit=_float(
+                d.get("condition_limit", theory.CONDITION_LIMIT), "condition_limit"
+            ),
         )
         cfg.validate()
         return cfg
@@ -131,40 +165,35 @@ class ExperimentConfig:
     def validate(self) -> None:
         if self.m < 1:
             raise ConfigError(f"m must be >= 1, got {self.m}")
+        _within_budget(self.m, 2, f"the m x m channel, m = {self.m},")
         if self.tau <= 0:
             raise ConfigError(f"tau must be positive, got {self.tau}")
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
         if self.condition_limit <= 1:
             raise ConfigError("condition_limit must exceed 1")
-        kind = self.channel_source.get("kind")
-        if kind not in ("file", "random", "inline"):
-            raise ConfigError(f"channel_source.kind must be file/random/inline, got {kind!r}")
-        if kind == "file" and "path" not in self.channel_source:
-            raise ConfigError("channel_source.kind=file requires a path")
+        src = self.channel_source
+        kind = _kind(src, _CHANNEL_KEYS, "channel_source")
+        (key,) = _CHANNEL_KEYS[kind]
+        if key not in src:
+            raise ConfigError(f"channel_source.kind={kind} requires a {key}")
+        if kind == "file" and not isinstance(src["path"], str):
+            raise ConfigError(f"channel_source.path must be a string, got {src['path']!r}")
         if kind == "random":
-            _int(self.channel_source.get("seed"), "channel_source.seed")
-        if kind == "inline" and "matrix" not in self.channel_source:
-            raise ConfigError("channel_source.kind=inline requires a matrix")
+            _int(src["seed"], "channel_source.seed")
         try:
-            _scheme(self)
+            sigma2 = _scheme(self)[1]
         except OverflowError:
             # tau**m, radius**m or 2**(2h) beyond the float range
             raise ConfigError(
                 "tau or region size is too large: the region volume or the "
                 "source power overflows a float"
             ) from None
+        if sigma2 == 0.0:
+            raise ConfigError("tau or region size is too small: the source power underflows")
 
     def to_dict(self) -> Dict:
-        return {
-            "m": self.m,
-            "channel_source": self.channel_source,
-            "tau": self.tau,
-            "precoder": self.precoder,
-            "trials": self.trials,
-            "master_seed": self.master_seed,
-            "condition_limit": self.condition_limit,
-        }
+        return dataclasses.asdict(self)
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -176,7 +205,7 @@ def load_config(path: str) -> ExperimentConfig:
         raise ReportIOError(f"cannot read config {path}: {exc}") from None
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer literal beyond Python's digit limit
         raise ParseError(f"config {path} is not valid JSON: {exc}") from None
     return ExperimentConfig.from_dict(data)
 
@@ -207,7 +236,7 @@ def _parse_channel_csv(text: str, path: str) -> np.ndarray:
 def load_channel(
     source: Dict,
     m: Optional[int] = None,
-    condition_limit: float = 1e8,
+    condition_limit: float = theory.CONDITION_LIMIT,
 ) -> ChannelMatrix:
     """Build a validated channel from a file, a seeded ensemble, or inline data.
 
@@ -233,7 +262,7 @@ def load_channel(
     elif kind == "inline":
         try:
             h = np.asarray(source["matrix"], dtype=np.float64)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise ParseError("channel_source.matrix must be a matrix of numbers") from None
     else:
         raise ConfigError(f"unknown channel source kind {kind!r}")
@@ -261,7 +290,7 @@ def _scheme(cfg: ExperimentConfig) -> Tuple[int, float, _Trial]:
     precoder kind.
     """
     p = cfg.precoder
-    kind = p.get("kind")
+    kind = _kind(p, _PRECODER_KEYS, "precoder")
     m, tau, seed = cfg.m, cfg.tau, cfg.master_seed
     sigma2 = theory.sigma_from_entropy(math.log2(tau))
     if kind == "plain":
@@ -276,25 +305,23 @@ def _scheme(cfg: ExperimentConfig) -> Tuple[int, float, _Trial]:
         n = _int(p.get("n", 0), "precoder.n")
         if n < 1:
             raise ConfigError("slm_random requires n >= 1")
-        # Checked before a trial allocates its (n, m) candidate array.
-        if n > precoders.SEARCH_BUDGET:
-            raise SearchBudgetExceededError(
-                f"n = {n} exceeds the candidate budget {precoders.SEARCH_BUDGET}"
-            )
-        spec = _object(p.get("region", {"kind": "hypercube", "expand": True}), "precoder.region")
-        if spec.get("kind") == "ball":
+        _within_budget(n, 1, f"n = {n}")
+        spec = _object(p.get("region", {"kind": "hypercube"}), "precoder.region")
+        if _kind(spec, _REGION_KEYS, "precoder.region") == "ball":
             radius = _float(spec.get("radius", 0.0), "region.radius")
             if radius <= 0.0:
                 raise ConfigError("ball region requires a positive radius")
-            region = regions.ball(radius, m)
+            try:
+                region = regions.ball(radius, m)
+            except ValueError:  # log2 of a volume that underflows to 0
+                raise ConfigError("ball radius is too small: the region volume underflows") from None
             sigma2 = theory.sigma_from_entropy(region.entropy_bits_per_dim)
-        elif spec.get("kind") == "hypercube":
-            base = regions.hypercube(tau, m)
-            region = regions.expanded_region(base, n) if spec.get("expand", True) else base
         else:
-            raise ConfigError(
-                f"slm_random region.kind must be hypercube/ball, got {spec.get('kind')!r}"
-            )
+            expand = spec.get("expand", True)
+            if not isinstance(expand, bool):
+                raise ConfigError(f"region.expand must be true or false, got {expand!r}")
+            base = regions.hypercube(tau, m)
+            region = regions.expanded_region(base, n) if expand else base
 
         def trial(ch, t):
             candidates = regions.Sampler(region, seed, t).draw(n)
@@ -306,6 +333,7 @@ def _scheme(cfg: ExperimentConfig) -> Tuple[int, float, _Trial]:
         b = _int(p.get("b", 0), "precoder.b")
         if b < 1:
             raise ConfigError("vector_perturb requires b >= 1")
+        count = _within_budget(b, m, f"b^m = {b}^{m}")
         cube = regions.hypercube(tau, m)
 
         def trial(ch, t):
@@ -313,7 +341,7 @@ def _scheme(cfg: ExperimentConfig) -> Tuple[int, float, _Trial]:
             res = precoders.vector_perturb(ch, u, tau, b)
             return res.gamma, ch.energy(u)
 
-        return b**m, sigma2, trial
+        return count, sigma2, trial
     if kind == "trellis":
         if _int(p.get("k_s", 1), "precoder.k_s") != 1:
             raise ConfigError("trellis shaping codes have rate 1/n_s: k_s must be 1")
@@ -321,9 +349,8 @@ def _scheme(cfg: ExperimentConfig) -> Tuple[int, float, _Trial]:
         if m % code.n_s:
             raise ConfigError(f"m = {m} is not divisible by the code's n_s = {code.n_s}")
         pam = _int(p.get("pam", 4), "precoder.pam")
-        if pam < 2 or pam & (pam - 1):
-            raise ConfigError(f"pam must be a power of two >= 2, got {pam}")
-        cons = shaping.pam_constellation(pam, spacing=tau / pam, n_s=code.n_s, tau=tau)
+        # max() keeps pam = 0 out of the division; pam_constellation refuses pam < 2
+        cons = shaping.pam_constellation(pam, spacing=tau / max(pam, 1))
         zero_codeword = np.zeros(m, dtype=np.int64)
 
         def trial(ch, t):
@@ -332,33 +359,25 @@ def _scheme(cfg: ExperimentConfig) -> Tuple[int, float, _Trial]:
             return res.gamma, ch.energy(shaping.payload_to_coset(payload, zero_codeword, cons))
 
         return code.codeword_count(m // code.n_s), sigma2, trial
-    if kind == "nested":
-        k_users = _int(p.get("k", 0), "precoder.k")
-        n_u = _int(p.get("n_u", 1), "precoder.n_u")
-        q = _int(p.get("q", 0), "precoder.q")
-        if k_users < 1 or n_u < 1 or q < 1:
-            raise ConfigError("nested requires k >= 1, n_u >= 1, q >= 1")
-        if k_users * 2 * n_u != m:
-            raise ConfigError(f"nested needs K*2*n_u = m, got {k_users}*2*{n_u} != {m}")
-        count = q ** (2 * n_u * k_users)
-        # Checked before lattice_partition allocates its q^(2 n_u) cosets.
-        if count > precoders.SEARCH_BUDGET:
-            raise SearchBudgetExceededError(
-                f"q^(2 n_u K) = {count} exceeds the exhaustive-search budget "
-                f"{precoders.SEARCH_BUDGET}"
-            )
-        part = shaping.lattice_partition(n_u, q, spacing=tau / q)
+    # nested
+    k_users = _int(p.get("k", 0), "precoder.k")
+    n_u = _int(p.get("n_u", 1), "precoder.n_u")
+    q = _int(p.get("q", 0), "precoder.q")
+    # q = 1 leaves one coset per user: every trial sends zero and carries no data.
+    if k_users < 1 or n_u < 1 or q < 2:
+        raise ConfigError("nested requires k >= 1, n_u >= 1, q >= 2")
+    if k_users * 2 * n_u != m:
+        raise ConfigError(f"nested needs K*2*n_u = m, got {k_users}*2*{n_u} != {m}")
+    count = _within_budget(q, m, f"q^(2 n_u K) = {q}^{m}")
+    part = shaping.lattice_partition(n_u, q, spacing=tau / q)
 
-        def trial(ch, t):
-            idx = regions.make_stream(seed, t).integers(0, part.coset_count, size=k_users)
-            symbols = part.cosets[idx]
-            res = shaping.nested_select(ch, symbols, part)
-            return res.gamma, ch.energy(symbols.reshape(-1))
+    def trial(ch, t):
+        idx = regions.make_stream(seed, t).integers(0, part.coset_count, size=k_users)
+        symbols = part.cosets[idx]
+        res = shaping.nested_select(ch, symbols, part)
+        return res.gamma, ch.energy(symbols.reshape(-1))
 
-        return count, sigma2, trial
-    raise ConfigError(
-        f"precoder.kind must be plain/slm_random/vector_perturb/trellis/nested, got {kind!r}"
-    )
+    return count, sigma2, trial
 
 
 def _run_chunk(
@@ -453,6 +472,9 @@ def _run(cfg: ExperimentConfig, pool: Optional[ProcessPoolExecutor]) -> Experime
         sum_g2 += cg2
         sum_plain += cp
     mean = sum_g / n
+    if mean == 0.0:
+        # every trial sent the zero vector, e.g. nested users whose symbols are all 0
+        raise PrecodingError("mean energy is 0, so gain_vs_plain_db is undefined")
     var = max(0.0, (sum_g2 - n * mean * mean) / (n - 1)) if n > 1 else 0.0
     stderr = math.sqrt(var / n)
     mean_plain = sum_plain / n

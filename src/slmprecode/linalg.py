@@ -9,6 +9,7 @@ its input, so results never alias caller data.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -25,8 +26,6 @@ from .errors import (
 
 # Pivot smaller than this fraction of its row's largest entry counts as zero.
 PIVOT_RTOL = 1e-12
-# Reject inversion when the 1-norm condition estimate exceeds this.
-COND_LIMIT = 1e8
 # Symmetry tolerance on max |m_ij - m_ji|.
 SYMMETRY_ATOL = 1e-12
 
@@ -59,11 +58,11 @@ def _require_square(m: np.ndarray) -> int:
     return m.shape[0]
 
 
-def _require_symmetric(m: np.ndarray, atol: float = SYMMETRY_ATOL) -> None:
+def _require_symmetric(m: np.ndarray) -> None:
     skew = np.max(np.abs(m - m.T)) if m.size else 0.0
-    if skew > atol:
+    if skew > SYMMETRY_ATOL:
         raise NotSymmetricError(
-            f"matrix is not symmetric: max |m_ij - m_ji| = {skew:.3e} > {atol:.1e}"
+            f"matrix is not symmetric: max |m_ij - m_ji| = {skew:.3e} > {SYMMETRY_ATOL:.1e}"
         )
 
 
@@ -83,12 +82,14 @@ class EigenSystem:
         return (u * self.eigenvalues) @ u.T
 
 
-def invert(m, cond_limit: float = COND_LIMIT) -> np.ndarray:
+def invert(m, cond_limit: float = math.inf) -> np.ndarray:
     """Invert a square matrix by partial-pivot LU.
 
     Raises SingularMatrixError when an LU pivot falls below ``PIVOT_RTOL``
     times its row scale, and IllConditionedError when the a-posteriori
-    1-norm condition estimate ``||m||_1 * ||m^-1||_1`` exceeds ``cond_limit``.
+    1-norm condition estimate ``||m||_1 * ||m^-1||_1`` exceeds ``cond_limit``
+    (no limit by default). A channel's limit is its ``condition_limit``:
+    ``theory.build_channel`` derives ``cond_limit`` from it.
     """
     m = as_matrix(m)
     n = _require_square(m)
@@ -111,11 +112,11 @@ def invert(m, cond_limit: float = COND_LIMIT) -> np.ndarray:
     return inv
 
 
-def sym_eigen(m, symmetry_atol: float = SYMMETRY_ATOL) -> EigenSystem:
+def sym_eigen(m) -> EigenSystem:
     """Eigendecompose a symmetric matrix, eigenvalues descending."""
     m = as_matrix(m)
     _require_square(m)
-    _require_symmetric(m, symmetry_atol)
+    _require_symmetric(m)
     try:
         values, vectors = np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:
@@ -124,14 +125,14 @@ def sym_eigen(m, symmetry_atol: float = SYMMETRY_ATOL) -> EigenSystem:
     return EigenSystem(eigenvalues=values[order], eigenvectors=vectors[:, order])
 
 
-def cholesky(m, symmetry_atol: float = SYMMETRY_ATOL) -> np.ndarray:
+def cholesky(m) -> np.ndarray:
     """Lower-triangular factor L with m = L @ L.T.
 
     Raises NotPositiveDefiniteError when a diagonal pivot is not positive.
     """
     m = as_matrix(m)
     _require_square(m)
-    _require_symmetric(m, symmetry_atol)
+    _require_symmetric(m)
     try:
         return np.linalg.cholesky(m)
     except np.linalg.LinAlgError as exc:

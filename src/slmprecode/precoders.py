@@ -130,7 +130,6 @@ def vector_perturb(
     u,
     tau: float,
     b: int,
-    budget: int = SEARCH_BUDGET,
 ) -> PrecodeResult:
     """Vector perturbation: minimize gamma over u + tau*l, l in a centered box.
 
@@ -139,22 +138,21 @@ def vector_perturb(
     the energy is invariant under u -> u + tau*k. Each of the M
     coordinates of l then ranges over the b integers
     floor(-b/2)+1 .. floor(b/2), for N = b^M candidates, searched
-    exhaustively (no sphere-decoder shortcuts). Ties are broken toward the
+    exhaustively (no sphere-decoder shortcuts); N above ``SEARCH_BUDGET``
+    raises SearchBudgetExceededError. Ties are broken toward the
     lexicographically smallest l. ``meta["offset"]`` records the total
     integer perturbation (u_chosen - u)/tau including the fold. Receivers
     undo everything with a modulo-tau fold.
     """
     u = _check_dim(ch, u)
-    if tau <= 0.0:
-        raise ValueError("tau must be positive")
     b = int(b)
     if b < 1:
         raise ValueError("b must be >= 1")
     m = ch.m
     n = b**m
-    if n > budget:
+    if n > SEARCH_BUDGET:
         raise SearchBudgetExceededError(
-            f"b^M = {b}^{m} = {n} exceeds the exhaustive-search budget {budget}"
+            f"b^M = {b}^{m} = {n} exceeds the exhaustive-search budget {SEARCH_BUDGET}"
         )
     base = fold_interval(u, tau)
     candidates = base[None, :] + tau * _offset_grid(b, m)
@@ -182,14 +180,14 @@ def receiver_verify(
     result: PrecodeResult,
     u_original,
     tau: float,
-    atol: float = 1e-8,
 ) -> bool:
     """Check the independency condition on a noiseless channel.
 
     Forms y = H s, then each user folds only its own coordinate into
     [-tau/2, tau/2) and compares against its own original data coordinate.
-    True iff every user recovers its data within ``atol``.
+    True iff every user recovers its data within 1e-8.
     """
+    atol = 1e-8
     u_original = _check_dim(ch, u_original, "u_original")
     y = ch.h @ result.s
     for i in range(ch.m):

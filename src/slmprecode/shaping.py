@@ -18,6 +18,10 @@ exact additive metric increments (a depth-first branch-and-bound on an
 explicit stack, bounded by ``SEARCH_BUDGET`` visited nodes; ties go to the
 smallest codeword, then the smallest input index; see ``trellis_shape``).
 
+Each parameter is stated once: a code is its tap masks (n_s and the memory
+follow), and a constellation is its level count and spacing (the modulo
+period tau = n_levels * spacing and the bits per symbol follow).
+
 Nested-lattice selection gives each user K a partition Lambda/Lambda' of a
 scaled integer lattice in 2*n_u dimensions; shifting a user's block by any
 element of Lambda' preserves its information modulo Lambda'. Since
@@ -28,6 +32,7 @@ perturbation (``precoders.vector_perturb``) with q offsets per coordinate.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
@@ -69,9 +74,15 @@ class ShapingCode:
     encoder state is the shift register of the last ``memory`` input bits.
     """
 
-    n_s: int
     generators: Tuple[int, ...]
-    memory: int
+
+    @functools.cached_property
+    def n_s(self) -> int:
+        return len(self.generators)
+
+    @functools.cached_property
+    def memory(self) -> int:
+        return max(0, max(g.bit_length() for g in self.generators) - 1)
 
     def codeword_count(self, n_steps: int) -> int:
         """Number of distinct terminated input sequences over n_steps.
@@ -82,30 +93,21 @@ class ShapingCode:
         return 1 << max(0, n_steps - self.memory)
 
 
-def shaping_code(generators, memory: Optional[int] = None) -> ShapingCode:
+def shaping_code(generators) -> ShapingCode:
     """Build a ShapingCode from its n_s tap masks.
 
     The masks are ints, already in numeric form (write them as octal
-    literals). ``memory`` defaults to the largest tap degree.
+    literals).
     """
     masks = tuple(generators)
     if any(not isinstance(g, (int, np.integer)) or g < 0 for g in masks):
         raise ConfigError(f"tap masks must be non-negative integers, got {masks!r}")
-    masks = tuple(int(g) for g in masks)
     if len(masks) < 2:
         raise ConfigError(f"need n_s >= 2 output streams, got {len(masks)}")
-    max_deg = max((g.bit_length() - 1 for g in masks if g), default=0)
-    if memory is None:
-        memory = max_deg
-    memory = int(memory)
-    if memory < 0 or max_deg > memory:
-        raise ConfigError(
-            f"generator degree {max_deg} exceeds declared memory {memory}"
-        )
-    return ShapingCode(n_s=len(masks), generators=masks, memory=memory)
+    return ShapingCode(generators=tuple(int(g) for g in masks))
 
 
-def code_from_octal(spec: str, memory: Optional[int] = None) -> ShapingCode:
+def code_from_octal(spec: str) -> ShapingCode:
     """Parse a comma-separated octal generator string, e.g. "7,5"."""
     toks = [t.strip() for t in str(spec).split(",") if t.strip()]
     if not toks:
@@ -114,7 +116,7 @@ def code_from_octal(spec: str, memory: Optional[int] = None) -> ShapingCode:
         masks = [int(t, 8) for t in toks]
     except ValueError as exc:
         raise ConfigError(f"bad octal generator in {spec!r}: {exc}") from None
-    return shaping_code(masks, memory=memory)
+    return shaping_code(masks)
 
 
 DEFAULT_CODE_SPEC = "7,5"
@@ -155,23 +157,24 @@ def conv_encode(code: ShapingCode, bits) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class PartitionedConstellation:
-    """Uniform PAM levels partitioned by sign patterns for shaping.
+    """Uniform PAM levels with a sign/magnitude bit labeling for shaping.
 
-    Each symbol carries ``bits_per_symbol`` bits: one sign bit (1 means
-    negative) followed by magnitude bits (natural binary, 0 = innermost
-    level). One trellis step controls the sign bits of ``n_s`` consecutive
-    symbols, so the 2**n_s sign patterns of a block are its shaping subsets.
+    The levels are spacing*(k + 1/2), k = 0..n_levels/2 - 1, and their
+    negatives, filling the modulo period ``tau`` = n_levels*spacing. A symbol
+    carries ``bits_per_symbol`` = log2(n_levels) bits: a sign bit (1 means
+    negative), then magnitude bits (natural binary, 0 = innermost level).
     """
 
-    pam_levels: np.ndarray
+    n_levels: int
     spacing: float
-    tau: float
-    n_s: int
-    bits_per_symbol: int
 
     @property
-    def n_levels(self) -> int:
-        return self.pam_levels.size
+    def tau(self) -> float:
+        return self.n_levels * self.spacing
+
+    @property
+    def bits_per_symbol(self) -> int:
+        return self.n_levels.bit_length() - 1
 
     def sign_bit(self, x: float) -> int:
         return 1 if x < 0 else 0
@@ -190,38 +193,17 @@ class PartitionedConstellation:
         return (1.0 - 2.0 * sign) * self.spacing * (magnitude + 0.5)
 
 
-def pam_constellation(
-    n_levels: int,
-    spacing: float = 1.0,
-    n_s: int = 2,
-    tau: Optional[float] = None,
-) -> PartitionedConstellation:
+def pam_constellation(n_levels: int, spacing: float = 1.0) -> PartitionedConstellation:
     """Symmetric uniform PAM with a sign/magnitude bit labeling.
 
-    Levels are spacing*(k + 1/2) for k = 0..n_levels/2 - 1 and their
-    negatives; ``tau`` (default n_levels*spacing) is the modulo period and
-    strictly contains every level in [-tau/2, tau/2).
+    ``n_levels`` must be a power of two >= 2 and ``spacing`` positive.
     """
     n_levels = int(n_levels)
     if n_levels < 2 or n_levels & (n_levels - 1):
         raise ConfigError(f"n_levels must be a power of two >= 2, got {n_levels}")
     if spacing <= 0.0:
         raise ConfigError("spacing must be positive")
-    if n_s < 1:
-        raise ConfigError("n_s must be >= 1")
-    if tau is None:
-        tau = n_levels * spacing
-    tau = float(tau)
-    levels = spacing * (np.arange(n_levels) - (n_levels - 1) / 2.0)
-    if levels[0] < -tau / 2.0 or levels[-1] >= tau / 2.0:
-        raise ConfigError("PAM levels must lie inside [-tau/2, tau/2)")
-    return PartitionedConstellation(
-        pam_levels=levels,
-        spacing=float(spacing),
-        tau=tau,
-        n_s=n_s,
-        bits_per_symbol=int(math.log2(n_levels)),
-    )
+    return PartitionedConstellation(n_levels=n_levels, spacing=float(spacing))
 
 
 def payload_to_coset(payload_bits, codeword_bits, cons: PartitionedConstellation) -> np.ndarray:
@@ -279,10 +261,6 @@ def coset_to_payload(u, codeword_bits, cons: PartitionedConstellation) -> np.nda
 
 def _check_trellis_args(ch: ChannelMatrix, payload_bits, code: ShapingCode,
                         cons: PartitionedConstellation):
-    if code.n_s != cons.n_s:
-        raise ConfigError(
-            f"code emits {code.n_s} bits per step but constellation groups {cons.n_s}"
-        )
     m = ch.m
     if m % code.n_s:
         raise DimensionMismatchError(
@@ -404,12 +382,11 @@ def exhaustive_shape(
     payload_bits,
     code: ShapingCode,
     cons: PartitionedConstellation,
-    budget: int = ORACLE_BUDGET,
 ) -> PrecodeResult:
     """Oracle mode: enumerate every terminated codeword and scan for the minimum.
 
     Semantics are identical to ``trellis_shape`` (same tie-break); kept as
-    an independently coded cross-check and refused beyond ``budget``
+    an independently coded cross-check and refused beyond ``ORACLE_BUDGET``
     codewords.
     """
     payload = _check_trellis_args(ch, payload_bits, code, cons)
@@ -417,9 +394,9 @@ def exhaustive_shape(
     n_steps = m // code.n_s
     free = max(0, n_steps - code.memory)
     count = 1 << free
-    if count > budget:
+    if count > ORACLE_BUDGET:
         raise SearchBudgetExceededError(
-            f"{count} codewords exceed the oracle budget {budget}"
+            f"{count} codewords exceed the oracle budget {ORACLE_BUDGET}"
         )
     best: Optional[Tuple[float, Tuple[int, ...], int, np.ndarray, np.ndarray]] = None
     for v in range(count):
@@ -510,7 +487,6 @@ def nested_select(
     ch: ChannelMatrix,
     user_symbols,
     part: LatticePartition,
-    budget: int = SEARCH_BUDGET,
 ) -> PrecodeResult:
     """Jointly minimize gamma over the per-user Lambda' shift sets.
 
@@ -536,4 +512,4 @@ def nested_select(
         raise DimensionMismatchError(
             f"K * 2n_u = {symbols.size} does not match channel dimension {ch.m}"
         )
-    return vector_perturb(ch, symbols.reshape(-1), part.modulo_period, part.q, budget)
+    return vector_perturb(ch, symbols.reshape(-1), part.modulo_period, part.q)

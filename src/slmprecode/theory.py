@@ -40,6 +40,9 @@ TWO_PI_E = 2.0 * math.pi * math.e
 # Rows per matrix product in ChannelMatrix.energies; see the comment there.
 ENERGY_BLOCK = 4096
 
+# Default bound on the eigenvalue spread of Q, i.e. on cond_2(H)^2.
+CONDITION_LIMIT = 1e8
+
 
 @dataclass(frozen=True)
 class ChannelMatrix:
@@ -101,17 +104,19 @@ class ChannelMatrix:
         return out
 
 
-def build_channel(h, condition_limit: float = 1e8) -> ChannelMatrix:
+def build_channel(h, condition_limit: float = CONDITION_LIMIT) -> ChannelMatrix:
     """Validate a channel matrix and build all cached factors.
 
     ``condition_limit`` bounds the eigenvalue spread of Q (the squared
-    condition number of H); channels beyond it are rejected because
-    inversion energies become numerically meaningless.
+    2-norm condition number of H); channels beyond it are rejected because
+    inversion energies become numerically meaningless. It is the only limit:
+    the inversion's 1-norm check gets m * sqrt(condition_limit), which
+    cond_1(H) <= m * cond_2(H) keeps from refusing any channel it accepts.
     """
     h = linalg.as_matrix(h, "channel matrix")
     if h.shape[0] != h.shape[1]:
         raise NonSquareError(f"channel matrix must be square, got {h.shape}")
-    h_inv = linalg.invert(h)
+    h_inv = linalg.invert(h, cond_limit=h.shape[0] * math.sqrt(condition_limit))
     q = h_inv.T @ h_inv
     q = (q + q.T) / 2.0
     eig = linalg.sym_eigen(q)

@@ -256,7 +256,7 @@ def test_acceptance_6_receiver_recovery():
     ch8 = harness.load_channel({"kind": "random", "seed": 22}, 8)
     assert np.linalg.cond(ch8.h) < 100
     code = shaping.default_code()
-    cons = shaping.pam_constellation(4, spacing=tau / 4, tau=tau)
+    cons = shaping.pam_constellation(4, spacing=tau / 4)
     good = 0
     for t in range(trials):
         payload = regions.make_stream(6003, t).integers(0, 2, size=16)

@@ -142,11 +142,20 @@ def test_exit_code_sweep_values(tmp_path, capsys):
         # n beyond precoders.SEARCH_BUDGET is refused before a trial
         # allocates its (n, m) candidate array
         ({"precoder": {"kind": "slm_random", "n": 2**40}}, 3),
+        # nested objects take only their kind's keys
+        ({"precoder": {"kind": "trellis", "genrators": "17,15"}}, 2),
+        ({"precoder": {"kind": "slm_random", "n": 4,
+                       "region": {"kind": "hypercube", "expnad": False}}}, 2),
+        ({"precoder": {"kind": "vector_perturb", "b": 3, "B": 5}}, 2),
+        ({"channel_source": {"kind": "random", "seed": 1, "matrix": [[1.0]]}}, 2),
+        # refused before the m x m channel is allocated
+        ({"m": 100000, "tau": 1.0, "channel_source": {"kind": "random", "seed": 1}}, 3),
     ],
     ids=["nan_tau", "non_numeric_matrix", "nan_matrix", "string_channel_source",
          "list_precoder", "fractional_m", "boolean_trials", "huge_ball_radius",
          "huge_tau_plain", "huge_tau_vector_perturb", "trellis_k_s_2",
-         "slm_n_over_budget"],
+         "slm_n_over_budget", "trellis_misspelled_key", "region_misspelled_key",
+         "vector_perturb_extra_keys", "channel_source_extra_key", "m_over_budget"],
 )
 def test_exit_code_malformed_config(tmp_path, overrides, code):
     cfg = _write_cfg(tmp_path, **overrides)

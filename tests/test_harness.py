@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from slmprecode import harness, shaping, theory
-from slmprecode.errors import ConfigError, ParseError, ReportIOError
+from slmprecode.errors import ConfigError, ParseError, PrecodingError, ReportIOError
 
 
 def _base_cfg(**overrides):
@@ -59,6 +59,7 @@ def test_config_scalar_validation():
         _base_cfg(tau=0.0),
         _base_cfg(trials=0),
         _base_cfg(condition_limit=0.5),
+        _base_cfg(tau=1e-200),  # the source power underflows to 0
     ):
         with pytest.raises(ConfigError):
             harness.ExperimentConfig.from_dict(bad)
@@ -70,6 +71,9 @@ def test_config_channel_source_validation():
         {"kind": "file"},
         {"kind": "random"},
         {"kind": "inline"},
+        {"kind": "file", "path": 0},  # a file descriptor, not a path
+        {"kind": ["random"], "seed": 1},
+        {"kind": "random", "seed": 1, "path": "h.csv"},
     ):
         with pytest.raises(ConfigError):
             harness.ExperimentConfig.from_dict(_base_cfg(channel_source=src))
@@ -81,11 +85,21 @@ def test_config_precoder_validation():
         _base_cfg(precoder={"kind": "slm_random"}),  # missing n
         _base_cfg(precoder={"kind": "slm_random", "n": 4, "region": {"kind": "oval"}}),
         _base_cfg(precoder={"kind": "slm_random", "n": 4, "region": {"kind": "ball"}}),
+        _base_cfg(precoder={"kind": "slm_random", "n": 4,
+                            "region": {"kind": "ball", "radius": 1e-200}}),  # volume 0
         _base_cfg(precoder={"kind": "vector_perturb"}),  # missing b
         _base_cfg(precoder={"kind": "trellis", "pam": 3}),
         _base_cfg(m=5, precoder={"kind": "trellis"}),  # 5 not divisible by n_s=2
         _base_cfg(m=4, precoder={"kind": "nested", "k": 3, "q": 2}),  # 3*2 != 4
         _base_cfg(precoder={"kind": "nested", "k": 0, "q": 2}),
+        _base_cfg(precoder={"kind": "nested", "k": 1, "q": 1}),  # sends zero: 0/0 gain
+        _base_cfg(precoder={"kind": "plain", "b": 3}),
+        _base_cfg(precoder={"kind": {"x": 1}}),
+        _base_cfg(precoder={"kind": "slm_random", "n": 4,
+                            "region": {"kind": "hypercube", "expand": "no"}}),
+        _base_cfg(precoder={"kind": "slm_random", "n": 4,
+                            "region": {"kind": "ball", "radius": 1.0, "expand": True}}),
+        _base_cfg(precoder={"kind": "trellis", "pam": 0}),
     ]
     for bad in cases:
         with pytest.raises(ConfigError):
@@ -108,6 +122,10 @@ def test_load_config_missing_file():
 def test_load_config_bad_json(tmp_path):
     p = tmp_path / "cfg.json"
     p.write_text("{not valid json")
+    with pytest.raises(ParseError):
+        harness.load_config(str(p))
+    # an integer literal beyond Python's int-from-string digit limit
+    p.write_text('{"m": 1' + "0" * 5000 + "}")
     with pytest.raises(ParseError):
         harness.load_config(str(p))
 
@@ -166,6 +184,16 @@ def test_load_channel_dimension_mismatch():
 # ---------------------------------------------------------------------------
 # experiment runner
 # ---------------------------------------------------------------------------
+
+
+def test_run_experiment_zero_mean_is_an_error():
+    # with one trial, master seed 3 gives the nested user the all-zero coset
+    # representative, so both energies are 0 and the gain in dB is undefined
+    cfg = harness.ExperimentConfig.from_dict(
+        _base_cfg(trials=1, master_seed=3, precoder={"kind": "nested", "k": 1, "q": 2})
+    )
+    with pytest.raises(PrecodingError):
+        harness.run_experiment(cfg)
 
 
 def test_run_experiment_plain_identity():
@@ -384,6 +412,10 @@ def test_sweep_param_validation():
     cfg = harness.ExperimentConfig.from_dict(_base_cfg())
     with pytest.raises(ConfigError):
         harness.sweep_experiment(cfg, "tau", [1, 2])
+    # vector_perturb takes no n, so the sweep must not rerun one point
+    vp = harness.ExperimentConfig.from_dict(_base_cfg(precoder={"kind": "vector_perturb", "b": 3}))
+    with pytest.raises(ConfigError):
+        harness.sweep_experiment(vp, "n", [4, 16])
 
 
 # ---------------------------------------------------------------------------

@@ -61,7 +61,8 @@ def test_invert_singular_raises():
 def test_invert_ill_conditioned_raises():
     m = np.diag([1.0, 1e-10])
     with pytest.raises(IllConditionedError):
-        linalg.invert(m)
+        linalg.invert(m, cond_limit=1e8)
+    assert np.array_equal(linalg.invert(m), np.diag([1.0, 1e10]))
 
 
 def test_invert_rejects_non_square():
