@@ -5,7 +5,15 @@ independent trials (trial t draws everything it needs from the counter
 stream keyed by (master_seed, t)), and aggregates the empirical transmit
 energy against the closed-form references. Trials are chunked into
 fixed-size blocks reduced in block order, so reports are byte-identical
-for any worker count and across reruns.
+for any worker count and across reruns. ``trials`` is at most
+``precoders.SEARCH_BUDGET`` (2^20), checked at validation; a process pool
+gets no more processes than the largest config has chunks or than there
+are usable CPUs.
+
+Every trial draws a data vector and hands it to its precoder: the trellis
+trial maps its payload bits to the zero-codeword point once, with
+``shaping.payload_to_coset``, and the nested trial stacks its users' coset
+representatives into one M-vector.
 
 Config files are JSON mirroring ExperimentConfig field names::
 
@@ -47,7 +55,7 @@ import dataclasses
 import json
 import math
 import numbers
-import time
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -170,6 +178,7 @@ class ExperimentConfig:
             raise ConfigError(f"tau must be positive, got {self.tau}")
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
+        _within_budget(self.trials, 1, f"trials = {self.trials}")
         if self.condition_limit <= 1:
             raise ConfigError("condition_limit must exceed 1")
         src = self.channel_source
@@ -355,8 +364,8 @@ def _scheme(cfg: ExperimentConfig) -> Tuple[int, float, _Trial]:
 
         def trial(ch, t):
             payload = regions.make_stream(seed, t).integers(0, 2, size=m * cons.bits_per_symbol)
-            res = shaping.trellis_shape(ch, payload, code, cons)
-            return res.gamma, ch.energy(shaping.payload_to_coset(payload, zero_codeword, cons))
+            u0 = shaping.payload_to_coset(payload, zero_codeword, cons)
+            return shaping.trellis_shape(ch, u0, code).gamma, ch.energy(u0)
 
         return code.codeword_count(m // code.n_s), sigma2, trial
     # nested
@@ -373,9 +382,8 @@ def _scheme(cfg: ExperimentConfig) -> Tuple[int, float, _Trial]:
 
     def trial(ch, t):
         idx = regions.make_stream(seed, t).integers(0, part.coset_count, size=k_users)
-        symbols = part.cosets[idx]
-        res = shaping.nested_select(ch, symbols, part)
-        return res.gamma, ch.energy(symbols.reshape(-1))
+        u = part.cosets[idx].reshape(-1)
+        return shaping.nested_select(ch, u, part).gamma, ch.energy(u)
 
     return count, sigma2, trial
 
@@ -415,7 +423,6 @@ class ExperimentReport:
     mean_plain: float
     eigenvalues: np.ndarray
     master_seed: int
-    runtime_seconds: float
 
 
 def information_sigma2(cfg: ExperimentConfig) -> float:
@@ -433,17 +440,30 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentReport:
     return _run_all([cfg], workers)[0]
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _run_all(cfgs: Sequence[ExperimentConfig], workers: int) -> List[ExperimentReport]:
-    """Reports of the configs, in order; chunks of all of them share one process pool."""
-    if workers > 1 and any(c.trials > TRIAL_CHUNK for c in cfgs):
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+    """Reports of the configs, in order; chunks of all of them share one process pool.
+
+    The configs run one after another, each spreading its chunks over the
+    pool, so the pool gets no more processes than the largest config has
+    chunks, nor than there are usable CPUs; with one, it is not started.
+    """
+    most_chunks = max((-(-c.trials // TRIAL_CHUNK) for c in cfgs), default=0)
+    processes = min(workers, most_chunks, _usable_cpus())
+    if processes > 1:
+        with ProcessPoolExecutor(max_workers=processes) as pool:
             return [_run(c, pool) for c in cfgs]
     return [_run(c, None) for c in cfgs]
 
 
 def _run(cfg: ExperimentConfig, pool: Optional[ProcessPoolExecutor]) -> ExperimentReport:
     """One report; its chunks run in ``pool`` if one is given, else in this process."""
-    t0 = time.perf_counter()
     ch = load_channel(cfg.channel_source, cfg.m, cfg.condition_limit)
     n_candidates, sigma2, _ = _scheme(cfg)
     cfg_dict = cfg.to_dict()
@@ -494,7 +514,6 @@ def _run(cfg: ExperimentConfig, pool: Optional[ProcessPoolExecutor]) -> Experime
         mean_plain=mean_plain,
         eigenvalues=rep.eigenvalues,
         master_seed=cfg.master_seed,
-        runtime_seconds=time.perf_counter() - t0,
     )
 
 
@@ -565,8 +584,7 @@ def format_json(reports: Sequence[ExperimentReport]) -> str:
 def write_report(reports, fmt: str, path: Optional[str]) -> str:
     """Serialize one report (or a sweep list) as csv/json; write if path given.
 
-    Returns the serialized text. Runtime is excluded from serialization by
-    design, for byte-identical reruns.
+    Returns the serialized text.
     """
     if isinstance(reports, ExperimentReport):
         reports = [reports]

@@ -69,7 +69,7 @@ def precode_result(ch: ChannelMatrix, u: np.ndarray, index: int, count: int,
     )
 
 
-def _check_dim(ch: ChannelMatrix, u: np.ndarray, name: str = "u") -> np.ndarray:
+def check_dim(ch: ChannelMatrix, u: np.ndarray, name: str = "u") -> np.ndarray:
     u = linalg.as_vector(u, name)
     if u.shape[0] != ch.m:
         raise DimensionMismatchError(
@@ -80,7 +80,7 @@ def _check_dim(ch: ChannelMatrix, u: np.ndarray, name: str = "u") -> np.ndarray:
 
 def invert_precode(ch: ChannelMatrix, u) -> PrecodeResult:
     """Plain channel inversion: s = H^-1 u, no selection."""
-    return precode_result(ch, _check_dim(ch, u), 0, 1)
+    return precode_result(ch, check_dim(ch, u), 0, 1)
 
 
 def slm_random(ch: ChannelMatrix, candidates) -> PrecodeResult:
@@ -144,7 +144,7 @@ def vector_perturb(
     integer perturbation (u_chosen - u)/tau including the fold. Receivers
     undo everything with a modulo-tau fold.
     """
-    u = _check_dim(ch, u)
+    u = check_dim(ch, u)
     b = int(b)
     if b < 1:
         raise ValueError("b must be >= 1")
@@ -188,7 +188,7 @@ def receiver_verify(
     True iff every user recovers its data within 1e-8.
     """
     atol = 1e-8
-    u_original = _check_dim(ch, u_original, "u_original")
+    u_original = check_dim(ch, u_original, "u_original")
     y = ch.h @ result.s
     for i in range(ch.m):
         folded = float(fold_interval(y[i], tau))

@@ -9,14 +9,20 @@ magnitude bits per symbol) and XORs the sign bits with a codeword of a
 binary convolutional code; every codeword yields the same information, so
 the transmitter searches the coset {u(payload, c) : c in C} for the vector
 minimizing gamma = u^T Q u. A codeword bit flips the sign of its symbol,
-so u(payload, c) = u0 * (1 - 2c) with u0 the zero-codeword point, and the
-codewords are indexed by the encoder's free input bits. Because Q couples
-all dimensions, branch metrics come from the triangular factorization
-Q = L L^T: with G = L^T, gamma = ||G u||^2 and component i of G u depends
-only on u_i..u_M, so the code tree is searched in reverse symbol order with
-exact additive metric increments (a depth-first branch-and-bound on an
-explicit stack, bounded by ``SEARCH_BUDGET`` visited nodes; ties go to the
-smallest codeword, then the smallest input index; see ``trellis_shape``).
+so u(payload, c) = u0 * (1 - 2c) with u0 = u(payload, 0) the zero-codeword
+point, and the codewords are indexed by the encoder's free input bits.
+Because Q couples all dimensions, branch metrics come from the triangular
+factorization Q = L L^T: with G = L^T, gamma = ||G u||^2 and component i of
+G u depends only on u_i..u_M, so the code tree is searched in reverse
+symbol order with exact additive metric increments (a depth-first
+branch-and-bound on an explicit stack, bounded by ``SEARCH_BUDGET`` visited
+nodes; ties go to the smallest codeword, then the smallest input index; see
+``trellis_shape``).
+
+Like the precoders, both searches take the data vector: ``trellis_shape``
+and ``exhaustive_shape`` the zero-codeword point u0, ``nested_select`` the
+M-vector of the users' stacked blocks. The sign/magnitude bit labeling
+lives only in ``payload_to_coset`` and ``coset_to_payload``.
 
 Each parameter is stated once: a code is its tap masks (n_s and the memory
 follow), and a constellation is its level count and spacing (the modulo
@@ -49,6 +55,7 @@ from .errors import (
 from .precoders import (
     SEARCH_BUDGET,
     PrecodeResult,
+    check_dim,
     offset_range,
     precode_result,
     vector_perturb,
@@ -176,31 +183,17 @@ class PartitionedConstellation:
     def bits_per_symbol(self) -> int:
         return self.n_levels.bit_length() - 1
 
-    def sign_bit(self, x: float) -> int:
-        return 1 if x < 0 else 0
-
-    def magnitude_index(self, x: float) -> int:
-        k = int(round(abs(x) / self.spacing - 0.5))
-        if not (0 <= k < self.n_levels // 2) or abs(
-            abs(x) - self.spacing * (k + 0.5)
-        ) > 1e-6 * self.spacing:
-            raise ValueError(f"{x!r} is not a constellation level")
-        return k
-
-    def level(self, sign: int, magnitude: int) -> float:
-        if not 0 <= magnitude < self.n_levels // 2:
-            raise ValueError(f"magnitude index {magnitude} out of range")
-        return (1.0 - 2.0 * sign) * self.spacing * (magnitude + 0.5)
-
 
 def pam_constellation(n_levels: int, spacing: float = 1.0) -> PartitionedConstellation:
     """Symmetric uniform PAM with a sign/magnitude bit labeling.
 
-    ``n_levels`` must be a power of two >= 2 and ``spacing`` positive.
+    ``n_levels`` must be a power of two from 2 to 2^53, so that each
+    magnitude index k and k + 1/2 are exact in a float64 and the labeling's
+    int64 arithmetic cannot overflow; ``spacing`` must be positive.
     """
     n_levels = int(n_levels)
-    if n_levels < 2 or n_levels & (n_levels - 1):
-        raise ConfigError(f"n_levels must be a power of two >= 2, got {n_levels}")
+    if n_levels < 2 or n_levels > 2**53 or n_levels & (n_levels - 1):
+        raise ConfigError(f"n_levels must be a power of two from 2 to 2^53, got {n_levels}")
     if spacing <= 0.0:
         raise ConfigError("spacing must be positive")
     return PartitionedConstellation(n_levels=n_levels, spacing=float(spacing))
@@ -210,8 +203,10 @@ def payload_to_coset(payload_bits, codeword_bits, cons: PartitionedConstellation
     """Map payload bits to PAM symbols, sign bits XORed with a codeword.
 
     The payload supplies ``bits_per_symbol`` bits per symbol, sign bit
-    first; the codeword supplies one XOR bit per symbol. All codewords of
-    the shaping code therefore carry the same information.
+    first; the codeword supplies one XOR bit per symbol. Symbol j is
+    (1 - 2 s_j) * spacing * (k_j + 1/2) with s_j the XORed sign bit and k_j
+    the magnitude bits read as a binary number. All codewords of the
+    shaping code therefore carry the same information.
     """
     payload = _as_bits(payload_bits, "payload bits")
     codeword = _as_bits(codeword_bits, "codeword bits")
@@ -221,22 +216,19 @@ def payload_to_coset(payload_bits, codeword_bits, cons: PartitionedConstellation
         raise LengthMismatchError(
             f"payload has {payload.size} bits but {n_sym} symbols need {n_sym * bps}"
         )
-    u = np.empty(n_sym, dtype=np.float64)
-    for j in range(n_sym):
-        sign = int(payload[j * bps]) ^ int(codeword[j])
-        k = 0
-        for bit in payload[j * bps + 1 : (j + 1) * bps]:
-            k = (k << 1) | int(bit)
-        u[j] = cons.level(sign, k)
-    return u
+    bits = payload.reshape(n_sym, bps)
+    sign = bits[:, 0] ^ codeword
+    k = bits[:, 1:] @ (1 << np.arange(bps - 2, -1, -1))
+    return (1.0 - 2.0 * sign) * cons.spacing * (k + 0.5)
 
 
 def coset_to_payload(u, codeword_bits, cons: PartitionedConstellation) -> np.ndarray:
     """Invert payload_to_coset from received symbols and the codeword.
 
     Each receiver reads its own coordinate: the magnitude bits come from
-    the level's subset-free magnitude index, and the payload sign bit is
-    the received sign XOR the codeword bit.
+    the level's magnitude index, and the payload sign bit is the received
+    sign XOR the codeword bit. A symbol that is not a level within
+    1e-6 * spacing raises ValueError.
     """
     u = linalg.as_vector(u, "u")
     codeword = _as_bits(codeword_bits, "codeword bits")
@@ -244,14 +236,18 @@ def coset_to_payload(u, codeword_bits, cons: PartitionedConstellation) -> np.nda
         raise LengthMismatchError(
             f"{u.size} symbols but {codeword.size} codeword bits"
         )
+    mag = np.abs(u)
+    k = np.rint(mag / cons.spacing - 0.5)
+    off = (k >= cons.n_levels // 2) | (
+        np.abs(mag - cons.spacing * (k + 0.5)) > 1e-6 * cons.spacing
+    )
+    if off.any():
+        raise ValueError(f"{float(u[off][0])!r} is not a constellation level")
     bps = cons.bits_per_symbol
-    payload = np.empty(u.size * bps, dtype=np.int64)
-    for j, x in enumerate(u):
-        k = cons.magnitude_index(float(x))
-        payload[j * bps] = cons.sign_bit(float(x)) ^ int(codeword[j])
-        for pos in range(bps - 1):
-            payload[j * bps + 1 + pos] = (k >> (bps - 2 - pos)) & 1
-    return payload
+    bits = np.empty((u.size, bps), dtype=np.int64)
+    bits[:, 0] = (u < 0) ^ codeword
+    bits[:, 1:] = (k.astype(np.int64)[:, None] >> np.arange(bps - 2, -1, -1)) & 1
+    return bits.reshape(-1)
 
 
 # ---------------------------------------------------------------------------
@@ -259,32 +255,20 @@ def coset_to_payload(u, codeword_bits, cons: PartitionedConstellation) -> np.nda
 # ---------------------------------------------------------------------------
 
 
-def _check_trellis_args(ch: ChannelMatrix, payload_bits, code: ShapingCode,
-                        cons: PartitionedConstellation):
-    m = ch.m
-    if m % code.n_s:
+def _check_trellis_args(ch: ChannelMatrix, u0, code: ShapingCode) -> np.ndarray:
+    if ch.m % code.n_s:
         raise DimensionMismatchError(
-            f"M = {m} is not divisible by symbols-per-step n_s = {code.n_s}"
+            f"M = {ch.m} is not divisible by symbols-per-step n_s = {code.n_s}"
         )
-    payload = _as_bits(payload_bits, "payload bits")
-    if payload.size != m * cons.bits_per_symbol:
-        raise LengthMismatchError(
-            f"payload has {payload.size} bits but M = {m} symbols need "
-            f"{m * cons.bits_per_symbol}"
-        )
-    return payload
+    return check_dim(ch, u0, "u0")
 
 
-def trellis_shape(
-    ch: ChannelMatrix,
-    payload_bits,
-    code: ShapingCode,
-    cons: PartitionedConstellation,
-) -> PrecodeResult:
+def trellis_shape(ch: ChannelMatrix, u0, code: ShapingCode) -> PrecodeResult:
     """Exact minimum-energy coset member via search over the code trellis.
 
+    ``u0`` is the zero-codeword point, e.g. payload_to_coset(payload, 0).
     A codeword bit flips the sign of its symbol, so the coset member of
-    codeword c is u0 * (1 - 2c) with u0 = payload_to_coset(payload, 0).
+    codeword c is u0 * (1 - 2c).
     The encoder runs n = M/n_s steps, the last ``memory`` with forced zero
     inputs, so the codewords are indexed by the F = n - memory free inputs
     x_0..x_{F-1}, and the n_s output bits of step t depend only on the
@@ -305,10 +289,9 @@ def trellis_shape(
     ``exhaustive_shape``. A search that visits more than ``SEARCH_BUDGET``
     unpruned nodes, leaves included, raises SearchBudgetExceededError.
     """
-    payload = _check_trellis_args(ch, payload_bits, code, cons)
+    u0 = _check_trellis_args(ch, u0, code)
     n_s, mem = code.n_s, code.memory
     n_steps = ch.m // n_s
-    u0 = payload_to_coset(payload, np.zeros(ch.m, dtype=np.int64), cons)
     g_upper = ch.chol.T
     g_rows = [g_upper[j, j:] for j in range(ch.m)]
     keep = (1 << (mem + 1)) - 1
@@ -371,25 +354,18 @@ def trellis_shape(
         ch, best_u, index, code.codeword_count(n_steps),
         codeword=np.array(codeword, dtype=np.int64),
         inputs=np.array(best_inputs, dtype=np.int64),
-        payload=payload.copy(),
         path_metric=best_metric,
-        tau=cons.tau,
     )
 
 
-def exhaustive_shape(
-    ch: ChannelMatrix,
-    payload_bits,
-    code: ShapingCode,
-    cons: PartitionedConstellation,
-) -> PrecodeResult:
+def exhaustive_shape(ch: ChannelMatrix, u0, code: ShapingCode) -> PrecodeResult:
     """Oracle mode: enumerate every terminated codeword and scan for the minimum.
 
     Semantics are identical to ``trellis_shape`` (same tie-break); kept as
-    an independently coded cross-check and refused beyond ``ORACLE_BUDGET``
-    codewords.
+    an independently coded cross-check, which builds each codeword with
+    ``conv_encode``, and refused beyond ``ORACLE_BUDGET`` codewords.
     """
-    payload = _check_trellis_args(ch, payload_bits, code, cons)
+    u0 = _check_trellis_args(ch, u0, code)
     m = ch.m
     n_steps = m // code.n_s
     free = max(0, n_steps - code.memory)
@@ -403,7 +379,7 @@ def exhaustive_shape(
         in_bits = [(v >> (free - 1 - t)) & 1 for t in range(free)]
         in_bits += [0] * (n_steps - free)
         codeword = conv_encode(code, in_bits)
-        u = payload_to_coset(payload, codeword, cons)
+        u = u0 * (1 - 2 * codeword)
         gamma = ch.energy(u)
         key = (gamma, tuple(int(b) for b in codeword))
         if best is None or key < best[:2]:
@@ -417,8 +393,6 @@ def exhaustive_shape(
             [(v >> (free - 1 - t)) & 1 for t in range(free)] + [0] * (n_steps - free),
             dtype=np.int64,
         ),
-        payload=payload.copy(),
-        tau=cons.tau,
     )
 
 
@@ -483,33 +457,21 @@ def lattice_partition(n_u: int, q: int, spacing: float = 1.0) -> LatticePartitio
     return LatticePartition(n_u=n_u, q=q, spacing=float(spacing), cosets=cosets)
 
 
-def nested_select(
-    ch: ChannelMatrix,
-    user_symbols,
-    part: LatticePartition,
-) -> PrecodeResult:
+def nested_select(ch: ChannelMatrix, u, part: LatticePartition) -> PrecodeResult:
     """Jointly minimize gamma over the per-user Lambda' shift sets.
 
-    ``user_symbols`` is a (K, 2*n_u) array of per-user blocks with
-    K * 2*n_u = M (or its flattening). The search is vector perturbation
-    of the flattened blocks with period q*spacing and q offsets per
-    coordinate: the symbols are first folded into the fundamental domain
-    [-q*spacing/2, q*spacing/2), which leaves coset representatives
-    unchanged, then every combination of per-user shifts (q^(2*n_u) each,
-    |Lambda/Lambda'|^K in total) is evaluated; ties go to the
-    lexicographically smallest flattened shift vector. ``meta["offset"]``
-    is the integer shift in units of q*spacing. Receivers recover their
-    block by folding modulo q*spacing per coordinate.
+    ``u`` is the M-vector of the K users' stacked blocks of 2*n_u symbols.
+    The search is vector perturbation of ``u`` with period q*spacing and q
+    offsets per coordinate: the symbols are first folded into the
+    fundamental domain [-q*spacing/2, q*spacing/2), which leaves coset
+    representatives unchanged, then every combination of per-user shifts
+    (q^(2*n_u) each, |Lambda/Lambda'|^K in total) is evaluated; ties go to
+    the lexicographically smallest shift vector. ``meta["offset"]`` is the
+    integer shift in units of q*spacing. Receivers recover their block by
+    folding modulo q*spacing per coordinate.
     """
-    symbols = np.asarray(user_symbols, dtype=np.float64)
-    if symbols.ndim == 1 and symbols.size % part.dim == 0:
-        symbols = symbols.reshape(-1, part.dim)
-    if symbols.ndim != 2 or symbols.shape[1] != part.dim:
+    if np.ndim(u) != 1 or np.size(u) % part.dim:
         raise DimensionMismatchError(
-            f"user_symbols must be (K, {part.dim}), got {symbols.shape}"
+            f"u must be a flat vector of {part.dim}-symbol blocks, got shape {np.shape(u)}"
         )
-    if symbols.size != ch.m:
-        raise DimensionMismatchError(
-            f"K * 2n_u = {symbols.size} does not match channel dimension {ch.m}"
-        )
-    return vector_perturb(ch, symbols.reshape(-1), part.modulo_period, part.q)
+    return vector_perturb(ch, u, part.modulo_period, part.q)

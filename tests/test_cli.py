@@ -150,12 +150,15 @@ def test_exit_code_sweep_values(tmp_path, capsys):
         ({"channel_source": {"kind": "random", "seed": 1, "matrix": [[1.0]]}}, 2),
         # refused before the m x m channel is allocated
         ({"m": 100000, "tau": 1.0, "channel_source": {"kind": "random", "seed": 1}}, 3),
+        # refused before the runner lays out its trial chunks
+        ({"trials": 2**40}, 3),
     ],
     ids=["nan_tau", "non_numeric_matrix", "nan_matrix", "string_channel_source",
          "list_precoder", "fractional_m", "boolean_trials", "huge_ball_radius",
          "huge_tau_plain", "huge_tau_vector_perturb", "trellis_k_s_2",
          "slm_n_over_budget", "trellis_misspelled_key", "region_misspelled_key",
-         "vector_perturb_extra_keys", "channel_source_extra_key", "m_over_budget"],
+         "vector_perturb_extra_keys", "channel_source_extra_key", "m_over_budget",
+         "trials_over_budget"],
 )
 def test_exit_code_malformed_config(tmp_path, overrides, code):
     cfg = _write_cfg(tmp_path, **overrides)

@@ -18,8 +18,7 @@ from hypothesis import strategies as st
 
 from slmprecode import cli
 
-# No large number: a valid but huge trials count would run without end.
-JUNK = [None, True, False, "x", "", [], {}, [1], -1, 0, 0.5, 1e-200, math.nan, math.inf]
+JUNK = [None, True, False, "x", "", [], {}, [1], -1, 0, 0.5, 1e-200, 2**62, math.nan, math.inf]
 
 _channel = st.one_of(
     st.fixed_dictionaries({"kind": st.just("random"), "seed": st.integers(-5, 50)}),

@@ -27,6 +27,12 @@ def _random_channel(rng, m, cond_cap=300.0):
             return theory.build_channel(h)
 
 
+def _u0(payload, con):
+    """The zero-codeword point of a payload, the vector the shaping searches take."""
+    n_sym = len(payload) // con.bits_per_symbol
+    return shaping.payload_to_coset(payload, np.zeros(n_sym, dtype=np.int64), con)
+
+
 # ---------------------------------------------------------------------------
 # code construction
 # ---------------------------------------------------------------------------
@@ -111,7 +117,8 @@ def test_conv_encode_rejects_non_binary():
 
 def test_pam_constellation_levels():
     con = shaping.pam_constellation(4, spacing=1.0)
-    levels = sorted(con.level(s, k) for s in (0, 1) for k in range(2))
+    levels = sorted(shaping.payload_to_coset(p, [0], con)[0]
+                    for p in itertools.product((0, 1), repeat=2))
     assert np.allclose(levels, [-1.5, -0.5, 0.5, 1.5])
     assert con.bits_per_symbol == 2
     assert con.tau == pytest.approx(4.0)
@@ -125,18 +132,22 @@ def test_pam_constellation_levels():
 def test_pam_constellation_sign_magnitude():
     con = shaping.pam_constellation(4, spacing=1.0)
     # sign bit 0 -> positive half, magnitude index orders outward
-    assert con.level(0, 0) == pytest.approx(0.5)
-    assert con.level(0, 1) == pytest.approx(1.5)
-    assert con.level(1, 0) == pytest.approx(-0.5)
-    assert con.level(1, 1) == pytest.approx(-1.5)
-    for lev in (-1.5, -0.5, 0.5, 1.5):
-        s = con.sign_bit(lev)
-        k = con.magnitude_index(lev)
-        assert con.level(s, k) == pytest.approx(lev)
-    with pytest.raises(ValueError):
-        con.magnitude_index(0.7)
-    with pytest.raises(ValueError):
-        con.level(0, 2)
+    u = shaping.payload_to_coset([0, 0, 0, 1, 1, 0, 1, 1], [0, 0, 0, 0], con)
+    assert np.array_equal(u, [0.5, 1.5, -0.5, -1.5])
+    # every label of PAM 2/4/8 maps to (1 - 2s) * spacing * (k + 1/2), with s
+    # the sign bit XOR the codeword bit and k the magnitude bits in binary,
+    # and back; 0.7 and the first level past the outermost are refused
+    for n_levels, spacing, outside in ((2, 1.0, 1.5), (4, 1.0, 2.5), (8, 0.5, 2.25)):
+        con = shaping.pam_constellation(n_levels, spacing=spacing)
+        for bits in itertools.product((0, 1), repeat=con.bits_per_symbol):
+            k = int("".join(map(str, bits[1:])) or "0", 2)
+            for cw in (0, 1):
+                u = shaping.payload_to_coset(bits, [cw], con)
+                assert u[0] == (1 - 2 * (bits[0] ^ cw)) * spacing * (k + 0.5)
+                assert tuple(shaping.coset_to_payload(u, [cw], con)) == bits
+        for bad in (0.7, outside):
+            with pytest.raises(ValueError):
+                shaping.coset_to_payload([bad], [0], con)
 
 
 def test_pam_constellation_validation():
@@ -144,6 +155,10 @@ def test_pam_constellation_validation():
         shaping.pam_constellation(3, spacing=1.0)
     with pytest.raises(ConfigError):
         shaping.pam_constellation(4, spacing=-1.0)
+    # beyond 2^53 levels the labeling is not exact in int64/float64 arithmetic
+    assert shaping.pam_constellation(2**53).bits_per_symbol == 53
+    with pytest.raises(ConfigError):
+        shaping.pam_constellation(2**54)
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +212,7 @@ def test_trellis_shape_memoryless_zero_code():
     rng = _rng()
     ch = _random_channel(rng, 4)
     payload = rng.integers(0, 2, size=8)
-    res = shaping.trellis_shape(ch, payload, code, con)
+    res = shaping.trellis_shape(ch, _u0(payload, con), code)
     u0 = shaping.payload_to_coset(payload, np.zeros(4, dtype=np.int64), con)
     assert np.array_equal(res.u_chosen, u0)
     assert np.array_equal(res.meta["codeword"], np.zeros(4, dtype=np.int64))
@@ -213,7 +228,7 @@ def test_trellis_shape_identity_channel_prefers_zero_codeword():
     rng = _rng()
     for _ in range(10):
         payload = rng.integers(0, 2, size=16)
-        res = shaping.trellis_shape(ch, payload, code, con)
+        res = shaping.trellis_shape(ch, _u0(payload, con), code)
         assert res.n_candidates == 4  # 4 steps, 2 free before termination
         assert np.array_equal(res.meta["codeword"], np.zeros(8, dtype=np.int64))
         assert np.array_equal(res.meta["inputs"], np.zeros(4, dtype=np.int64))
@@ -243,8 +258,8 @@ def test_trellis_shape_matches_exhaustive(spec, symbols):
         con = shaping.pam_constellation(int(rng.choice([2, 4, 8])), spacing=1.0)
         ch = _random_channel(rng, m)
         payload = rng.integers(0, 2, size=m * con.bits_per_symbol)
-        fast = shaping.trellis_shape(ch, payload, code, con)
-        slow = shaping.exhaustive_shape(ch, payload, code, con)
+        fast = shaping.trellis_shape(ch, _u0(payload, con), code)
+        slow = shaping.exhaustive_shape(ch, _u0(payload, con), code)
         # bit-identical under the (gamma, codeword, input index) tie-break
         assert np.array_equal(fast.meta["codeword"], slow.meta["codeword"]), f"trial {trial}"
         assert np.array_equal(fast.meta["inputs"], slow.meta["inputs"])
@@ -262,10 +277,10 @@ def test_trellis_shape_budget(monkeypatch):
     con = shaping.pam_constellation(4, spacing=1.0)
     payload = _rng().integers(0, 2, size=16)
     monkeypatch.setattr(shaping, "SEARCH_BUDGET", 15)
-    assert shaping.trellis_shape(ch, payload, code, con).n_candidates == 4
+    assert shaping.trellis_shape(ch, _u0(payload, con), code).n_candidates == 4
     monkeypatch.setattr(shaping, "SEARCH_BUDGET", 14)
     with pytest.raises(SearchBudgetExceededError):
-        shaping.trellis_shape(ch, payload, code, con)
+        shaping.trellis_shape(ch, _u0(payload, con), code)
 
 
 def test_trellis_shape_deeper_than_recursion_limit(monkeypatch):
@@ -277,7 +292,7 @@ def test_trellis_shape_deeper_than_recursion_limit(monkeypatch):
     con = shaping.pam_constellation(4, spacing=1.0)
     monkeypatch.setattr(shaping, "SEARCH_BUDGET", n_steps + 10)
     with pytest.raises(SearchBudgetExceededError):
-        shaping.trellis_shape(ch, np.zeros(4 * n_steps, dtype=np.int64), code, con)
+        shaping.trellis_shape(ch, _u0(np.zeros(4 * n_steps, dtype=np.int64), con), code)
 
 
 def test_trellis_shape_dominates_zero_codeword():
@@ -287,7 +302,7 @@ def test_trellis_shape_dominates_zero_codeword():
     ch = _random_channel(rng, 6)
     for _ in range(20):
         payload = rng.integers(0, 2, size=12)
-        res = shaping.trellis_shape(ch, payload, code, con)
+        res = shaping.trellis_shape(ch, _u0(payload, con), code)
         u0 = shaping.payload_to_coset(payload, np.zeros(6, dtype=np.int64), con)
         assert res.gamma <= ch.energy(u0) * (1 + 1e-9) + 1e-12
 
@@ -299,7 +314,7 @@ def test_trellis_shape_metric_matches_energy():
     ch = _random_channel(rng, 8)
     for _ in range(10):
         payload = rng.integers(0, 2, size=16)
-        res = shaping.trellis_shape(ch, payload, code, con)
+        res = shaping.trellis_shape(ch, _u0(payload, con), code)
         assert res.meta["path_metric"] == pytest.approx(res.gamma, rel=1e-8)
         assert res.gamma == pytest.approx(ch.energy(res.u_chosen), rel=1e-8)
         # the winning codeword is a real codeword of the shaping code
@@ -315,7 +330,7 @@ def test_trellis_shape_receiver_recovers_payload():
     ch = _random_channel(rng, 6)
     for _ in range(50):
         payload = rng.integers(0, 2, size=12)
-        res = shaping.trellis_shape(ch, payload, code, con)
+        res = shaping.trellis_shape(ch, _u0(payload, con), code)
         y = ch.h @ res.s
         back = shaping.coset_to_payload(y, res.meta["codeword"], con)
         assert np.array_equal(back, payload)
@@ -326,10 +341,12 @@ def test_trellis_shape_validation():
     con = shaping.pam_constellation(4, spacing=1.0)
     ch = theory.build_channel(np.eye(4))
     with pytest.raises(LengthMismatchError):
-        shaping.trellis_shape(ch, [0, 1, 0], code, con)
+        shaping.trellis_shape(ch, _u0([0, 1, 0], con), code)
+    with pytest.raises(DimensionMismatchError):
+        shaping.trellis_shape(ch, [0.5, -0.5, 0.5], code)  # 3 symbols, M = 4
     ch3 = theory.build_channel(np.eye(3))
     with pytest.raises(DimensionMismatchError):
-        shaping.trellis_shape(ch3, [0] * 6, code, con)
+        shaping.trellis_shape(ch3, _u0([0] * 6, con), code)
 
 
 def test_exhaustive_shape_budget():
@@ -337,7 +354,7 @@ def test_exhaustive_shape_budget():
     con = shaping.pam_constellation(4, spacing=1.0)
     ch = theory.build_channel(np.eye(40))
     with pytest.raises(SearchBudgetExceededError):
-        shaping.exhaustive_shape(ch, [0] * 80, code, con)
+        shaping.exhaustive_shape(ch, _u0([0] * 80, con), code)
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +399,7 @@ def test_nested_select_q1_is_inversion():
     ch = _random_channel(rng, 4)
     part = shaping.lattice_partition(n_u=2, q=1, spacing=1.0)
     symbols = rng.uniform(-0.5, 0.5, size=(1, 4))
-    res = shaping.nested_select(ch, symbols, part)
+    res = shaping.nested_select(ch, symbols.ravel(), part)
     assert res.n_candidates == 1
     assert np.array_equal(res.u_chosen, symbols.ravel())
     assert res.gamma == pytest.approx(
@@ -397,7 +414,7 @@ def test_nested_select_identity_channel_separable():
     rng = _rng()
     for _ in range(20):
         symbols = part.cosets[rng.integers(0, 4, size=2)]
-        res = shaping.nested_select(ch, symbols, part)
+        res = shaping.nested_select(ch, symbols.ravel(), part)
         per_user = 0.0
         for blk in symbols:
             per_user += min(float(np.sum((blk + off) ** 2)) for off in part.offsets())
@@ -411,7 +428,7 @@ def test_nested_select_matches_independent_scan():
         part = shaping.lattice_partition(n_u=1, q=2, spacing=1.0)
         ch = _random_channel(rng, 2 * k)
         symbols = part.cosets[rng.integers(0, 4, size=k)]
-        res = shaping.nested_select(ch, symbols, part)
+        res = shaping.nested_select(ch, symbols.ravel(), part)
         # independent oracle: loop every joint shift with itertools
         offs = part.offsets()
         best_g, best_u = math.inf, None
@@ -434,7 +451,7 @@ def test_nested_select_equals_blockwise_vector_perturb():
         ch = _random_channel(rng, 2 * k)
         for _ in range(5):
             symbols = part.cosets[rng.integers(0, part.coset_count, size=k)]
-            res = shaping.nested_select(ch, symbols, part)
+            res = shaping.nested_select(ch, symbols.ravel(), part)
             vp = precoders.vector_perturb(
                 ch, symbols.ravel(), tau=part.modulo_period, b=part.q
             )
@@ -452,7 +469,7 @@ def test_nested_select_receiver_folds_back():
     period = part.modulo_period
     for _ in range(200):
         symbols = part.cosets[rng.integers(0, 4, size=2)]
-        res = shaping.nested_select(ch, symbols, part)
+        res = shaping.nested_select(ch, symbols.ravel(), part)
         assert precoders.receiver_verify(ch, res, symbols.ravel(), tau=period)
 
 
@@ -463,7 +480,7 @@ def test_nested_select_offset_is_coarse_lattice_point():
     ch = _random_channel(rng, 4)
     for _ in range(20):
         symbols = part.cosets[rng.integers(0, 4, size=2)]
-        res = shaping.nested_select(ch, symbols, part)
+        res = shaping.nested_select(ch, symbols.ravel(), part)
         offset = np.asarray(res.meta["offset"])
         assert np.issubdtype(offset.dtype, np.integer)
         assert np.allclose(
@@ -475,9 +492,9 @@ def test_nested_select_validation():
     part = shaping.lattice_partition(n_u=1, q=2, spacing=1.0)
     ch = theory.build_channel(np.eye(4))
     with pytest.raises(DimensionMismatchError):
-        shaping.nested_select(ch, part.cosets[:3], part)  # 3*2 != 4
+        shaping.nested_select(ch, part.cosets[:3].ravel(), part)  # 3*2 != 4
     with pytest.raises(DimensionMismatchError):
-        shaping.nested_select(ch, np.zeros((2, 3)), part)
+        shaping.nested_select(ch, np.zeros((2, 3)), part)  # not a flat vector
     with pytest.raises(DimensionMismatchError):
         shaping.nested_select(ch, np.zeros(3), part)  # 3 is not a multiple of 2
 
@@ -487,4 +504,4 @@ def test_nested_select_budget():
     ch = theory.build_channel(np.eye(16))
     symbols = np.tile(part.cosets[0], (8, 1))
     with pytest.raises(SearchBudgetExceededError):
-        shaping.nested_select(ch, symbols, part)  # 64^8 joint shifts
+        shaping.nested_select(ch, symbols.ravel(), part)  # 64^8 joint shifts
