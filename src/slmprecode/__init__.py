@@ -65,10 +65,8 @@ from .shaping import (
     PartitionedConstellation,
     ShapingCode,
     code_from_octal,
-    conv_encode,
     coset_to_payload,
     default_code,
-    exhaustive_shape,
     lattice_partition,
     nested_select,
     pam_constellation,

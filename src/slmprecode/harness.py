@@ -193,10 +193,9 @@ class ExperimentConfig:
         try:
             sigma2 = _scheme(self)[1]
         except OverflowError:
-            # tau**m, radius**m or 2**(2h) beyond the float range
+            # 2**(2h) beyond the float range
             raise ConfigError(
-                "tau or region size is too large: the region volume or the "
-                "source power overflows a float"
+                "tau or region size is too large: the source power overflows a float"
             ) from None
         if sigma2 == 0.0:
             raise ConfigError("tau or region size is too small: the source power underflows")
@@ -320,10 +319,7 @@ def _scheme(cfg: ExperimentConfig) -> Tuple[int, float, _Trial]:
             radius = _float(spec.get("radius", 0.0), "region.radius")
             if radius <= 0.0:
                 raise ConfigError("ball region requires a positive radius")
-            try:
-                region = regions.ball(radius, m)
-            except ValueError:  # log2 of a volume that underflows to 0
-                raise ConfigError("ball radius is too small: the region volume underflows") from None
+            region = regions.ball(radius, m)
             sigma2 = theory.sigma_from_entropy(region.entropy_bits_per_dim)
         else:
             expand = spec.get("expand", True)

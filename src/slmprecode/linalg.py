@@ -77,10 +77,6 @@ class EigenSystem:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    def reconstruct(self) -> np.ndarray:
-        u = self.eigenvectors
-        return (u * self.eigenvalues) @ u.T
-
 
 def invert(m, cond_limit: float = math.inf) -> np.ndarray:
     """Invert a square matrix by partial-pivot LU.

@@ -3,9 +3,9 @@
 Data vectors u live in one of three region kinds: a hypercube of side tau
 (the continuous approximation of a cubic lattice code), a solid ball, or a
 zero-mean Gaussian with arbitrary covariance (the "oval" shaped source used
-to verify the closed-form optimum). Each finite region carries its Lebesgue
-volume and the per-dimension differential entropy of the uniform
-distribution over it, in bits.
+to verify the closed-form optimum). Each region carries the per-dimension
+differential entropy of its distribution, in bits; a finite region's
+Lebesgue volume is derived on read.
 
 Randomness is counter-based: every stream is a numpy Philox generator keyed
 by a pair of 64-bit words, so parallel trials derive independent,
@@ -46,21 +46,30 @@ def channel_stream(seed: int) -> np.random.Generator:
 class Region:
     """A sampling region for data vectors.
 
-    ``volume`` is the Lebesgue volume for the finite kinds (hypercube,
-    ball) and None for the Gaussian. ``entropy_bits_per_dim`` is the
-    differential entropy per dimension of the region's distribution:
-    log2(tau) for the hypercube, (1/M) log2(volume) for the ball, and the
-    Gaussian closed form for the oval case. ``chol`` is the lower Cholesky
-    factor of the Gaussian's covariance.
+    ``entropy_bits_per_dim`` is the differential entropy per dimension of
+    the region's distribution: log2(tau) for the hypercube, (1/M)
+    log2(volume) for the ball, and the Gaussian closed form for the oval
+    case. ``chol`` is the lower Cholesky factor of the Gaussian's
+    covariance.
     """
 
     kind: str
     dim: int
-    volume: Optional[float]
     entropy_bits_per_dim: float
     tau: Optional[float] = None
     radius: Optional[float] = None
     chol: Optional[np.ndarray] = None
+
+    @property
+    def volume(self) -> Optional[float]:
+        """Lebesgue volume 2^(M h) of a hypercube or ball, inf where that
+        overflows a float; None for the Gaussian."""
+        if self.kind == "gaussian":
+            return None
+        try:
+            return 2.0 ** (self.dim * self.entropy_bits_per_dim)
+        except OverflowError:
+            return math.inf
 
 
 def hypercube(tau: float, m: int) -> Region:
@@ -73,7 +82,6 @@ def hypercube(tau: float, m: int) -> Region:
     return Region(
         kind="hypercube",
         dim=int(m),
-        volume=tau**m,
         entropy_bits_per_dim=math.log2(tau),
         tau=tau,
     )
@@ -86,12 +94,21 @@ def ball(radius: float, m: int) -> Region:
         raise ValueError("radius must be positive")
     if m < 1:
         raise ValueError("dimension must be >= 1")
-    volume = theory.ball_volume(m) * radius**m
+    # log2 of the linear form wherever that is a positive float, so those
+    # entropies keep their bits; the log form where it leaves the float range.
+    try:
+        volume = theory.ball_volume(m) * radius**m
+    except OverflowError:
+        volume = math.inf
+    if 0.0 < volume < math.inf:
+        entropy = math.log2(volume) / m
+    else:
+        log_unit = 0.5 * m * math.log(math.pi) - math.lgamma(1.0 + 0.5 * m)
+        entropy = log_unit / (m * math.log(2.0)) + math.log2(radius)
     return Region(
         kind="ball",
         dim=int(m),
-        volume=volume,
-        entropy_bits_per_dim=math.log2(volume) / m,
+        entropy_bits_per_dim=entropy,
         radius=radius,
     )
 
@@ -110,7 +127,6 @@ def gaussian(sigma) -> Region:
     return Region(
         kind="gaussian",
         dim=m,
-        volume=None,
         entropy_bits_per_dim=entropy,
         chol=linalg.cholesky(sigma),
     )

@@ -15,14 +15,14 @@ Because Q couples all dimensions, branch metrics come from the triangular
 factorization Q = L L^T: with G = L^T, gamma = ||G u||^2 and component i of
 G u depends only on u_i..u_M, so the code tree is searched in reverse
 symbol order with exact additive metric increments (a depth-first
-branch-and-bound on an explicit stack, bounded by ``SEARCH_BUDGET`` visited
-nodes; ties go to the smallest codeword, then the smallest input index; see
-``trellis_shape``).
+branch-and-bound on an explicit stack that expands a batch of nodes per
+array operation, bounded by ``SEARCH_BUDGET`` nodes; ties go to the
+smallest codeword, then the smallest input index; see ``trellis_shape``).
 
 Like the precoders, both searches take the data vector: ``trellis_shape``
-and ``exhaustive_shape`` the zero-codeword point u0, ``nested_select`` the
-M-vector of the users' stacked blocks. The sign/magnitude bit labeling
-lives only in ``payload_to_coset`` and ``coset_to_payload``.
+the zero-codeword point u0, ``nested_select`` the M-vector of the users'
+stacked blocks. The sign/magnitude bit labeling lives only in
+``payload_to_coset`` and ``coset_to_payload``.
 
 Each parameter is stated once: a code is its tap masks (n_s and the memory
 follow), and a constellation is its level count and spacing (the modulo
@@ -41,7 +41,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -56,13 +56,17 @@ from .precoders import (
     SEARCH_BUDGET,
     PrecodeResult,
     check_dim,
-    offset_range,
     precode_result,
     vector_perturb,
 )
 from .theory import ChannelMatrix
 
-ORACLE_BUDGET = 2**16
+# Batches of the trellis search: at most _BATCH nodes, chosen by
+# measurement, and at most _BATCH_ENTRIES stored components of G u.
+_BATCH = 256
+_BATCH_ENTRIES = 2**13
+# The sign of a symbol whose codeword bit is 0 or 1.
+_SIGN = np.array([1.0, -1.0])
 
 
 # ---------------------------------------------------------------------------
@@ -142,19 +146,6 @@ def _as_bits(bits, name: str) -> np.ndarray:
     if arr.size and not np.all((arr == 0) | (arr == 1)):
         raise LengthMismatchError(f"{name} must contain only 0/1 values")
     return arr
-
-
-def conv_encode(code: ShapingCode, bits) -> np.ndarray:
-    """Encode from the all-zero state, n_s output bits per input bit."""
-    bits = _as_bits(bits, "input bits")
-    state = 0
-    out = np.empty(bits.size * code.n_s, dtype=np.int64)
-    for t, bit in enumerate(bits):
-        window = (int(bit) << code.memory) | state
-        for i, g in enumerate(code.generators):
-            out[t * code.n_s + i] = (g & window).bit_count() & 1
-        state = window >> 1
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -255,12 +246,23 @@ def coset_to_payload(u, codeword_bits, cons: PartitionedConstellation) -> np.nda
 # ---------------------------------------------------------------------------
 
 
-def _check_trellis_args(ch: ChannelMatrix, u0, code: ShapingCode) -> np.ndarray:
-    if ch.m % code.n_s:
-        raise DimensionMismatchError(
-            f"M = {ch.m} is not divisible by symbols-per-step n_s = {code.n_s}"
-        )
-    return check_dim(ch, u0, "u0")
+@functools.lru_cache(maxsize=1)
+def _generator_matrix(code: ShapingCode, n_steps: int) -> np.ndarray:
+    """The code's F x M generator matrix over its free inputs x_0..x_{F-1}.
+
+    Row j holds the output bits of input x_j alone: bit k of generator i
+    taps x_j at step j + memory - k. A codeword is ``inputs @ gen & 1``;
+    the uint8 product wraps modulo 256, which keeps the parity. Read-only,
+    built once per (code, n_steps).
+    """
+    free = max(0, n_steps - code.memory)
+    gen = np.zeros((free, n_steps, code.n_s), dtype=np.uint8)
+    rows = np.arange(free)
+    for k in range(code.memory + 1):
+        gen[rows, rows + code.memory - k] = [(g >> k) & 1 for g in code.generators]
+    gen = gen.reshape(free, n_steps * code.n_s)
+    gen.flags.writeable = False
+    return gen
 
 
 def trellis_shape(ch: ChannelMatrix, u0, code: ShapingCode) -> PrecodeResult:
@@ -279,74 +281,102 @@ def trellis_shape(ch: ChannelMatrix, u0, code: ShapingCode) -> PrecodeResult:
     components t*n_s..t*n_s+n_s-1 of G u: exact additive metric
     increments.
 
-    The depth-first search runs on an explicit stack and tries a node's
-    children in increasing order of their increment. A node is pruned when
-    its partial metric exceeds the incumbent energy by more than
-    1e-9 * (1 + incumbent); leaves are scored with ``ch.energy``. Among the
-    leaves the winner has the smallest (gamma, codeword, input index),
-    where the input index reads x_0..x_{F-1} as a binary number with x_0
-    most significant, so the result is bit-identical to
-    ``exhaustive_shape``. A search that visits more than ``SEARCH_BUDGET``
-    unpruned nodes, leaves included, raises SearchBudgetExceededError.
+    The depth-first search runs on an explicit stack of batches of nodes
+    at one step, and expands all nodes of a batch with array operations;
+    a node keeps only the components of G u that are not yet complete. A
+    node is pruned when its partial metric exceeds the incumbent energy by
+    more than 1e-9 * (1 + incumbent). Live children go back on the stack
+    sorted by partial metric, the best batch on top. Once its free inputs
+    are set a node is a leaf, and its forced steps are scored in one step;
+    if all 2^F codewords fit in one batch, the search starts from that
+    batch of leaves. The leaves within the slack of their batch's best are
+    scored with ``ch.energy``. The winner has the smallest (gamma, codeword, input
+    index), where the input index reads x_0..x_{F-1} as a binary number
+    with x_0 most significant, so the result equals an exhaustive scan of
+    the codewords. ``meta["nodes"]`` counts the unpruned nodes, the root
+    and the forced ones included; a search that counts more than
+    ``SEARCH_BUDGET`` raises SearchBudgetExceededError.
     """
-    u0 = _check_trellis_args(ch, u0, code)
+    if ch.m % code.n_s:
+        raise DimensionMismatchError(
+            f"M = {ch.m} is not divisible by symbols-per-step n_s = {code.n_s}"
+        )
+    u0 = check_dim(ch, u0, "u0")
     n_s, mem = code.n_s, code.memory
     n_steps = ch.m // n_s
-    g_upper = ch.chol.T
-    g_rows = [g_upper[j, j:] for j in range(ch.m)]
-    keep = (1 << (mem + 1)) - 1
-    u = u0.copy()
-    inputs = np.zeros(n_steps, dtype=np.int64)
-
-    def place(t: int, window: int) -> None:
-        """Set step t's symbols from the window's output bits."""
-        for i, g in enumerate(code.generators):
-            j = t * n_s + i
-            u[j] = -u0[j] if (g & window).bit_count() & 1 else u0[j]
+    free = max(0, n_steps - mem)
+    gen = _generator_matrix(code, n_steps)
+    # Row j of scaled is u0_j * G[:, j]: symbol j's share of G u, unflipped.
+    scaled = u0[:, None] * ch.chol
 
     best_key = best_u = best_metric = None
     best_gamma = math.inf
-    nodes = 0
-    # (partial metric, step t, window): steps t..n-1 are assigned, and bit
-    # memory - d of the window holds x_{t-d}; the root is step n.
-    stack = [(0.0, n_steps, 0)]
+    # A batch holds nodes at one step t (steps t..n-1 assigned) in
+    # increasing order of partial metric: the metrics, components
+    # 0..t*n_s-1 of G u, and the input bits x_0..x_{F-1} with the unset
+    # ones zero. A node at step t <= memory is a leaf. The first batch is
+    # the root at step n, or, if all 2^F codewords fit in one batch, the
+    # leaves below the root, counted with the 2^F - 1 nodes above them.
+    whole = 1 << free <= _BATCH
+    width = 1 << free if whole else 1
+    inputs = (np.arange(width)[:, None] >> np.arange(free - 1, -1, -1) & 1).astype(np.uint8)
+    stack = [(n_steps, np.zeros(width), np.zeros((width, ch.m)), inputs)]
+    nodes = width - 1
     while stack:
-        partial, t, window = stack.pop()
-        if partial > best_gamma + 1e-9 * (1.0 + abs(best_gamma)):
-            continue
-        nodes += 1
+        t, partial, resid, bits = stack.pop()
+        bound = best_gamma + 1e-9 * (1.0 + abs(best_gamma))
+        if partial[-1] > bound:
+            n_live = partial.searchsorted(bound, "right")
+            if not n_live:
+                continue
+            partial, resid, bits = partial[:n_live], resid[:n_live], bits[:n_live]
+        nodes += partial.size
+        leaf = whole or t <= mem
+        if leaf:
+            # The symbols of steps 0..t-1 complete the leaves' metrics; the
+            # last min(t, memory) steps below a leaf are forced nodes.
+            hi, last = t * n_s, min(t, free)
+            tail = resid + _SIGN[bits[:, :last] @ gen[:last, :hi] & 1] @ scaled[:hi, :hi]
+            metric = partial + np.einsum("ij,ij->i", tail, tail)
+            nodes += min(t, mem) * np.count_nonzero(metric <= bound)
         if nodes > SEARCH_BUDGET:
             raise SearchBudgetExceededError(
                 f"trellis search visited more than {SEARCH_BUDGET} nodes"
             )
-        if t < n_steps:
-            place(t, window)
-            if t >= mem:
-                inputs[t - mem] = window & 1
-        if t == 0:
-            gamma = ch.energy(u)
-            if gamma <= best_gamma:
-                # A codeword bit is set exactly where u differs from u0.
-                key = (gamma, (u != u0).tolist(), inputs.tolist())
-                if best_key is None or key < best_key:
-                    best_key, best_u, best_metric = key, u.copy(), partial
-                    best_gamma = gamma
+        if leaf:
+            low = metric.min()
+            near = np.flatnonzero(metric <= min(bound, low + 1e-9 * (1.0 + abs(low))))
+            for k, x, codeword in zip(near, bits[near], bits[near] @ gen & 1):
+                u = u0 * _SIGN[codeword]
+                gamma = ch.energy(u)
+                if gamma <= best_gamma:
+                    key = (gamma, codeword.tolist(), x.tolist() + [0] * (n_steps - free))
+                    if best_key is None or key < best_key:
+                        best_key, best_u, best_metric = key, u, float(metric[k])
+                        best_gamma = gamma
             continue
         s = t - 1
-        shifted = (window << 1) & keep
-        children = []
-        for w in (shifted, shifted | 1) if s >= mem else (shifted,):
-            place(s, w)
-            inc = 0.0
-            for j in range(s * n_s, t * n_s):
-                comp = float(g_rows[j] @ u[j:])
-                inc += comp * comp
-            children.append((inc, w))
-        children.sort(reverse=True)  # the smallest increment is popped first
-        stack.extend((partial + inc, s, w) for inc, w in children)
+        lo, hi = s * n_s, t * n_s
+        # The two children of each node set x_{s-memory} to 0 and 1; step
+        # s's outputs depend on x_{s-memory}..x_s.
+        kids = bits.repeat(2, axis=0)
+        kids[1::2, s - mem] = 1
+        a, b = s - mem, min(t, free)
+        signs = _SIGN[kids[:, a:b] @ gen[a:b, lo:hi] & 1]
+        full = resid.repeat(2, axis=0) + signs @ scaled[lo:hi, :hi]
+        done = full[:, lo:]
+        child_partial = partial.repeat(2) + np.einsum("ij,ij->i", done, done)
+        order = child_partial.argsort()
+        child_partial = child_partial[order]
+        n_live = child_partial.searchsorted(bound, "right")
+        # A batch is capped in nodes and in stored components, which bounds
+        # the stack of a deep search.
+        size = max(1, min(_BATCH, _BATCH_ENTRIES // max(1, lo)))
+        for start in range((n_live - 1) // size * size, -1, -size):
+            rows = order[start:start + size]
+            stack.append((s, child_partial[start:start + size], full[rows, :lo], kids[rows]))
 
     _, codeword, best_inputs = best_key
-    free = max(0, n_steps - mem)
     index = 0
     for bit in best_inputs[:free]:
         index = (index << 1) | bit
@@ -355,44 +385,7 @@ def trellis_shape(ch: ChannelMatrix, u0, code: ShapingCode) -> PrecodeResult:
         codeword=np.array(codeword, dtype=np.int64),
         inputs=np.array(best_inputs, dtype=np.int64),
         path_metric=best_metric,
-    )
-
-
-def exhaustive_shape(ch: ChannelMatrix, u0, code: ShapingCode) -> PrecodeResult:
-    """Oracle mode: enumerate every terminated codeword and scan for the minimum.
-
-    Semantics are identical to ``trellis_shape`` (same tie-break); kept as
-    an independently coded cross-check, which builds each codeword with
-    ``conv_encode``, and refused beyond ``ORACLE_BUDGET`` codewords.
-    """
-    u0 = _check_trellis_args(ch, u0, code)
-    m = ch.m
-    n_steps = m // code.n_s
-    free = max(0, n_steps - code.memory)
-    count = 1 << free
-    if count > ORACLE_BUDGET:
-        raise SearchBudgetExceededError(
-            f"{count} codewords exceed the oracle budget {ORACLE_BUDGET}"
-        )
-    best: Optional[Tuple[float, Tuple[int, ...], int, np.ndarray, np.ndarray]] = None
-    for v in range(count):
-        in_bits = [(v >> (free - 1 - t)) & 1 for t in range(free)]
-        in_bits += [0] * (n_steps - free)
-        codeword = conv_encode(code, in_bits)
-        u = u0 * (1 - 2 * codeword)
-        gamma = ch.energy(u)
-        key = (gamma, tuple(int(b) for b in codeword))
-        if best is None or key < best[:2]:
-            best = key + (v, u, codeword)
-    assert best is not None
-    gamma, cw_tuple, v, u, codeword = best
-    return precode_result(
-        ch, u, v, count,
-        codeword=codeword,
-        inputs=np.array(
-            [(v >> (free - 1 - t)) & 1 for t in range(free)] + [0] * (n_steps - free),
-            dtype=np.int64,
-        ),
+        nodes=nodes,
     )
 
 
@@ -431,12 +424,6 @@ class LatticePartition:
     def modulo_period(self) -> float:
         """Per-coordinate period of Lambda': q * spacing."""
         return self.q * self.spacing
-
-    def offsets(self) -> np.ndarray:
-        """The q^(2 n_u) Lambda' shift vectors searched per user."""
-        rng = self.q * self.spacing * offset_range(self.q)
-        grids = np.meshgrid(*([rng] * self.dim), indexing="ij")
-        return np.stack([g.ravel() for g in grids], axis=-1)
 
 
 def lattice_partition(n_u: int, q: int, spacing: float = 1.0) -> LatticePartition:

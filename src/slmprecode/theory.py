@@ -251,7 +251,6 @@ class TheoryReport:
     e_opt: float
     channel_gain: float
     r_eq2: float
-    sigma_opt: np.ndarray
     e_slm_limit: float
     eigenvalues: np.ndarray = field(repr=False)
 
@@ -264,7 +263,6 @@ def theory_report(ch: ChannelMatrix, sigma2: float) -> TheoryReport:
         e_opt=e_opt(ch, sigma2),
         channel_gain=channel_gain(ch.eig),
         r_eq2=equivalent_radius_sq(ch, sigma2),
-        sigma_opt=optimal_covariance(ch, sigma2),
         e_slm_limit=e_slm(ch, sigma2),
         eigenvalues=ch.eigenvalues.copy(),
     )

@@ -1,0 +1,88 @@
+"""Reference implementations that the tests check the package against.
+
+``exhaustive_shape`` enumerates every terminated codeword of a shaping code
+and scans for the minimum-energy coset member; it builds each codeword with
+``conv_encode``, a bit-serial shift-register encoder, so it shares no code
+with ``shaping.trellis_shape``. ``lattice_offsets`` lists a nested-lattice
+partition's shift vectors for scans that do not go through
+``vector_perturb``, and ``reconstruct`` multiplies an eigensystem back out.
+"""
+
+import numpy as np
+
+from slmprecode.errors import (
+    DimensionMismatchError,
+    LengthMismatchError,
+    SearchBudgetExceededError,
+)
+from slmprecode.precoders import check_dim, offset_range, precode_result
+
+ORACLE_BUDGET = 2**16
+
+
+def conv_encode(code, bits) -> np.ndarray:
+    """Encode from the all-zero state, n_s output bits per input bit."""
+    bits = np.asarray(bits)
+    if bits.ndim != 1:
+        raise LengthMismatchError("input bits must be a flat bit sequence")
+    bits = bits.astype(np.int64)
+    if bits.size and not np.all((bits == 0) | (bits == 1)):
+        raise LengthMismatchError("input bits must contain only 0/1 values")
+    state = 0
+    out = np.empty(bits.size * code.n_s, dtype=np.int64)
+    for t, bit in enumerate(bits):
+        window = (int(bit) << code.memory) | state
+        for i, g in enumerate(code.generators):
+            out[t * code.n_s + i] = (g & window).bit_count() & 1
+        state = window >> 1
+    return out
+
+
+def exhaustive_shape(ch, u0, code):
+    """Enumerate every terminated codeword and scan for the minimum.
+
+    Semantics are identical to ``trellis_shape`` (same tie-break: the
+    smallest (gamma, codeword), then the smallest input index); refused
+    beyond ``ORACLE_BUDGET`` codewords.
+    """
+    if ch.m % code.n_s:
+        raise DimensionMismatchError(
+            f"M = {ch.m} is not divisible by symbols-per-step n_s = {code.n_s}"
+        )
+    u0 = check_dim(ch, u0, "u0")
+    n_steps = ch.m // code.n_s
+    free = max(0, n_steps - code.memory)
+    count = 1 << free
+    if count > ORACLE_BUDGET:
+        raise SearchBudgetExceededError(
+            f"{count} codewords exceed the oracle budget {ORACLE_BUDGET}"
+        )
+    best = None
+    for v in range(count):
+        in_bits = [(v >> (free - 1 - t)) & 1 for t in range(free)]
+        in_bits += [0] * (n_steps - free)
+        codeword = conv_encode(code, in_bits)
+        u = u0 * (1 - 2 * codeword)
+        gamma = ch.energy(u)
+        key = (gamma, tuple(int(b) for b in codeword))
+        if best is None or key < best[:2]:
+            best = key + (v, u, codeword, in_bits)
+    _, _, v, u, codeword, in_bits = best
+    return precode_result(
+        ch, u, v, count,
+        codeword=codeword,
+        inputs=np.array(in_bits, dtype=np.int64),
+    )
+
+
+def lattice_offsets(part) -> np.ndarray:
+    """The q^(2 n_u) Lambda' shift vectors searched per user."""
+    rng = part.q * part.spacing * offset_range(part.q)
+    grids = np.meshgrid(*([rng] * part.dim), indexing="ij")
+    return np.stack([g.ravel() for g in grids], axis=-1)
+
+
+def reconstruct(eig) -> np.ndarray:
+    """U diag(values) U^T of an eigensystem."""
+    u = eig.eigenvectors
+    return (u * eig.eigenvalues) @ u.T

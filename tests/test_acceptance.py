@@ -19,6 +19,8 @@ import numpy as np
 
 from slmprecode import harness, precoders, regions, shaping, theory
 
+from oracles import exhaustive_shape, lattice_offsets
+
 
 def _cfg(**kw):
     return harness.ExperimentConfig.from_dict(kw)
@@ -187,7 +189,7 @@ def test_acceptance_5_search_oracles():
         payload = rng.integers(0, 2, size=2 * m)
         u0 = shaping.payload_to_coset(payload, np.zeros(m, dtype=np.int64), cons)
         fast = shaping.trellis_shape(ch, u0, code)
-        slow = shaping.exhaustive_shape(ch, u0, code)
+        slow = exhaustive_shape(ch, u0, code)
         if (
             np.array_equal(fast.meta["codeword"], slow.meta["codeword"])
             and np.array_equal(fast.u_chosen, slow.u_chosen)
@@ -206,7 +208,7 @@ def test_acceptance_5_search_oracles():
         symbols = part.cosets[rng.integers(0, part.coset_count, size=4)]
         res = shaping.nested_select(ch, symbols.ravel(), part)
         # independently coded scanner: plain python loops over all shifts
-        offs = part.offsets()
+        offs = lattice_offsets(part)
         best_g, best_u = math.inf, None
         for combo in itertools.product(range(len(offs)), repeat=4):
             u = np.concatenate([symbols[i] + offs[c] for i, c in enumerate(combo)])

@@ -172,6 +172,24 @@ def test_exit_code_malformed_config(tmp_path, overrides, code):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        # tau^m = 4^600 overflows a float, and nothing on the run path needs it
+        {"m": 600, "tau": 4.0},
+        # math.gamma(1 + m/2) in the unit ball's volume overflows from m = 342
+        {"m": 400, "precoder": {"kind": "slm_random", "n": 2,
+                                "region": {"kind": "ball", "radius": 1.0}}},
+    ],
+    ids=["plain_m600_tau4", "slm_ball_m400"],
+)
+def test_exit_code_large_valid_config(tmp_path, capsys, overrides):
+    cfg = _write_cfg(tmp_path, channel_source={"kind": "random", "seed": 7},
+                     condition_limit=1e14, trials=2, **overrides)
+    assert cli.main(["run", "--config", cfg]) == 0, capsys.readouterr().err
+    capsys.readouterr()
+
+
 def test_exit_code_numerical_error(tmp_path, capsys):
     cfg = _write_cfg(
         tmp_path, channel_source={"kind": "inline", "matrix": [[1.0, 1.0], [1.0, 1.0]]}

@@ -3,17 +3,23 @@
 import itertools
 import math
 import sys
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from slmprecode import precoders, shaping, theory
+from slmprecode import harness, precoders, regions, shaping, theory
 from slmprecode.errors import (
     ConfigError,
     DimensionMismatchError,
     LengthMismatchError,
     SearchBudgetExceededError,
 )
+
+from oracles import conv_encode, exhaustive_shape, lattice_offsets
 
 
 def _rng():
@@ -81,14 +87,14 @@ def test_codeword_count():
 
 def test_conv_encode_zero_input():
     code = shaping.default_code()
-    bits = shaping.conv_encode(code, [0, 0, 0, 0])
+    bits = conv_encode(code, [0, 0, 0, 0])
     assert np.array_equal(bits, np.zeros(8, dtype=np.int64))
 
 
 def test_conv_encode_hand_trace():
     # classic (7,5) impulse response: input 1 0 0 -> output 11 10 11
     code = shaping.default_code()
-    bits = shaping.conv_encode(code, [1, 0, 0])
+    bits = conv_encode(code, [1, 0, 0])
     assert np.array_equal(bits, [1, 1, 1, 0, 1, 1])
 
 
@@ -98,16 +104,16 @@ def test_conv_encode_linearity():
     for _ in range(50):
         a = rng.integers(0, 2, size=8)
         b = rng.integers(0, 2, size=8)
-        ca = shaping.conv_encode(code, a)
-        cb = shaping.conv_encode(code, b)
-        cab = shaping.conv_encode(code, (a + b) % 2)
+        ca = conv_encode(code, a)
+        cb = conv_encode(code, b)
+        cab = conv_encode(code, (a + b) % 2)
         assert np.array_equal(cab, (ca + cb) % 2)
 
 
 def test_conv_encode_rejects_non_binary():
     code = shaping.default_code()
     with pytest.raises(LengthMismatchError):
-        shaping.conv_encode(code, [0, 2, 0])
+        conv_encode(code, [0, 2, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +265,7 @@ def test_trellis_shape_matches_exhaustive(spec, symbols):
         ch = _random_channel(rng, m)
         payload = rng.integers(0, 2, size=m * con.bits_per_symbol)
         fast = shaping.trellis_shape(ch, _u0(payload, con), code)
-        slow = shaping.exhaustive_shape(ch, _u0(payload, con), code)
+        slow = exhaustive_shape(ch, _u0(payload, con), code)
         # bit-identical under the (gamma, codeword, input index) tie-break
         assert np.array_equal(fast.meta["codeword"], slow.meta["codeword"]), f"trial {trial}"
         assert np.array_equal(fast.meta["inputs"], slow.meta["inputs"])
@@ -295,6 +301,89 @@ def test_trellis_shape_deeper_than_recursion_limit(monkeypatch):
         shaping.trellis_shape(ch, _u0(np.zeros(4 * n_steps, dtype=np.int64), con), code)
 
 
+def test_trellis_shape_counts_nodes():
+    # the 15 nodes of test_trellis_shape_budget's search
+    ch = theory.build_channel(np.eye(8))
+    con = shaping.pam_constellation(4, spacing=1.0)
+    payload = _rng().integers(0, 2, size=16)
+    res = shaping.trellis_shape(ch, _u0(payload, con), shaping.default_code())
+    assert res.meta["nodes"] == 15
+
+
+_ORACLE_CODES = ["7,5", "5,7", "17,15", "1,1", "0,0", "7,7,5"]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(
+    spec=st.sampled_from(_ORACLE_CODES),
+    steps=st.integers(1, 10),
+    pam=st.sampled_from([2, 4, 8]),
+    channel=st.sampled_from(["random", "identity", "equal_magnitudes"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_trellis_shape_equals_oracle(spec, steps, pam, channel, seed):
+    # H = I ties every codeword; with H = I and equal |u0| the tie-break
+    # alone picks the winner
+    code = shaping.code_from_octal(spec)
+    m = steps * code.n_s
+    rng = np.random.default_rng(seed)
+    con = shaping.pam_constellation(pam, spacing=1.0)
+    if channel == "random":
+        ch = _random_channel(rng, m)
+        u0 = _u0(rng.integers(0, 2, size=m * con.bits_per_symbol), con)
+    elif channel == "identity":
+        ch = theory.build_channel(np.eye(m))
+        u0 = _u0(rng.integers(0, 2, size=m * con.bits_per_symbol), con)
+    else:
+        ch = theory.build_channel(np.eye(m))
+        u0 = 0.5 * rng.choice([-1.0, 1.0], size=m)
+    fast = shaping.trellis_shape(ch, u0, code)
+    slow = exhaustive_shape(ch, u0, code)
+    assert np.array_equal(fast.meta["codeword"], slow.meta["codeword"])
+    assert np.array_equal(fast.meta["inputs"], slow.meta["inputs"])
+    assert np.array_equal(fast.u_chosen, slow.u_chosen)
+    assert fast.gamma == slow.gamma
+    assert fast.candidate_index == slow.candidate_index
+
+
+def test_trellis_shape_m56():
+    # a (7,5) search over 2^26 codewords; the expected bits are those of the
+    # one-node-at-a-time search, which took about 15 s on a 2-core machine
+    ch = harness.load_channel({"kind": "random", "seed": 23}, 56, 1e14)
+    con = shaping.pam_constellation(4, spacing=0.5)
+    payload = regions.make_stream(1000, 0).integers(0, 2, size=112)
+    start = time.perf_counter()
+    res = shaping.trellis_shape(ch, _u0(payload, con), shaping.default_code())
+    elapsed = time.perf_counter() - start
+    assert res.gamma.hex() == "0x1.fe5629097787bp-2"
+    assert "".join(map(str, res.meta["codeword"])) == (
+        "00001110110000000000110110011111011001000101111101100111"
+    )
+    assert "".join(map(str, res.meta["inputs"])) == "0010000000111001110110011100"
+    assert res.candidate_index == 8447847
+    assert elapsed < 2.0
+
+
+def test_trellis_shape_memory_is_bounded(monkeypatch):
+    # an M = 1024 search that stops at a lowered node budget after about a
+    # second: its stack holds only the components of G u that are not yet
+    # complete, in batches capped in size
+    m = 1024
+    rng = np.random.default_rng(5)
+    ch = theory.build_channel(np.eye(m) + 0.3 * rng.standard_normal((m, m)) / math.sqrt(m))
+    con = shaping.pam_constellation(4, spacing=1.0)
+    u0 = _u0(rng.integers(0, 2, size=2 * m), con)
+    monkeypatch.setattr(shaping, "SEARCH_BUDGET", 2**17)
+    tracemalloc.start()
+    try:
+        with pytest.raises(SearchBudgetExceededError):
+            shaping.trellis_shape(ch, u0, shaping.default_code())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 128e6
+
+
 def test_trellis_shape_dominates_zero_codeword():
     rng = _rng()
     code = shaping.default_code()
@@ -318,7 +407,7 @@ def test_trellis_shape_metric_matches_energy():
         assert res.meta["path_metric"] == pytest.approx(res.gamma, rel=1e-8)
         assert res.gamma == pytest.approx(ch.energy(res.u_chosen), rel=1e-8)
         # the winning codeword is a real codeword of the shaping code
-        cw = shaping.conv_encode(code, res.meta["inputs"])
+        cw = conv_encode(code, res.meta["inputs"])
         assert np.array_equal(cw, res.meta["codeword"])
 
 
@@ -354,7 +443,7 @@ def test_exhaustive_shape_budget():
     con = shaping.pam_constellation(4, spacing=1.0)
     ch = theory.build_channel(np.eye(40))
     with pytest.raises(SearchBudgetExceededError):
-        shaping.exhaustive_shape(ch, _u0([0] * 80, con), code)
+        exhaustive_shape(ch, _u0([0] * 80, con), code)
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +467,7 @@ def test_lattice_partition_bookkeeping():
 
 def test_lattice_partition_offsets_centered():
     part = shaping.lattice_partition(n_u=1, q=3, spacing=0.5)
-    offs = part.offsets()
+    offs = lattice_offsets(part)
     assert offs.shape == (9, 2)
     assert np.allclose(sorted(set(offs[:, 0])), [-1.5, 0.0, 1.5])
 
@@ -417,7 +506,7 @@ def test_nested_select_identity_channel_separable():
         res = shaping.nested_select(ch, symbols.ravel(), part)
         per_user = 0.0
         for blk in symbols:
-            per_user += min(float(np.sum((blk + off) ** 2)) for off in part.offsets())
+            per_user += min(float(np.sum((blk + off) ** 2)) for off in lattice_offsets(part))
         assert res.gamma == pytest.approx(per_user, rel=1e-12)
 
 
@@ -430,7 +519,7 @@ def test_nested_select_matches_independent_scan():
         symbols = part.cosets[rng.integers(0, 4, size=k)]
         res = shaping.nested_select(ch, symbols.ravel(), part)
         # independent oracle: loop every joint shift with itertools
-        offs = part.offsets()
+        offs = lattice_offsets(part)
         best_g, best_u = math.inf, None
         for combo in itertools.product(range(len(offs)), repeat=k):
             u = np.concatenate([symbols[i] + offs[c] for i, c in enumerate(combo)])

@@ -313,6 +313,6 @@ def test_theory_report_consistency():
     # det(Q) = det(H)^{-2}
     det_h = np.linalg.det(h)
     assert np.prod(rep.eigenvalues) == pytest.approx(det_h**-2, rel=1e-8)
-    # covariance in the report attains the optimum
-    mean = theory.average_energy(ch, np.zeros(4), np.asarray(rep.sigma_opt))
+    # the optimal covariance attains the report's optimum
+    mean = theory.average_energy(ch, np.zeros(4), theory.optimal_covariance(ch, 2.0))
     assert mean == pytest.approx(rep.e_opt, rel=1e-10)
