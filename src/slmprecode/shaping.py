@@ -410,7 +410,14 @@ class LatticePartition:
     n_u: int
     q: int
     spacing: float
-    cosets: np.ndarray
+
+    @functools.cached_property
+    def cosets(self) -> np.ndarray:
+        """The q^(2 n_u) coset representatives, one row each, built on first read."""
+        # Residues centered into the half-open fundamental domain of Lambda'.
+        reps = self.spacing * np.arange(-(self.q // 2), self.q - (self.q // 2))
+        grids = np.meshgrid(*([reps] * self.dim), indexing="ij")
+        return np.stack([g.ravel() for g in grids], axis=-1)
 
     @property
     def dim(self) -> int:
@@ -436,12 +443,7 @@ def lattice_partition(n_u: int, q: int, spacing: float = 1.0) -> LatticePartitio
         raise ConfigError("q must be >= 1")
     if spacing <= 0.0:
         raise ConfigError("spacing must be positive")
-    # Residues centered into the half-open fundamental domain of Lambda'.
-    reps = spacing * np.arange(-(q // 2), q - (q // 2))
-    dim = 2 * n_u
-    grids = np.meshgrid(*([reps] * dim), indexing="ij")
-    cosets = np.stack([g.ravel() for g in grids], axis=-1)
-    return LatticePartition(n_u=n_u, q=q, spacing=float(spacing), cosets=cosets)
+    return LatticePartition(n_u=n_u, q=q, spacing=float(spacing))
 
 
 def nested_select(ch: ChannelMatrix, u, part: LatticePartition) -> PrecodeResult:

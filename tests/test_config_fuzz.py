@@ -4,7 +4,8 @@
 error or budget) or 4 (I/O error) for any JSON config, and never let an
 exception escape. Configs are drawn valid and small (m <= 8, a few trials),
 then corrupted: a value replaced by one of the wrong type or range, a key
-added or removed, or m set above the dimension budget.
+added or removed, or m set above the dimension budget. A second property
+runs valid configs up to the largest m: they never end in exit code 2.
 """
 
 import copy
@@ -13,7 +14,7 @@ import math
 import os
 import tempfile
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from slmprecode import cli
@@ -106,3 +107,46 @@ def test_run_exit_code_contract(cfg, data):
             json.dump(cfg, fh)
         code = cli.main(["run", "--config", path])
     assert code in (0, 2, 3, 4)
+
+
+_large_valid = st.fixed_dictionaries(
+    {
+        "m": st.integers(1, 1024),
+        "channel_source": st.fixed_dictionaries(
+            {"kind": st.just("random"), "seed": st.integers(0, 50)}
+        ),
+        # the source power stays a normal float over these tau and radius ranges
+        "tau": st.floats(1e-3, 1e3),
+        "precoder": st.one_of(
+            st.just({"kind": "plain"}),
+            st.fixed_dictionaries({
+                "kind": st.just("slm_random"),
+                "n": st.integers(1, 4),
+                "region": st.fixed_dictionaries(
+                    {"kind": st.just("ball"), "radius": st.floats(1e-2, 1e2)}
+                ),
+            }),
+        ),
+        "trials": st.just(1),
+        "master_seed": st.integers(0, 2**64),
+    },
+    optional={"condition_limit": st.sampled_from([1e8, 1e14])},
+)
+_M1024 = {"m": 1024, "channel_source": {"kind": "random", "seed": 7}, "tau": 4.0,
+          "trials": 1, "master_seed": 1}
+
+
+@settings(max_examples=8, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@example(cfg=dict(_M1024, precoder={"kind": "plain"}))
+@example(cfg=dict(_M1024, precoder={"kind": "slm_random", "n": 2,
+                                    "region": {"kind": "ball", "radius": 1.0}}))
+@given(cfg=_large_valid)
+def test_valid_config_never_exits_two(cfg):
+    # exit 3 is allowed: a random channel at large m can exceed condition_limit
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cfg.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(cfg, fh)
+        code = cli.main(["run", "--config", path, "--out", os.path.join(tmp, "report.csv")])
+    assert code in (0, 3), cfg

@@ -3,6 +3,7 @@
 import importlib
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -370,6 +371,20 @@ def test_run_experiment_nested_smoke():
     rep = harness.run_experiment(cfg)
     assert rep.mean_gamma <= rep.mean_plain * (1 + 1e-12)
     assert rep.n_candidates == 16
+
+
+def test_nested_validation_builds_no_coset_table():
+    # q^m = 2^20 is within the budget; validating the config must not
+    # build the partition's 2^20-row coset table
+    d = _base_cfg(m=20, channel_source={"kind": "random", "seed": 3},
+                  precoder={"kind": "nested", "k": 1, "n_u": 10, "q": 2})
+    tracemalloc.start()
+    try:
+        harness.ExperimentConfig.from_dict(d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_information_sigma2():

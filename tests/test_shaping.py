@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slmprecode import harness, precoders, regions, shaping, theory
+from slmprecode import harness, linalg, precoders, regions, shaping, theory
 from slmprecode.errors import (
     ConfigError,
     DimensionMismatchError,
@@ -293,7 +293,11 @@ def test_trellis_shape_deeper_than_recursion_limit(monkeypatch):
     # more trellis steps than Python allows nested calls: the first dive
     # reaches a leaf, and the search then stops at its node budget
     n_steps = sys.getrecursionlimit() + 50
-    ch = theory.build_channel(np.eye(2 * n_steps))
+    # the identity channel's factors are all the identity; building them
+    # through build_channel would factor a 2100 x 2100 matrix
+    eye = np.eye(2 * n_steps)
+    ch = theory.ChannelMatrix(h=eye, h_inv=eye, q=eye,
+                              eig=linalg.EigenSystem(np.ones(2 * n_steps), eye), chol=eye)
     code = shaping.default_code()
     con = shaping.pam_constellation(4, spacing=1.0)
     monkeypatch.setattr(shaping, "SEARCH_BUDGET", n_steps + 10)
