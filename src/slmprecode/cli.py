@@ -8,6 +8,7 @@ channel, search budget, dimension mismatch), 4 I/O error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from typing import List, Optional
@@ -72,9 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _load(args) -> harness.ExperimentConfig:
     cfg = harness.load_config(args.config)
     if getattr(args, "seed", None) is not None:
-        d = cfg.to_dict()
-        d["master_seed"] = int(args.seed)
-        cfg = harness.ExperimentConfig.from_dict(d)
+        cfg = dataclasses.replace(cfg, master_seed=args.seed)
     return cfg
 
 
@@ -82,11 +81,7 @@ def _emit(text: str, out: Optional[str]) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        try:
-            with open(out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise ReportIOError(f"cannot write {out}: {exc}") from None
+        harness.write_text(out, text, "output")
 
 
 def cmd_theory(args) -> int:
@@ -95,15 +90,7 @@ def cmd_theory(args) -> int:
     sigma2 = harness.information_sigma2(cfg)
     rep = theory.theory_report(ch, sigma2)
     if args.format == "json":
-        obj = {
-            "m": rep.m,
-            "sigma2": rep.sigma2,
-            "e_opt": rep.e_opt,
-            "e_slm_limit": rep.e_slm_limit,
-            "channel_gain": rep.channel_gain,
-            "r_eq2": rep.r_eq2,
-            "eigenvalues": [float(x) for x in rep.eigenvalues],
-        }
+        obj = dict(dataclasses.asdict(rep), eigenvalues=[float(x) for x in rep.eigenvalues])
         text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
     else:
         lines = [

@@ -52,6 +52,7 @@ offsets per coordinate.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 import numbers
@@ -72,10 +73,21 @@ from .errors import (
 )
 from .theory import ChannelMatrix
 
-CSV_HEADER = (
-    "precoder,M,N,trials,mean_gamma,stderr_gamma,e_opt,e_slm_limit,"
-    "channel_gain_db,gain_vs_plain_db,seed"
+# (report column, ExperimentReport field), in column order
+_COLUMNS = (
+    ("precoder", "precoder"),
+    ("M", "m"),
+    ("N", "n_candidates"),
+    ("trials", "trials"),
+    ("mean_gamma", "mean_gamma"),
+    ("stderr_gamma", "stderr_gamma"),
+    ("e_opt", "e_opt"),
+    ("e_slm_limit", "e_slm_limit"),
+    ("channel_gain_db", "channel_gain_db"),
+    ("gain_vs_plain_db", "gain_vs_plain_db"),
+    ("seed", "master_seed"),
 )
+CSV_HEADER = ",".join(column for column, _ in _COLUMNS)
 
 TRIAL_CHUNK = 256
 
@@ -132,6 +144,19 @@ _PRECODER_KEYS = {
 _REGION_KEYS = {"hypercube": ("expand",), "ball": ("radius",)}
 
 
+def _channel_kind(src) -> str:
+    """The kind of a channel source, after checking the source against its schema."""
+    kind = _kind(_object(src, "channel_source"), _CHANNEL_KEYS, "channel_source")
+    (key,) = _CHANNEL_KEYS[kind]
+    if key not in src:
+        raise ConfigError(f"channel_source.kind={kind} requires a {key}")
+    if kind == "file" and not isinstance(src["path"], str):
+        raise ConfigError(f"channel_source.path must be a string, got {src['path']!r}")
+    if kind == "random":
+        _int(src["seed"], "channel_source.seed")
+    return kind
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Validated experiment description; see the module docstring for the schema."""
@@ -181,17 +206,9 @@ class ExperimentConfig:
         _within_budget(self.trials, 1, f"trials = {self.trials}")
         if self.condition_limit <= 1:
             raise ConfigError("condition_limit must exceed 1")
-        src = self.channel_source
-        kind = _kind(src, _CHANNEL_KEYS, "channel_source")
-        (key,) = _CHANNEL_KEYS[kind]
-        if key not in src:
-            raise ConfigError(f"channel_source.kind={kind} requires a {key}")
-        if kind == "file" and not isinstance(src["path"], str):
-            raise ConfigError(f"channel_source.path must be a string, got {src['path']!r}")
-        if kind == "random":
-            _int(src["seed"], "channel_source.seed")
+        _channel_kind(self.channel_source)
         try:
-            sigma2 = _scheme(self)[1]
+            sigma2 = self._built_scheme[1]
         except OverflowError:
             # 2**(2h) beyond the float range
             raise ConfigError(
@@ -200,20 +217,44 @@ class ExperimentConfig:
         if sigma2 == 0.0:
             raise ConfigError("tau or region size is too small: the source power underflows")
 
+    @functools.cached_property
+    def _built_scheme(self) -> Tuple[int, float, _Trial]:
+        """``_scheme(self)``, built on first read: validation builds it, reports read it."""
+        return _scheme(self)
+
+    def __getstate__(self) -> Dict:
+        # the built scheme holds a closure, which does not pickle; it is rebuilt on first read
+        return {k: v for k, v in self.__dict__.items() if k != "_built_scheme"}
+
     def to_dict(self) -> Dict:
         return dataclasses.asdict(self)
+
+
+def _read_text(path: str, what: str) -> str:
+    """The UTF-8 text of a file: ReportIOError if it cannot be read, ParseError if not text."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise ReportIOError(f"cannot read {what} {path!r}: {exc}") from None
+    except ValueError as exc:  # not UTF-8, or a NUL in the path
+        raise ParseError(f"cannot read {what} {path!r}: {exc}") from None
+
+
+def write_text(path: str, text: str, what: str) -> None:
+    """Write text to a UTF-8 file; ReportIOError if it cannot be written."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
+        raise ReportIOError(f"cannot write {what} {path!r}: {exc}") from None
 
 
 def load_config(path: str) -> ExperimentConfig:
     """Read and validate a JSON config file."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ReportIOError(f"cannot read config {path}: {exc}") from None
-    try:
-        data = json.loads(text)
-    except ValueError as exc:  # also an integer literal beyond Python's digit limit
+        data = json.loads(_read_text(path, "config"))
+    except (ValueError, RecursionError) as exc:  # also an over-long integer literal
         raise ParseError(f"config {path} is not valid JSON: {exc}") from None
     return ExperimentConfig.from_dict(data)
 
@@ -242,41 +283,29 @@ def _parse_channel_csv(text: str, path: str) -> np.ndarray:
 
 
 def load_channel(
-    source: Dict,
-    m: Optional[int] = None,
-    condition_limit: float = theory.CONDITION_LIMIT,
+    source: Dict, m: int, condition_limit: float = theory.CONDITION_LIMIT
 ) -> ChannelMatrix:
-    """Build a validated channel from a file, a seeded ensemble, or inline data.
+    """Build a validated m x m channel from a file, a seeded ensemble, or inline data.
 
     File format: plain CSV, M rows of M comma-separated decimals, no
     header. Random channels draw i.i.d. standard normal entries from a
     dedicated counter stream of the seed, so the same seed is bit-identical
     across runs and platforms.
     """
-    kind = source.get("kind")
+    kind = _channel_kind(source)
     if kind == "file":
         path = source["path"]
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise ReportIOError(f"cannot read channel file {path}: {exc}") from None
-        h = _parse_channel_csv(text, str(path))
+        h = _parse_channel_csv(_read_text(path, "channel file"), path)
     elif kind == "random":
-        if m is None:
-            raise ConfigError("random channel needs the dimension m")
-        gen = regions.channel_stream(int(source["seed"]))
-        h = gen.standard_normal((m, m))
-    elif kind == "inline":
+        h = regions.channel_stream(int(source["seed"])).standard_normal((m, m))
+    else:
         try:
             h = np.asarray(source["matrix"], dtype=np.float64)
         except (TypeError, ValueError, OverflowError):
             raise ParseError("channel_source.matrix must be a matrix of numbers") from None
-    else:
-        raise ConfigError(f"unknown channel source kind {kind!r}")
     if not np.all(np.isfinite(h)):
         raise ParseError("channel matrix has non-finite entries")
-    if m is not None and h.shape != (m, m):
+    if h.shape != (m, m):
         raise ConfigError(f"channel is {h.shape} but config says m = {m}")
     return theory.build_channel(h, condition_limit=condition_limit)
 
@@ -388,7 +417,7 @@ def _run_chunk(
     cfg_dict: Dict, ch: ChannelMatrix, start: int, stop: int
 ) -> Tuple[int, float, float, float]:
     """Worker entry point: accumulate energies for trials [start, stop)."""
-    _, _, trial = _scheme(ExperimentConfig.from_dict(cfg_dict))
+    _, _, trial = ExperimentConfig.from_dict(cfg_dict)._built_scheme
     n = 0
     sum_g = 0.0
     sum_g2 = 0.0
@@ -423,7 +452,7 @@ class ExperimentReport:
 
 def information_sigma2(cfg: ExperimentConfig) -> float:
     """sigma^2 of the entropy-matched Gaussian for the experiment's data source."""
-    return _scheme(cfg)[1]
+    return cfg._built_scheme[1]
 
 
 def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentReport:
@@ -461,7 +490,7 @@ def _run_all(cfgs: Sequence[ExperimentConfig], workers: int) -> List[ExperimentR
 def _run(cfg: ExperimentConfig, pool: Optional[ProcessPoolExecutor]) -> ExperimentReport:
     """One report; its chunks run in ``pool`` if one is given, else in this process."""
     ch = load_channel(cfg.channel_source, cfg.m, cfg.condition_limit)
-    n_candidates, sigma2, _ = _scheme(cfg)
+    n_candidates, sigma2, _ = cfg._built_scheme
     cfg_dict = cfg.to_dict()
     bounds = [
         (s, min(s + TRIAL_CHUNK, cfg.trials)) for s in range(0, cfg.trials, TRIAL_CHUNK)
@@ -526,12 +555,9 @@ def sweep_experiment(
     """
     if param not in ("n", "b"):
         raise ConfigError(f"sweep parameter must be 'n' or 'b', got {param!r}")
-    cfgs = []
-    for v in values:
-        d = cfg.to_dict()
-        d["precoder"] = dict(d["precoder"])
-        d["precoder"][param] = int(v)
-        cfgs.append(ExperimentConfig.from_dict(d))
+    cfgs = [dataclasses.replace(cfg, precoder={**cfg.precoder, param: int(v)}) for v in values]
+    for point in cfgs:
+        point.validate()
     return _run_all(cfgs, workers)
 
 
@@ -545,19 +571,7 @@ def _fmt(x) -> str:
 
 
 def _row_fields(report: ExperimentReport) -> List[Tuple[str, object]]:
-    return [
-        ("precoder", report.precoder),
-        ("M", report.m),
-        ("N", report.n_candidates),
-        ("trials", report.trials),
-        ("mean_gamma", report.mean_gamma),
-        ("stderr_gamma", report.stderr_gamma),
-        ("e_opt", report.e_opt),
-        ("e_slm_limit", report.e_slm_limit),
-        ("channel_gain_db", report.channel_gain_db),
-        ("gain_vs_plain_db", report.gain_vs_plain_db),
-        ("seed", report.master_seed),
-    ]
+    return [(column, getattr(report, field)) for column, field in _COLUMNS]
 
 
 def format_csv(reports: Sequence[ExperimentReport]) -> str:
@@ -591,9 +605,5 @@ def write_report(reports, fmt: str, path: Optional[str]) -> str:
     else:
         raise ConfigError(f"format must be csv or json, got {fmt!r}")
     if path is not None:
-        try:
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise ReportIOError(f"cannot write report {path}: {exc}") from None
+        write_text(path, text, "report")
     return text

@@ -124,6 +124,10 @@ def test_exit_code_sweep_values(tmp_path, capsys):
     capsys.readouterr()
 
 
+# stands in for a matrix nested 100000 deep, which json.dumps cannot write
+_DEEP = "<matrix nested 100000 deep>"
+
+
 @pytest.mark.parametrize(
     "overrides,code",
     [
@@ -152,16 +156,22 @@ def test_exit_code_sweep_values(tmp_path, capsys):
         ({"m": 100000, "tau": 1.0, "channel_source": {"kind": "random", "seed": 1}}, 3),
         # refused before the runner lays out its trial chunks
         ({"trials": 2**40}, 3),
+        ({"channel_source": {"kind": "file", "path": "chan\0.csv"}}, 2),
+        ({"channel_source": {"kind": "inline", "matrix": _DEEP}}, 2),
     ],
     ids=["nan_tau", "non_numeric_matrix", "nan_matrix", "string_channel_source",
          "list_precoder", "fractional_m", "boolean_trials", "huge_ball_radius",
          "huge_tau_plain", "huge_tau_vector_perturb", "trellis_k_s_2",
          "slm_n_over_budget", "trellis_misspelled_key", "region_misspelled_key",
          "vector_perturb_extra_keys", "channel_source_extra_key", "m_over_budget",
-         "trials_over_budget"],
+         "trials_over_budget", "nul_in_channel_path", "matrix_nested_100000_deep"],
 )
 def test_exit_code_malformed_config(tmp_path, overrides, code):
     cfg = _write_cfg(tmp_path, **overrides)
+    with open(cfg, encoding="utf-8") as fh:
+        text = fh.read().replace(json.dumps(_DEEP), "[" * 100000 + "1" + "]" * 100000)
+    with open(cfg, "w", encoding="utf-8") as fh:
+        fh.write(text)
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(slmprecode.__file__)))
     proc = subprocess.run(
         [sys.executable, "-m", "slmprecode.cli", "run", "--config", cfg],

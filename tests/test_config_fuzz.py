@@ -5,6 +5,7 @@ error or budget) or 4 (I/O error) for any JSON config, and never let an
 exception escape. Configs are drawn valid and small (m <= 8, a few trials),
 then corrupted: a value replaced by one of the wrong type or range, a key
 added or removed, or m set above the dimension budget. A second property
+writes arbitrary bytes as the config file: they end in 2, 3 or 4. A third
 runs valid configs up to the largest m: they never end in exit code 2.
 """
 
@@ -107,6 +108,19 @@ def test_run_exit_code_contract(cfg, data):
             json.dump(cfg, fh)
         code = cli.main(["run", "--config", path])
     assert code in (0, 2, 3, 4)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@example(raw=b"\xff{}")
+@given(raw=st.binary())
+def test_config_bytes_exit_code_contract(raw):
+    # any bytes as the config file: not UTF-8, not JSON, or not a config
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cfg.json")
+        with open(path, "wb") as fh:
+            fh.write(raw)
+        code = cli.main(["run", "--config", path])
+    assert code in (2, 3, 4)
 
 
 _large_valid = st.fixed_dictionaries(

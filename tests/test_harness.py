@@ -3,6 +3,7 @@
 import importlib
 import json
 import math
+import pickle
 import tracemalloc
 from pathlib import Path
 
@@ -35,6 +36,8 @@ def test_config_roundtrip():
     cfg = harness.ExperimentConfig.from_dict(_base_cfg())
     again = harness.ExperimentConfig.from_dict(cfg.to_dict())
     assert again == cfg
+    # the scheme built at validation is not part of the pickled state
+    assert pickle.loads(pickle.dumps(cfg)) == cfg
 
 
 def test_config_requires_all_keys():
@@ -129,6 +132,11 @@ def test_load_config_bad_json(tmp_path):
     p.write_text('{"m": 1' + "0" * 5000 + "}")
     with pytest.raises(ParseError):
         harness.load_config(str(p))
+    # not UTF-8, and nested beyond the JSON decoder's recursion limit
+    for raw in (b"\xff" + json.dumps(_base_cfg()).encode(), b"[" * 200000):
+        p.write_bytes(raw)
+        with pytest.raises(ParseError):
+            harness.load_config(str(p))
 
 
 # ---------------------------------------------------------------------------
@@ -151,17 +159,18 @@ def test_load_channel_file(tmp_path):
 
 def test_load_channel_file_parse_errors(tmp_path):
     cases = {
-        "nonnum.csv": "1.0, x\n0.0, 1.0\n",
-        "ragged.csv": "1.0, 0.0\n0.0\n",
-        "nonsquare.csv": "1.0, 0.0\n",
-        "empty.csv": "\n\n",
-        "nan.csv": "nan, 0.0\n0.0, 1.0\n",
+        "nonnum.csv": b"1.0, x\n0.0, 1.0\n",
+        "ragged.csv": b"1.0, 0.0\n0.0\n",
+        "nonsquare.csv": b"1.0, 0.0\n",
+        "empty.csv": b"\n\n",
+        "nan.csv": b"nan, 0.0\n0.0, 1.0\n",
+        "not_utf8.csv": b"\xff\xfe1,0\n0,1\n",
     }
-    for name, text in cases.items():
+    for name, raw in cases.items():
         p = tmp_path / name
-        p.write_text(text)
+        p.write_bytes(raw)
         with pytest.raises(ParseError):
-            harness.load_channel({"kind": "file", "path": str(p)}, None)
+            harness.load_channel({"kind": "file", "path": str(p)}, 2)
 
 
 def test_load_channel_missing_file():
@@ -180,6 +189,15 @@ def test_load_channel_random_reproducible():
 def test_load_channel_dimension_mismatch():
     with pytest.raises(ConfigError):
         harness.load_channel({"kind": "inline", "matrix": [[1.0]]}, 2)
+
+
+def test_load_channel_checks_the_source_schema():
+    # the same check as ExperimentConfig.validate: a missing key or a source
+    # that is not an object is a ConfigError, not a KeyError or AttributeError
+    for source in ({"kind": "file"}, {"kind": "random"}, {"kind": "inline"},
+                   {"kind": "qr"}, [["file", "c.csv"]], "random"):
+        with pytest.raises(ConfigError):
+            harness.load_channel(source, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -241,6 +259,23 @@ def test_run_experiment_loads_channel_once(monkeypatch):
     cfg = harness.ExperimentConfig.from_dict(_base_cfg(trials=600))
     harness.run_experiment(cfg)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("trials, builds", [(256, 1), (1024, 4)])
+def test_run_experiment_builds_scheme_once_per_chunk(monkeypatch, trials, builds):
+    # the report reads the scheme its config built at validation; each chunk
+    # validates its own config and builds its scheme once
+    cfg = harness.ExperimentConfig.from_dict(_base_cfg(trials=trials))
+    calls = []
+    real = harness._scheme
+
+    def counting(c):
+        calls.append(1)
+        return real(c)
+
+    monkeypatch.setattr(harness, "_scheme", counting)
+    harness.run_experiment(cfg)
+    assert len(calls) == builds
 
 
 def test_benchmark_trace_hooks_install(monkeypatch):
@@ -443,6 +478,20 @@ def test_sweep_uses_one_pool(monkeypatch):
     assert harness.write_report(pooled, "csv", None) == serial
 
 
+def test_sweep_of_a_deeply_nested_matrix_is_a_parse_error():
+    # a sweep point is the config with its precoder changed, not a copy of
+    # the whole config, so a matrix nested 900 deep reaches load_channel
+    deep = 1.0
+    for _ in range(900):
+        deep = [deep]
+    cfg = harness.ExperimentConfig.from_dict(
+        _base_cfg(channel_source={"kind": "inline", "matrix": deep},
+                  precoder={"kind": "slm_random", "n": 4})
+    )
+    with pytest.raises(ParseError):
+        harness.sweep_experiment(cfg, "n", [2, 3])
+
+
 def test_pool_sized_by_chunks_and_cpus(monkeypatch):
     # a fake executor records the process count asked for and maps in this
     # process, so no real pool with a large count is ever started
@@ -546,6 +595,8 @@ def test_write_report_io_error(tmp_path):
     blocker.write_text("a file, not a directory")
     with pytest.raises(ReportIOError):
         harness.write_report(rep, "csv", str(blocker / "out.csv"))
+    with pytest.raises(ReportIOError):
+        harness.write_report(rep, "csv", "a\0b")
 
 
 def test_report_excludes_runtime():
