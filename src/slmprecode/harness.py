@@ -5,10 +5,10 @@ independent trials (trial t draws everything it needs from the counter
 stream keyed by (master_seed, t)), and aggregates the empirical transmit
 energy against the closed-form references. Trials are chunked into
 fixed-size blocks reduced in block order, so reports are byte-identical
-for any worker count and across reruns. ``trials`` is at most
-``precoders.SEARCH_BUDGET`` (2^20), checked at validation; a process pool
-gets no more processes than the largest config has chunks or than there
-are usable CPUs.
+for any worker count and across reruns. A config is checked when it is
+built, and a report runs one checked snapshot of its config. ``trials`` is
+at most ``precoders.SEARCH_BUDGET`` (2^20); a process pool gets no more
+processes than the largest config has chunks or than there are usable CPUs.
 
 Every trial draws a data vector and hands it to its precoder: the trellis
 trial maps its payload bits to the zero-codeword point once, with
@@ -159,7 +159,7 @@ def _channel_kind(src) -> str:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated experiment description; see the module docstring for the schema."""
+    """Experiment description, checked when built; the module docstring has the schema."""
 
     m: int
     channel_source: Dict
@@ -181,7 +181,7 @@ class ExperimentConfig:
         unknown = d.keys() - allowed
         if unknown:
             raise ConfigError(f"config has unknown keys: {sorted(unknown)}")
-        cfg = ExperimentConfig(
+        return ExperimentConfig(
             m=_int(d["m"], "m"),
             channel_source=_object(d["channel_source"], "channel_source"),
             tau=_float(d["tau"], "tau"),
@@ -192,10 +192,8 @@ class ExperimentConfig:
                 d.get("condition_limit", theory.CONDITION_LIMIT), "condition_limit"
             ),
         )
-        cfg.validate()
-        return cfg
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.m < 1:
             raise ConfigError(f"m must be >= 1, got {self.m}")
         _within_budget(self.m, 2, f"the m x m channel, m = {self.m},")
@@ -219,7 +217,7 @@ class ExperimentConfig:
 
     @functools.cached_property
     def _built_scheme(self) -> Tuple[int, float, _Trial]:
-        """``_scheme(self)``, built on first read: validation builds it, reports read it."""
+        """``_scheme(self)``, built on first read: construction builds it, reports read it."""
         return _scheme(self)
 
     def __getstate__(self) -> Dict:
@@ -251,7 +249,7 @@ def write_text(path: str, text: str, what: str) -> None:
 
 
 def load_config(path: str) -> ExperimentConfig:
-    """Read and validate a JSON config file."""
+    """Read a JSON config file and build its config."""
     try:
         data = json.loads(_read_text(path, "config"))
     except (ValueError, RecursionError) as exc:  # also an over-long integer literal
@@ -414,20 +412,21 @@ def _scheme(cfg: ExperimentConfig) -> Tuple[int, float, _Trial]:
 
 
 def _run_chunk(
-    cfg_dict: Dict, ch: ChannelMatrix, start: int, stop: int
+    cfg: ExperimentConfig, ch: ChannelMatrix, k: int, start: int
 ) -> Tuple[int, float, float, float]:
-    """Worker entry point: accumulate energies for trials [start, stop)."""
-    _, _, trial = ExperimentConfig.from_dict(cfg_dict)._built_scheme
+    """Worker entry point: accumulate energies / 2^k for the chunk of trials from start."""
+    _, _, trial = cfg._built_scheme
     n = 0
     sum_g = 0.0
     sum_g2 = 0.0
     sum_plain = 0.0
-    for t in range(start, stop):
+    for t in range(start, min(start + TRIAL_CHUNK, cfg.trials)):
         g, g_plain = trial(ch, t)
+        g = math.ldexp(g, -k)
         n += 1
         sum_g += g
         sum_g2 += g * g
-        sum_plain += g_plain
+        sum_plain += math.ldexp(g_plain, -k)
     return n, sum_g, sum_g2, sum_plain
 
 
@@ -488,55 +487,50 @@ def _run_all(cfgs: Sequence[ExperimentConfig], workers: int) -> List[ExperimentR
 
 
 def _run(cfg: ExperimentConfig, pool: Optional[ProcessPoolExecutor]) -> ExperimentReport:
-    """One report; its chunks run in ``pool`` if one is given, else in this process."""
+    """One report of one checked snapshot of ``cfg``; its chunks run in ``pool`` if given.
+
+    Energies are summed divided by 2^k, k the binary exponent of e_opt, so their
+    squares stay in the float range; that scaling is exact, so it leaves the
+    report's bytes as they are.
+    """
+    # the channel first: a matrix nested too deep is refused before to_dict recurses
     ch = load_channel(cfg.channel_source, cfg.m, cfg.condition_limit)
+    cfg = ExperimentConfig.from_dict(cfg.to_dict())
     n_candidates, sigma2, _ = cfg._built_scheme
-    cfg_dict = cfg.to_dict()
-    bounds = [
-        (s, min(s + TRIAL_CHUNK, cfg.trials)) for s in range(0, cfg.trials, TRIAL_CHUNK)
-    ]
-    if pool is not None:
-        partials = list(
-            pool.map(
-                _run_chunk,
-                [cfg_dict] * len(bounds),
-                [ch] * len(bounds),
-                [b[0] for b in bounds],
-                [b[1] for b in bounds],
-            )
-        )
-    else:
-        partials = [_run_chunk(cfg_dict, ch, s, e) for s, e in bounds]
+    rep = theory.theory_report(ch, sigma2)
+    k = math.frexp(rep.e_opt)[1]
+    chunk = functools.partial(_run_chunk, cfg, ch, k)
+    partials = (map if pool is None else pool.map)(chunk, range(0, cfg.trials, TRIAL_CHUNK))
     n = 0
     sum_g = 0.0
     sum_g2 = 0.0
     sum_plain = 0.0
-    for cn, cg, cg2, cp in partials:
+    for cn, cg, cg2, cp in partials:  # not sum(): from Python 3.12 it compensates floats
         n += cn
         sum_g += cg
         sum_g2 += cg2
         sum_plain += cp
     mean = sum_g / n
+    mean_plain = sum_plain / n
+    if not (math.isfinite(mean) and math.isfinite(mean_plain)):
+        raise PrecodingError("the mean transmit energy overflows a float")
     if mean == 0.0:
         # every trial sent the zero vector, e.g. nested users whose symbols are all 0
         raise PrecodingError("mean energy is 0, so gain_vs_plain_db is undefined")
     var = max(0.0, (sum_g2 - n * mean * mean) / (n - 1)) if n > 1 else 0.0
     stderr = math.sqrt(var / n)
-    mean_plain = sum_plain / n
-
-    rep = theory.theory_report(ch, sigma2)
     return ExperimentReport(
         precoder=cfg.precoder["kind"],
         m=cfg.m,
         n_candidates=n_candidates,
         trials=cfg.trials,
-        mean_gamma=mean,
-        stderr_gamma=stderr,
+        mean_gamma=math.ldexp(mean, k),
+        stderr_gamma=math.ldexp(stderr, k),
         e_opt=rep.e_opt,
         e_slm_limit=rep.e_slm_limit,
         channel_gain_db=10.0 * math.log10(rep.channel_gain),
         gain_vs_plain_db=10.0 * math.log10(mean_plain / mean),
-        mean_plain=mean_plain,
+        mean_plain=math.ldexp(mean_plain, k),
         eigenvalues=rep.eigenvalues,
         master_seed=cfg.master_seed,
     )
@@ -550,14 +544,12 @@ def sweep_experiment(
 ) -> List[ExperimentReport]:
     """Re-run the experiment with the precoder's N or b swept over values.
 
-    Every point is validated before any runs, and all points share one
+    Every point is checked before any runs, and all points share one
     process pool when ``workers > 1``.
     """
     if param not in ("n", "b"):
         raise ConfigError(f"sweep parameter must be 'n' or 'b', got {param!r}")
     cfgs = [dataclasses.replace(cfg, precoder={**cfg.precoder, param: int(v)}) for v in values]
-    for point in cfgs:
-        point.validate()
     return _run_all(cfgs, workers)
 
 

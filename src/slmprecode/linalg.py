@@ -82,10 +82,10 @@ def invert(m, cond_limit: float = math.inf) -> np.ndarray:
     """Invert a square matrix by partial-pivot LU.
 
     Raises SingularMatrixError when an LU pivot falls below ``PIVOT_RTOL``
-    times its row scale, and IllConditionedError when the a-posteriori
-    1-norm condition estimate ``||m||_1 * ||m^-1||_1`` exceeds ``cond_limit``
-    (no limit by default). A channel's limit is its ``condition_limit``:
-    ``theory.build_channel`` derives ``cond_limit`` from it.
+    times its row scale or the inverse is not finite, and IllConditionedError
+    when the a-posteriori 1-norm condition estimate ``||m||_1 * ||m^-1||_1``
+    exceeds ``cond_limit`` (no limit by default). A channel's limit is its
+    ``condition_limit``: ``theory.build_channel`` derives ``cond_limit`` from it.
     """
     m = as_matrix(m)
     n = _require_square(m)
@@ -100,6 +100,8 @@ def invert(m, cond_limit: float = math.inf) -> np.ndarray:
             f"pivot {pivots.min():.3e} below {PIVOT_RTOL:.0e} of row scale"
         )
     inv = scipy.linalg.lu_solve((lu, piv), np.eye(n), check_finite=False)
+    if not np.all(np.isfinite(inv)):  # an all-zero matrix, or entries near the float minimum
+        raise SingularMatrixError("inverse is not finite: the matrix is zero or too small")
     cond1 = np.linalg.norm(m, 1) * np.linalg.norm(inv, 1)
     if cond1 > cond_limit:
         raise IllConditionedError(

@@ -32,6 +32,7 @@ from .errors import (
     NonSquareError,
     NotPositiveDefiniteError,
     NotSymmetricError,
+    SingularMatrixError,
 )
 from .linalg import EigenSystem
 
@@ -117,8 +118,11 @@ def build_channel(h, condition_limit: float = CONDITION_LIMIT) -> ChannelMatrix:
     if h.shape[0] != h.shape[1]:
         raise NonSquareError(f"channel matrix must be square, got {h.shape}")
     h_inv = linalg.invert(h, cond_limit=h.shape[0] * math.sqrt(condition_limit))
-    q = h_inv.T @ h_inv
-    q = (q + q.T) / 2.0
+    with np.errstate(over="ignore"):
+        q = h_inv.T @ h_inv
+        q = (q + q.T) / 2.0
+    if not np.all(np.isfinite(q)):
+        raise SingularMatrixError("the channel inverse's energies overflow a float")
     eig = linalg.sym_eigen(q)
     lam = eig.eigenvalues
     if lam[-1] <= 0.0:

@@ -166,18 +166,40 @@ _DEEP = "<matrix nested 100000 deep>"
          "vector_perturb_extra_keys", "channel_source_extra_key", "m_over_budget",
          "trials_over_budget", "nul_in_channel_path", "matrix_nested_100000_deep"],
 )
-def test_exit_code_malformed_config(tmp_path, overrides, code):
+def test_exit_code_malformed_config(tmp_path, capsys, overrides, code):
     cfg = _write_cfg(tmp_path, **overrides)
     with open(cfg, encoding="utf-8") as fh:
         text = fh.read().replace(json.dumps(_DEEP), "[" * 100000 + "1" + "]" * 100000)
     with open(cfg, "w", encoding="utf-8") as fh:
         fh.write(text)
+    # an exception escaping main fails the test, as a traceback would
+    assert cli.main(["run", "--config", cfg]) == code
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "m,matrix",
+    [(1, [[0.0]]), (2, [[0.0, 0.0], [0.0, 0.0]]), (2, [[1e-300, 0.0], [0.0, 1e-300]]),
+     (1, [[1e-200]])],
+    ids=["zero_1x1", "zero_2x2", "tiny_2x2", "tiny_1x1"],
+)
+def test_exit_code_zero_or_tiny_channel(tmp_path, capsys, m, matrix):
+    # no inverse, or an inverse whose energies overflow a float: exit 3
+    cfg = _write_cfg(tmp_path, m=m, channel_source={"kind": "inline", "matrix": matrix})
+    for command in ("run", "theory"):
+        assert cli.main([command, "--config", cfg]) == 3
+        assert "error:" in capsys.readouterr().err
+
+
+def test_module_entry_point_exit_code(tmp_path):
+    # python -m slmprecode.cli maps an error to its exit code, as main does
+    cfg = _write_cfg(tmp_path, tau=float("nan"))
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(slmprecode.__file__)))
     proc = subprocess.run(
         [sys.executable, "-m", "slmprecode.cli", "run", "--config", cfg],
         capture_output=True, text=True, env=env, timeout=60,
     )
-    assert proc.returncode == code, proc.stderr
+    assert proc.returncode == 2, proc.stderr
     assert "error:" in proc.stderr
     assert "Traceback" not in proc.stderr
 

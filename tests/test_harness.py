@@ -1,5 +1,6 @@
 """Tests for experiment configs, the Monte Carlo runner, and reports."""
 
+import dataclasses
 import importlib
 import json
 import math
@@ -192,7 +193,7 @@ def test_load_channel_dimension_mismatch():
 
 
 def test_load_channel_checks_the_source_schema():
-    # the same check as ExperimentConfig.validate: a missing key or a source
+    # the same check as building an ExperimentConfig: a missing key or a source
     # that is not an object is a ConfigError, not a KeyError or AttributeError
     for source in ({"kind": "file"}, {"kind": "random"}, {"kind": "inline"},
                    {"kind": "qr"}, [["file", "c.csv"]], "random"):
@@ -261,10 +262,10 @@ def test_run_experiment_loads_channel_once(monkeypatch):
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize("trials, builds", [(256, 1), (1024, 4)])
-def test_run_experiment_builds_scheme_once_per_chunk(monkeypatch, trials, builds):
-    # the report reads the scheme its config built at validation; each chunk
-    # validates its own config and builds its scheme once
+@pytest.mark.parametrize("trials", [256, 1024])
+def test_run_experiment_builds_scheme_once_per_report(monkeypatch, trials):
+    # a serial report builds its snapshot of the config, and with it the
+    # scheme, once; every chunk reads that scheme
     cfg = harness.ExperimentConfig.from_dict(_base_cfg(trials=trials))
     calls = []
     real = harness._scheme
@@ -275,7 +276,68 @@ def test_run_experiment_builds_scheme_once_per_chunk(monkeypatch, trials, builds
 
     monkeypatch.setattr(harness, "_scheme", counting)
     harness.run_experiment(cfg)
-    assert len(calls) == builds
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_report_runs_the_config_it_checks(monkeypatch, workers):
+    # a precoder dict changed after the config was built: the N column and
+    # the trials both follow the change, at any worker count
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+    d = _base_cfg(m=4, channel_source={"kind": "random", "seed": 7}, trials=600,
+                  precoder={"kind": "slm_random", "n": 4})
+    cfg = harness.ExperimentConfig.from_dict(d)
+    cfg.precoder["n"] = 64
+    rep = harness.run_experiment(cfg, workers=workers)
+    d["precoder"] = {"kind": "slm_random", "n": 64}
+    fresh = harness.run_experiment(harness.ExperimentConfig.from_dict(d))
+    assert rep.n_candidates == fresh.n_candidates == 64
+    assert rep.mean_gamma == fresh.mean_gamma
+
+
+def test_replace_checks_the_config():
+    cfg = harness.ExperimentConfig.from_dict(_base_cfg())
+    with pytest.raises(ConfigError):
+        dataclasses.replace(cfg, trials=0)
+    with pytest.raises(ConfigError):
+        dataclasses.replace(cfg, precoder={"kind": "slm_random", "n": 0})
+
+
+@pytest.mark.parametrize(
+    "precoder",
+    [{"kind": "vector_perturb", "b": 3}, {"kind": "trellis", "generators": "7,5", "pam": 4},
+     {"kind": "slm_random", "n": 16}, {"kind": "nested", "k": 2, "n_u": 1, "q": 2}],
+    ids=["vector_perturb", "trellis", "slm_random", "nested"],
+)
+def test_report_scales_exactly_with_tau(precoder):
+    # scaling tau by 2^e scales every energy by 2^(2e) exactly; the squares
+    # of energies near 2^(+-520) leave the float range unless the sums are
+    # taken at the scale of e_opt
+    def report(tau):
+        d = _base_cfg(m=4, channel_source={"kind": "random", "seed": 3}, tau=tau,
+                      trials=300, precoder=precoder)
+        return harness.run_experiment(harness.ExperimentConfig.from_dict(d))
+
+    base = report(2.0)
+    assert base.stderr_gamma > 0.0
+    for e in (260, -260):
+        rep = report(math.ldexp(2.0, e))
+        assert rep.mean_gamma == math.ldexp(base.mean_gamma, 2 * e)
+        assert rep.stderr_gamma == math.ldexp(base.stderr_gamma, 2 * e)
+        assert rep.mean_plain == math.ldexp(base.mean_plain, 2 * e)
+        assert rep.gain_vs_plain_db == base.gain_vs_plain_db
+
+
+def test_run_experiment_energy_overflow_is_an_error():
+    # tau^2 fits a float, but the inverse of a channel of gain 1e-3 scales
+    # every energy by 1e6 past the float range
+    cfg = harness.ExperimentConfig.from_dict(
+        _base_cfg(channel_source={"kind": "inline", "matrix": [[1e-3, 0.0], [0.0, 1e-3]]},
+                  tau=1e154, trials=4)
+    )
+    with pytest.warns(RuntimeWarning):
+        with pytest.raises(PrecodingError):
+            harness.run_experiment(cfg)
 
 
 def test_benchmark_trace_hooks_install(monkeypatch):

@@ -58,6 +58,10 @@ def test_invert_involution():
 def test_invert_singular_raises():
     with pytest.raises(SingularMatrixError):
         linalg.invert([[1.0, 1.0], [1.0, 1.0]])
+    # no pivot falls below a zero row scale, and 1/1e-310 overflows
+    for m in ([[0.0, 0.0], [0.0, 0.0]], [[1e-310]]):
+        with pytest.raises(SingularMatrixError):
+            linalg.invert(m)
 
 
 def test_invert_ill_conditioned_raises():

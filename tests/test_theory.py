@@ -11,6 +11,7 @@ from slmprecode.errors import (
     IllConditionedError,
     NonPositiveEigenvalueError,
     NotPositiveDefiniteError,
+    PrecodingError,
 )
 
 
@@ -57,6 +58,18 @@ def test_build_channel_condition_limit():
     assert ch.condition == pytest.approx(1e18)
     with pytest.raises(IllConditionedError):
         theory.build_channel(np.diag([1.0, 1e-9]))
+
+
+@pytest.mark.parametrize(
+    "h",
+    [[[0.0]], [[0.0, 0.0], [0.0, 0.0]], [[1e-300, 0.0], [0.0, 1e-300]], [[1e-200]]],
+    ids=["zero_1x1", "zero_2x2", "tiny_2x2", "tiny_1x1"],
+)
+def test_build_channel_refuses_zero_and_tiny_channels(h):
+    # an all-zero channel has no inverse; a tiny, well-conditioned one has
+    # an inverse whose Gram matrix overflows a float
+    with pytest.raises(PrecodingError):
+        theory.build_channel(np.array(h))
 
 
 def test_channel_energy_matches_quadratic_form():
