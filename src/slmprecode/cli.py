@@ -1,8 +1,9 @@
 """Command-line entry point: theory references, experiments, and sweeps.
 
-Exit codes: 0 success, 2 configuration error (bad flags, malformed config
-or channel contents), 3 numerical error (singular or ill-conditioned
-channel, search budget, dimension mismatch), 4 I/O error.
+Exit codes, each error class's ``exit_code``: 0 success, 2 configuration
+error (bad flags, malformed config or channel contents), 3 numerical error
+(singular or ill-conditioned channel, search budget, dimension mismatch),
+4 I/O error.
 """
 
 from __future__ import annotations
@@ -14,15 +15,7 @@ import sys
 from typing import List, Optional
 
 from . import harness, theory
-from .errors import (
-    ConfigError,
-    ParseError,
-    PrecodingError,
-    ReportIOError,
-)
-
-_CONFIG_ERRORS = (ConfigError, ParseError)
-_IO_ERRORS = (ReportIOError,)
+from .errors import ConfigError, PrecodingError
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
@@ -109,7 +102,7 @@ def cmd_theory(args) -> int:
 
 def cmd_run(args) -> int:
     cfg = _load(args)
-    report = harness.run_experiment(cfg, workers=max(1, args.workers))
+    report = harness.run_experiment(cfg, workers=args.workers)
     _emit(harness.write_report(report, args.format, None), args.out)
     return 0
 
@@ -122,7 +115,7 @@ def cmd_sweep(args) -> int:
         raise ConfigError(f"--values must be comma-separated integers: {args.values!r}")
     if not values:
         raise ConfigError("--values is empty")
-    reports = harness.sweep_experiment(cfg, args.param, values, workers=max(1, args.workers))
+    reports = harness.sweep_experiment(cfg, args.param, values, workers=args.workers)
     _emit(harness.write_report(reports, args.format, None), args.out)
     return 0
 
@@ -132,15 +125,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _CONFIG_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except _IO_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
     except PrecodingError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return exc.exit_code
 
 
 if __name__ == "__main__":

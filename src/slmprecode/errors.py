@@ -4,6 +4,8 @@
 class PrecodingError(Exception):
     """Base class for all errors raised by this package."""
 
+    exit_code = 3  # the command line's exit status: 3 is a numerical error
+
 
 class SingularMatrixError(PrecodingError):
     """A matrix is singular to working precision (an LU pivot vanished)."""
@@ -52,10 +54,16 @@ class LengthMismatchError(PrecodingError):
 class ParseError(PrecodingError):
     """A channel file or config document could not be parsed."""
 
+    exit_code = 2
+
 
 class ConfigError(PrecodingError):
     """An experiment configuration is invalid or inconsistent."""
 
+    exit_code = 2
+
 
 class ReportIOError(PrecodingError):
     """A report or channel file could not be read or written."""
+
+    exit_code = 4

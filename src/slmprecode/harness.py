@@ -6,7 +6,8 @@ stream keyed by (master_seed, t)), and aggregates the empirical transmit
 energy against the closed-form references. Trials are chunked into
 fixed-size blocks reduced in block order, so reports are byte-identical
 for any worker count and across reruns. A config is checked when it is
-built, and a report runs one checked snapshot of its config. ``trials`` is
+built, and a report runs one checked snapshot of its config: serial and
+pooled chunks run the one trial that snapshot built. ``trials`` is
 at most ``precoders.SEARCH_BUDGET`` (2^20); a process pool gets no more
 processes than the largest config has chunks or than there are usable CPUs.
 
@@ -220,10 +221,6 @@ class ExperimentConfig:
         """``_scheme(self)``, built on first read: construction builds it, reports read it."""
         return _scheme(self)
 
-    def __getstate__(self) -> Dict:
-        # the built scheme holds a closure, which does not pickle; it is rebuilt on first read
-        return {k: v for k, v in self.__dict__.items() if k != "_built_scheme"}
-
     def to_dict(self) -> Dict:
         return dataclasses.asdict(self)
 
@@ -316,26 +313,52 @@ def load_channel(
 _Trial = Callable[[ChannelMatrix, int], Tuple[float, float]]
 
 
+def _plain_trial(cube, seed, ch, t):
+    res = precoders.invert_precode(ch, regions.Sampler(cube, seed, t).draw())
+    return res.gamma, res.gamma
+
+
+def _slm_random_trial(region, n, seed, ch, t):
+    candidates = regions.Sampler(region, seed, t).draw(n)
+    res = precoders.slm_random(ch, candidates)
+    return res.gamma, ch.energy(candidates[0])
+
+
+def _vector_perturb_trial(cube, tau, b, seed, ch, t):
+    u = regions.Sampler(cube, seed, t).draw()
+    res = precoders.vector_perturb(ch, u, tau, b)
+    return res.gamma, ch.energy(u)
+
+
+def _trellis_trial(code, cons, zero_codeword, seed, ch, t):
+    payload = regions.make_stream(seed, t).integers(
+        0, 2, size=zero_codeword.size * cons.bits_per_symbol
+    )
+    u0 = shaping.payload_to_coset(payload, zero_codeword, cons)
+    return shaping.trellis_shape(ch, u0, code).gamma, ch.energy(u0)
+
+
+def _nested_trial(part, k_users, seed, ch, t):
+    idx = regions.make_stream(seed, t).integers(0, part.coset_count, size=k_users)
+    u = part.cosets[idx].reshape(-1)
+    return shaping.nested_select(ch, u, part).gamma, ch.energy(u)
+
+
 def _scheme(cfg: ExperimentConfig) -> Tuple[int, float, _Trial]:
     """Validate the precoder and build its per-report constants once.
 
     Returns (candidate count, sigma^2 of the information source, trial),
     where ``trial(ch, t)`` runs trial t and returns (gamma of the precoder,
-    gamma with no selection). This is the only code that branches on the
-    precoder kind.
+    gamma with no selection). The trial is one of the ``_*_trial``
+    functions with its constants bound, so it pickles to pool workers.
+    This is the only code that branches on the precoder kind.
     """
     p = cfg.precoder
     kind = _kind(p, _PRECODER_KEYS, "precoder")
     m, tau, seed = cfg.m, cfg.tau, cfg.master_seed
     sigma2 = theory.sigma_from_entropy(math.log2(tau))
     if kind == "plain":
-        cube = regions.hypercube(tau, m)
-
-        def trial(ch, t):
-            res = precoders.invert_precode(ch, regions.Sampler(cube, seed, t).draw())
-            return res.gamma, res.gamma
-
-        return 1, sigma2, trial
+        return 1, sigma2, functools.partial(_plain_trial, regions.hypercube(tau, m), seed)
     if kind == "slm_random":
         n = _int(p.get("n", 0), "precoder.n")
         if n < 1:
@@ -354,26 +377,14 @@ def _scheme(cfg: ExperimentConfig) -> Tuple[int, float, _Trial]:
                 raise ConfigError(f"region.expand must be true or false, got {expand!r}")
             base = regions.hypercube(tau, m)
             region = regions.expanded_region(base, n) if expand else base
-
-        def trial(ch, t):
-            candidates = regions.Sampler(region, seed, t).draw(n)
-            res = precoders.slm_random(ch, candidates)
-            return res.gamma, ch.energy(candidates[0])
-
-        return n, sigma2, trial
+        return n, sigma2, functools.partial(_slm_random_trial, region, n, seed)
     if kind == "vector_perturb":
         b = _int(p.get("b", 0), "precoder.b")
         if b < 1:
             raise ConfigError("vector_perturb requires b >= 1")
         count = _within_budget(b, m, f"b^m = {b}^{m}")
         cube = regions.hypercube(tau, m)
-
-        def trial(ch, t):
-            u = regions.Sampler(cube, seed, t).draw()
-            res = precoders.vector_perturb(ch, u, tau, b)
-            return res.gamma, ch.energy(u)
-
-        return count, sigma2, trial
+        return count, sigma2, functools.partial(_vector_perturb_trial, cube, tau, b, seed)
     if kind == "trellis":
         if _int(p.get("k_s", 1), "precoder.k_s") != 1:
             raise ConfigError("trellis shaping codes have rate 1/n_s: k_s must be 1")
@@ -384,12 +395,7 @@ def _scheme(cfg: ExperimentConfig) -> Tuple[int, float, _Trial]:
         # max() keeps pam = 0 out of the division; pam_constellation refuses pam < 2
         cons = shaping.pam_constellation(pam, spacing=tau / max(pam, 1))
         zero_codeword = np.zeros(m, dtype=np.int64)
-
-        def trial(ch, t):
-            payload = regions.make_stream(seed, t).integers(0, 2, size=m * cons.bits_per_symbol)
-            u0 = shaping.payload_to_coset(payload, zero_codeword, cons)
-            return shaping.trellis_shape(ch, u0, code).gamma, ch.energy(u0)
-
+        trial = functools.partial(_trellis_trial, code, cons, zero_codeword, seed)
         return code.codeword_count(m // code.n_s), sigma2, trial
     # nested
     k_users = _int(p.get("k", 0), "precoder.k")
@@ -402,32 +408,28 @@ def _scheme(cfg: ExperimentConfig) -> Tuple[int, float, _Trial]:
         raise ConfigError(f"nested needs K*2*n_u = m, got {k_users}*2*{n_u} != {m}")
     count = _within_budget(q, m, f"q^(2 n_u K) = {q}^{m}")
     part = shaping.lattice_partition(n_u, q, spacing=tau / q)
-
-    def trial(ch, t):
-        idx = regions.make_stream(seed, t).integers(0, part.coset_count, size=k_users)
-        u = part.cosets[idx].reshape(-1)
-        return shaping.nested_select(ch, u, part).gamma, ch.energy(u)
-
-    return count, sigma2, trial
+    return count, sigma2, functools.partial(_nested_trial, part, k_users, seed)
 
 
 def _run_chunk(
-    cfg: ExperimentConfig, ch: ChannelMatrix, k: int, start: int
-) -> Tuple[int, float, float, float]:
-    """Worker entry point: accumulate energies / 2^k for the chunk of trials from start."""
-    _, _, trial = cfg._built_scheme
-    n = 0
+    trial: _Trial, ch: ChannelMatrix, k: int, trials: range
+) -> Tuple[float, float, float]:
+    """Worker entry point: sums of gamma / 2^k, its square and plain gamma / 2^k over trials.
+
+    An energy that overflows a float sums to inf, which ``_run`` refuses, so
+    numpy's overflow warning is not raised here.
+    """
     sum_g = 0.0
     sum_g2 = 0.0
     sum_plain = 0.0
-    for t in range(start, min(start + TRIAL_CHUNK, cfg.trials)):
-        g, g_plain = trial(ch, t)
-        g = math.ldexp(g, -k)
-        n += 1
-        sum_g += g
-        sum_g2 += g * g
-        sum_plain += math.ldexp(g_plain, -k)
-    return n, sum_g, sum_g2, sum_plain
+    with np.errstate(over="ignore"):
+        for t in trials:
+            g, g_plain = trial(ch, t)
+            g = math.ldexp(g, -k)
+            sum_g += g
+            sum_g2 += g * g
+            sum_plain += math.ldexp(g_plain, -k)
+    return sum_g, sum_g2, sum_plain
 
 
 @dataclass(frozen=True)
@@ -478,6 +480,8 @@ def _run_all(cfgs: Sequence[ExperimentConfig], workers: int) -> List[ExperimentR
     pool, so the pool gets no more processes than the largest config has
     chunks, nor than there are usable CPUs; with one, it is not started.
     """
+    if workers < 1:
+        raise ConfigError(f"workers must be >= 1, got {workers}")
     most_chunks = max((-(-c.trials // TRIAL_CHUNK) for c in cfgs), default=0)
     processes = min(workers, most_chunks, _usable_cpus())
     if processes > 1:
@@ -496,17 +500,17 @@ def _run(cfg: ExperimentConfig, pool: Optional[ProcessPoolExecutor]) -> Experime
     # the channel first: a matrix nested too deep is refused before to_dict recurses
     ch = load_channel(cfg.channel_source, cfg.m, cfg.condition_limit)
     cfg = ExperimentConfig.from_dict(cfg.to_dict())
-    n_candidates, sigma2, _ = cfg._built_scheme
+    n_candidates, sigma2, trial = cfg._built_scheme
     rep = theory.theory_report(ch, sigma2)
     k = math.frexp(rep.e_opt)[1]
-    chunk = functools.partial(_run_chunk, cfg, ch, k)
-    partials = (map if pool is None else pool.map)(chunk, range(0, cfg.trials, TRIAL_CHUNK))
-    n = 0
+    n = cfg.trials
+    chunks = (range(s, min(s + TRIAL_CHUNK, n)) for s in range(0, n, TRIAL_CHUNK))
+    chunk = functools.partial(_run_chunk, trial, ch, k)
+    partials = (map if pool is None else pool.map)(chunk, chunks)
     sum_g = 0.0
     sum_g2 = 0.0
     sum_plain = 0.0
-    for cn, cg, cg2, cp in partials:  # not sum(): from Python 3.12 it compensates floats
-        n += cn
+    for cg, cg2, cp in partials:  # not sum(): from Python 3.12 it compensates floats
         sum_g += cg
         sum_g2 += cg2
         sum_plain += cp
@@ -573,13 +577,18 @@ def format_csv(reports: Sequence[ExperimentReport]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def format_json(reports: Sequence[ExperimentReport]) -> str:
-    objs = []
-    for rep in reports:
-        obj = dict(_row_fields(rep))
-        obj["eigenvalues"] = [float(x) for x in rep.eigenvalues]
-        objs.append(obj)
-    payload = objs[0] if len(objs) == 1 else objs
+def _json_obj(report: ExperimentReport) -> Dict:
+    obj = dict(_row_fields(report))
+    obj["eigenvalues"] = [float(x) for x in report.eigenvalues]
+    return obj
+
+
+def format_json(reports) -> str:
+    """One report as a JSON object; a sequence of reports (a sweep) as an array."""
+    if isinstance(reports, ExperimentReport):
+        payload = _json_obj(reports)
+    else:
+        payload = [_json_obj(rep) for rep in reports]
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
@@ -588,10 +597,8 @@ def write_report(reports, fmt: str, path: Optional[str]) -> str:
 
     Returns the serialized text.
     """
-    if isinstance(reports, ExperimentReport):
-        reports = [reports]
     if fmt == "csv":
-        text = format_csv(reports)
+        text = format_csv([reports] if isinstance(reports, ExperimentReport) else reports)
     elif fmt == "json":
         text = format_json(reports)
     else:

@@ -1,7 +1,7 @@
 """Dense linear algebra for small square real matrices.
 
 Thin validation layer over LAPACK (via numpy/scipy): partial-pivot LU
-inversion with explicit singularity and conditioning checks, symmetric
+inversion with an explicit singularity check, symmetric
 eigendecomposition returned in descending eigenvalue order, and Cholesky
 factorization. Matrices are plain float64 ndarrays; every function copies
 its input, so results never alias caller data.
@@ -9,7 +9,6 @@ its input, so results never alias caller data.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -17,7 +16,6 @@ import numpy as np
 import scipy.linalg
 
 from .errors import (
-    IllConditionedError,
     NoConvergenceError,
     NotPositiveDefiniteError,
     NotSymmetricError,
@@ -78,14 +76,13 @@ class EigenSystem:
     eigenvectors: np.ndarray
 
 
-def invert(m, cond_limit: float = math.inf) -> np.ndarray:
+def invert(m) -> np.ndarray:
     """Invert a square matrix by partial-pivot LU.
 
     Raises SingularMatrixError when an LU pivot falls below ``PIVOT_RTOL``
-    times its row scale or the inverse is not finite, and IllConditionedError
-    when the a-posteriori 1-norm condition estimate ``||m||_1 * ||m^-1||_1``
-    exceeds ``cond_limit`` (no limit by default). A channel's limit is its
-    ``condition_limit``: ``theory.build_channel`` derives ``cond_limit`` from it.
+    times its row scale or the inverse is not finite. Conditioning is not
+    checked here: a channel's one limit is ``theory.build_channel``'s
+    ``condition_limit``.
     """
     m = as_matrix(m)
     n = _require_square(m)
@@ -102,11 +99,6 @@ def invert(m, cond_limit: float = math.inf) -> np.ndarray:
     inv = scipy.linalg.lu_solve((lu, piv), np.eye(n), check_finite=False)
     if not np.all(np.isfinite(inv)):  # an all-zero matrix, or entries near the float minimum
         raise SingularMatrixError("inverse is not finite: the matrix is zero or too small")
-    cond1 = np.linalg.norm(m, 1) * np.linalg.norm(inv, 1)
-    if cond1 > cond_limit:
-        raise IllConditionedError(
-            f"condition estimate {cond1:.3e} exceeds limit {cond_limit:.1e}"
-        )
     return inv
 
 

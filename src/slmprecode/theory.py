@@ -110,14 +110,13 @@ def build_channel(h, condition_limit: float = CONDITION_LIMIT) -> ChannelMatrix:
 
     ``condition_limit`` bounds the eigenvalue spread of Q (the squared
     2-norm condition number of H); channels beyond it are rejected because
-    inversion energies become numerically meaningless. It is the only limit:
-    the inversion's 1-norm check gets m * sqrt(condition_limit), which
-    cond_1(H) <= m * cond_2(H) keeps from refusing any channel it accepts.
+    inversion energies become numerically meaningless. It is the only
+    conditioning limit.
     """
     h = linalg.as_matrix(h, "channel matrix")
     if h.shape[0] != h.shape[1]:
         raise NonSquareError(f"channel matrix must be square, got {h.shape}")
-    h_inv = linalg.invert(h, cond_limit=h.shape[0] * math.sqrt(condition_limit))
+    h_inv = linalg.invert(h)
     with np.errstate(over="ignore"):
         q = h_inv.T @ h_inv
         q = (q + q.T) / 2.0

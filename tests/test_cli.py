@@ -104,6 +104,26 @@ def test_sweep(tmp_path, capsys):
     assert lines[2].split(",")[2] == "16"
 
 
+@pytest.mark.parametrize("values", ["4", "4,16"])
+def test_sweep_json_is_an_array(tmp_path, capsys, values):
+    cfg = _write_cfg(tmp_path, precoder={"kind": "slm_random", "n": 4})
+    argv = ["sweep", "--config", cfg, "--param", "n", "--values", values, "--format", "json"]
+    assert cli.main(argv) == 0
+    objs = json.loads(capsys.readouterr().out)
+    assert [obj["N"] for obj in objs] == [int(v) for v in values.split(",")]
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_exit_code_workers_below_one(tmp_path, capsys, command, workers):
+    cfg = _write_cfg(tmp_path, precoder={"kind": "slm_random", "n": 4})
+    argv = [command, "--config", cfg, "--workers", workers]
+    if command == "sweep":
+        argv += ["--param", "n", "--values", "4"]
+    assert cli.main(argv) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_exit_code_config_error(tmp_path, capsys):
     p = tmp_path / "bad.json"
     p.write_text(json.dumps({"m": 2}))  # missing required keys
@@ -189,6 +209,22 @@ def test_exit_code_zero_or_tiny_channel(tmp_path, capsys, m, matrix):
     for command in ("run", "theory"):
         assert cli.main([command, "--config", cfg]) == 3
         assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "precoder",
+    [{"kind": "plain"}, {"kind": "slm_random", "n": 4}, {"kind": "vector_perturb", "b": 3},
+     {"kind": "trellis"}, {"kind": "nested", "k": 1, "n_u": 1, "q": 2}],
+    ids=["plain", "slm_random", "vector_perturb", "trellis", "nested"],
+)
+def test_exit_code_energy_overflow(tmp_path, capsys, precoder):
+    # tau^2 fits a float but the energies do not: one error line and exit 3,
+    # with no numpy warning (filterwarnings = error would raise it out of main)
+    cfg = _write_cfg(tmp_path, tau=1e154, precoder=precoder,
+                     channel_source={"kind": "inline", "matrix": [[1e-3, 0.0], [0.0, 1e-3]]})
+    assert cli.main(["run", "--config", cfg]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_module_entry_point_exit_code(tmp_path):

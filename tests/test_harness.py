@@ -4,6 +4,7 @@ import dataclasses
 import importlib
 import json
 import math
+import os
 import pickle
 import tracemalloc
 from pathlib import Path
@@ -37,7 +38,7 @@ def test_config_roundtrip():
     cfg = harness.ExperimentConfig.from_dict(_base_cfg())
     again = harness.ExperimentConfig.from_dict(cfg.to_dict())
     assert again == cfg
-    # the scheme built at validation is not part of the pickled state
+    # a built config pickles with its scheme, whose trial is a partial of a module function
     assert pickle.loads(pickle.dumps(cfg)) == cfg
 
 
@@ -279,6 +280,39 @@ def test_run_experiment_builds_scheme_once_per_report(monkeypatch, trials):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize(
+    "m,precoder",
+    [(2, {"kind": "plain"}), (2, {"kind": "slm_random", "n": 4}),
+     (2, {"kind": "vector_perturb", "b": 3}), (4, {"kind": "trellis"}),
+     (4, {"kind": "nested", "k": 2, "n_u": 1, "q": 2})],
+    ids=["plain", "slm_random", "vector_perturb", "trellis", "nested"],
+)
+def test_pooled_report_builds_scheme_once_in_parent(monkeypatch, m, precoder):
+    # pool workers run the trial the parent built; the patched _scheme is
+    # inherited by forked workers, so a build in one raises there
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+    parent = os.getpid()
+    pids = []
+    real = harness._scheme
+
+    def recording(c):
+        assert os.getpid() == parent, "a pool worker built the scheme"
+        pids.append(os.getpid())
+        return real(c)
+
+    cfg = harness.ExperimentConfig.from_dict(
+        _base_cfg(m=m, channel_source={"kind": "random", "seed": 7}, trials=1024,
+                  precoder=precoder)
+    )
+    monkeypatch.setattr(harness, "_scheme", recording)
+    reports = []
+    for workers in (1, 2):
+        reports.append(harness.write_report(harness.run_experiment(cfg, workers), "json", None))
+        assert pids == [parent]
+        pids.clear()
+    assert reports[0] == reports[1]
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_report_runs_the_config_it_checks(monkeypatch, workers):
     # a precoder dict changed after the config was built: the N column and
@@ -335,9 +369,9 @@ def test_run_experiment_energy_overflow_is_an_error():
         _base_cfg(channel_source={"kind": "inline", "matrix": [[1e-3, 0.0], [0.0, 1e-3]]},
                   tau=1e154, trials=4)
     )
-    with pytest.warns(RuntimeWarning):
-        with pytest.raises(PrecodingError):
-            harness.run_experiment(cfg)
+    # numpy's overflow warning is not raised: filterwarnings = error would fail the test
+    with pytest.raises(PrecodingError):
+        harness.run_experiment(cfg)
 
 
 def test_benchmark_trace_hooks_install(monkeypatch):
@@ -630,14 +664,15 @@ def test_format_csv_shape():
 def test_format_json_roundtrip():
     cfg = harness.ExperimentConfig.from_dict(_base_cfg(trials=8))
     rep = harness.run_experiment(cfg)
-    obj = json.loads(harness.format_json([rep]))
+    obj = json.loads(harness.format_json(rep))
     assert obj["precoder"] == "plain"
     assert obj["M"] == 2
     assert obj["mean_gamma"] == rep.mean_gamma
     assert obj["eigenvalues"] == [1.0, 1.0]
-    # sweep output is a list
-    objs = json.loads(harness.format_json([rep, rep]))
-    assert isinstance(objs, list) and len(objs) == 2
+    # a sequence (sweep output) is an array, whatever its length
+    for count in (1, 2):
+        objs = json.loads(harness.format_json([rep] * count))
+        assert objs == [obj] * count
 
 
 def test_write_report_to_file(tmp_path):

@@ -5,7 +5,6 @@ import pytest
 
 from slmprecode import linalg
 from slmprecode.errors import (
-    IllConditionedError,
     NotPositiveDefiniteError,
     NotSymmetricError,
     SingularMatrixError,
@@ -64,10 +63,9 @@ def test_invert_singular_raises():
             linalg.invert(m)
 
 
-def test_invert_ill_conditioned_raises():
+def test_invert_ill_conditioned_is_inverted():
+    # refusing an ill-conditioned channel is theory.build_channel's job
     m = np.diag([1.0, 1e-10])
-    with pytest.raises(IllConditionedError):
-        linalg.invert(m, cond_limit=1e8)
     assert np.array_equal(linalg.invert(m), np.diag([1.0, 1e10]))
 
 

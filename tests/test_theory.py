@@ -52,8 +52,8 @@ def test_gram_random_agreement():
 def test_build_channel_condition_limit():
     with pytest.raises(IllConditionedError):
         theory.build_channel(np.diag([1.0, 1e-5]), condition_limit=1e6)
-    # condition_limit is the only limit: the inversion's own check must not
-    # refuse a channel whose eigenvalue spread (1e18 here) is within it
+    # condition_limit is the only limit: a channel whose eigenvalue spread
+    # (1e18 here) is within it is accepted
     ch = theory.build_channel(np.diag([1.0, 1e-9]), condition_limit=1e20)
     assert ch.condition == pytest.approx(1e18)
     with pytest.raises(IllConditionedError):
