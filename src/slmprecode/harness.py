@@ -14,7 +14,7 @@ processes than the largest config has chunks or than there are usable CPUs.
 Every trial draws a data vector and hands it to its precoder: the trellis
 trial maps its payload bits to the zero-codeword point once, with
 ``shaping.payload_to_coset``, and the nested trial stacks its users' coset
-representatives into one M-vector.
+representatives, computed from the drawn indices, into one M-vector.
 
 Config files are JSON mirroring ExperimentConfig field names::
 
@@ -37,12 +37,12 @@ Precoder variants:
   {"kind": "trellis", "generators": "7,5", "k_s": 1, "pam": 4}   # k_s must be 1
   {"kind": "nested", "k": 2, "n_u": 1, "q": 2}
 
-For ``slm_random`` the hypercube region may be expanded so the carrier
-volume is N times the information volume (side tau * N^(1/M)); the ball
-region is always used as-is (the fixed-region law). The information
-entropy — hence sigma^2 and the theory references — always comes from the
-base region: log2(tau) bits per dimension for hypercube-family precoders,
-(1/M) log2(volume) for the ball.
+For ``slm_random`` (n * m at most 2^20) the hypercube region may be
+expanded so the carrier volume is N times the information volume (side
+tau * N^(1/M)); the ball region is always used as-is (the fixed-region
+law). The information entropy — hence sigma^2 and the theory references —
+always comes from the base region: log2(tau) bits per dimension for
+hypercube-family precoders, (1/M) log2(volume) for the ball.
 
 Shaping codes have rate 1/n_s, so ``k_s`` may be omitted and any value
 other than 1 is rejected. ``nested`` is vector perturbation of the K
@@ -58,6 +58,7 @@ import json
 import math
 import numbers
 import os
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -103,8 +104,9 @@ def _int(value, name: str) -> int:
 
 
 def _float(value, name: str) -> float:
-    """A real config field; booleans and non-finite numbers are rejected."""
-    if isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value):
+    """A real config field; booleans, nan and numbers past the float range are rejected."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if real and abs(value) <= sys.float_info.max:  # exact for an int: no OverflowError
         return float(value)
     raise ConfigError(f"{name} must be a finite number, got {value!r}")
 
@@ -330,17 +332,15 @@ def _vector_perturb_trial(cube, tau, b, seed, ch, t):
     return res.gamma, ch.energy(u)
 
 
-def _trellis_trial(code, cons, zero_codeword, seed, ch, t):
-    payload = regions.make_stream(seed, t).integers(
-        0, 2, size=zero_codeword.size * cons.bits_per_symbol
-    )
-    u0 = shaping.payload_to_coset(payload, zero_codeword, cons)
+def _trellis_trial(code, cons, seed, ch, t):
+    payload = regions.make_stream(seed, t).integers(0, 2, size=ch.m * cons.bits_per_symbol)
+    u0 = shaping.payload_to_coset(payload, cons)
     return shaping.trellis_shape(ch, u0, code).gamma, ch.energy(u0)
 
 
 def _nested_trial(part, k_users, seed, ch, t):
     idx = regions.make_stream(seed, t).integers(0, part.coset_count, size=k_users)
-    u = part.cosets[idx].reshape(-1)
+    u = part.representatives(idx).reshape(-1)
     return shaping.nested_select(ch, u, part).gamma, ch.energy(u)
 
 
@@ -363,7 +363,7 @@ def _scheme(cfg: ExperimentConfig) -> Tuple[int, float, _Trial]:
         n = _int(p.get("n", 0), "precoder.n")
         if n < 1:
             raise ConfigError("slm_random requires n >= 1")
-        _within_budget(n, 1, f"n = {n}")
+        _within_budget(n * m, 1, f"n * m = {n} * {m}")
         spec = _object(p.get("region", {"kind": "hypercube"}), "precoder.region")
         if _kind(spec, _REGION_KEYS, "precoder.region") == "ball":
             radius = _float(spec.get("radius", 0.0), "region.radius")
@@ -394,8 +394,7 @@ def _scheme(cfg: ExperimentConfig) -> Tuple[int, float, _Trial]:
         pam = _int(p.get("pam", 4), "precoder.pam")
         # max() keeps pam = 0 out of the division; pam_constellation refuses pam < 2
         cons = shaping.pam_constellation(pam, spacing=tau / max(pam, 1))
-        zero_codeword = np.zeros(m, dtype=np.int64)
-        trial = functools.partial(_trellis_trial, code, cons, zero_codeword, seed)
+        trial = functools.partial(_trellis_trial, code, cons, seed)
         return code.codeword_count(m // code.n_s), sigma2, trial
     # nested
     k_users = _int(p.get("k", 0), "precoder.k")

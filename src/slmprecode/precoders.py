@@ -110,6 +110,13 @@ def offset_range(b: int) -> np.ndarray:
     return np.arange(lo, hi + 1)
 
 
+def lex_digits(idx, base: int, width: int) -> np.ndarray:
+    """The ``width`` base-``base`` digits of each index, most significant first, as a last axis."""
+    digits = np.asarray(idx)[..., None] // base ** np.arange(width - 1, -1, -1)
+    digits %= base
+    return digits
+
+
 @functools.lru_cache(maxsize=1)
 def _offset_grid(b: int, m: int) -> np.ndarray:
     """The b^m offset vectors as float rows, read-only and built once per (b, m).
@@ -119,8 +126,7 @@ def _offset_grid(b: int, m: int) -> np.ndarray:
 
     Lexicographic row order: the first coordinate varies slowest.
     """
-    grids = np.meshgrid(*([offset_range(b)] * m), indexing="ij")
-    rows = np.stack([g.ravel() for g in grids], axis=-1).astype(np.float64)
+    rows = lex_digits(np.arange(b**m), b, m) + float(offset_range(b)[0])
     rows.flags.writeable = False
     return rows
 
@@ -155,7 +161,8 @@ def vector_perturb(
             f"b^M = {b}^{m} = {n} exceeds the exhaustive-search budget {SEARCH_BUDGET}"
         )
     base = fold_interval(u, tau)
-    candidates = base[None, :] + tau * _offset_grid(b, m)
+    candidates = tau * _offset_grid(b, m)
+    candidates += base
     energies = ch.energies(candidates)
     best = int(np.argmin(energies))
     u_chosen = candidates[best].copy()

@@ -22,7 +22,8 @@ smallest codeword, then the smallest input index; see ``trellis_shape``).
 Like the precoders, both searches take the data vector: ``trellis_shape``
 the zero-codeword point u0, ``nested_select`` the M-vector of the users'
 stacked blocks. The sign/magnitude bit labeling lives only in
-``payload_to_coset`` and ``coset_to_payload``.
+``payload_to_coset`` and ``coset_to_payload``; a codeword c only flips
+signs, u0 * (1 - 2c), so they take none.
 
 Each parameter is stated once: a code is its tap masks (n_s and the memory
 follow), and a constellation is its level count and spacing (the modulo
@@ -34,6 +35,7 @@ element of Lambda' preserves its information modulo Lambda'. Since
 Lambda' = q*spacing * Z^(2 n_u), a joint shift of all K blocks is an integer
 perturbation with period q*spacing, so ``nested_select`` is vector
 perturbation (``precoders.vector_perturb``) with q offsets per coordinate.
+Coset representatives come from their indices by ``precoders.lex_digits``.
 """
 
 from __future__ import annotations
@@ -56,6 +58,7 @@ from .precoders import (
     SEARCH_BUDGET,
     PrecodeResult,
     check_dim,
+    lex_digits,
     precode_result,
     vector_perturb,
 )
@@ -138,16 +141,6 @@ def default_code() -> ShapingCode:
     return code_from_octal(DEFAULT_CODE_SPEC)
 
 
-def _as_bits(bits, name: str) -> np.ndarray:
-    arr = np.asarray(bits)
-    if arr.ndim != 1:
-        raise LengthMismatchError(f"{name} must be a flat bit sequence")
-    arr = arr.astype(np.int64)
-    if arr.size and not np.all((arr == 0) | (arr == 1)):
-        raise LengthMismatchError(f"{name} must contain only 0/1 values")
-    return arr
-
-
 # ---------------------------------------------------------------------------
 # Partitioned PAM constellation (sign bit + magnitude bits)
 # ---------------------------------------------------------------------------
@@ -190,43 +183,37 @@ def pam_constellation(n_levels: int, spacing: float = 1.0) -> PartitionedConstel
     return PartitionedConstellation(n_levels=n_levels, spacing=float(spacing))
 
 
-def payload_to_coset(payload_bits, codeword_bits, cons: PartitionedConstellation) -> np.ndarray:
-    """Map payload bits to PAM symbols, sign bits XORed with a codeword.
+def payload_to_coset(payload_bits, cons: PartitionedConstellation) -> np.ndarray:
+    """Map payload bits to the PAM symbols of the zero-codeword point u0.
 
     The payload supplies ``bits_per_symbol`` bits per symbol, sign bit
-    first; the codeword supplies one XOR bit per symbol. Symbol j is
-    (1 - 2 s_j) * spacing * (k_j + 1/2) with s_j the XORed sign bit and k_j
-    the magnitude bits read as a binary number. All codewords of the
-    shaping code therefore carry the same information.
+    first. Symbol j is (1 - 2 s_j) * spacing * (k_j + 1/2) with s_j the
+    sign bit and k_j the magnitude bits read as a binary number. Codeword c
+    flips the signs of u0, u0 * (1 - 2c), so all codewords of the shaping
+    code carry the same information.
     """
-    payload = _as_bits(payload_bits, "payload bits")
-    codeword = _as_bits(codeword_bits, "codeword bits")
     bps = cons.bits_per_symbol
-    n_sym = codeword.size
-    if payload.size != n_sym * bps:
+    payload = np.asarray(payload_bits).astype(np.int64)
+    if payload.ndim != 1 or payload.size % bps:
         raise LengthMismatchError(
-            f"payload has {payload.size} bits but {n_sym} symbols need {n_sym * bps}"
+            f"payload must be a flat sequence of {bps}-bit symbols, got shape {payload.shape}"
         )
-    bits = payload.reshape(n_sym, bps)
-    sign = bits[:, 0] ^ codeword
+    if not np.all((payload == 0) | (payload == 1)):
+        raise LengthMismatchError("payload bits must contain only 0/1 values")
+    bits = payload.reshape(-1, bps)
     k = bits[:, 1:] @ (1 << np.arange(bps - 2, -1, -1))
-    return (1.0 - 2.0 * sign) * cons.spacing * (k + 0.5)
+    return (1.0 - 2.0 * bits[:, 0]) * cons.spacing * (k + 0.5)
 
 
-def coset_to_payload(u, codeword_bits, cons: PartitionedConstellation) -> np.ndarray:
-    """Invert payload_to_coset from received symbols and the codeword.
+def coset_to_payload(u, cons: PartitionedConstellation) -> np.ndarray:
+    """Invert payload_to_coset from symbols whose codeword's sign flips are undone.
 
     Each receiver reads its own coordinate: the magnitude bits come from
-    the level's magnitude index, and the payload sign bit is the received
-    sign XOR the codeword bit. A symbol that is not a level within
-    1e-6 * spacing raises ValueError.
+    the level's magnitude index, and the sign bit is 1 for a negative
+    symbol. A symbol that is not a level within 1e-6 * spacing raises
+    ValueError.
     """
     u = linalg.as_vector(u, "u")
-    codeword = _as_bits(codeword_bits, "codeword bits")
-    if u.size != codeword.size:
-        raise LengthMismatchError(
-            f"{u.size} symbols but {codeword.size} codeword bits"
-        )
     mag = np.abs(u)
     k = np.rint(mag / cons.spacing - 0.5)
     off = (k >= cons.n_levels // 2) | (
@@ -236,7 +223,7 @@ def coset_to_payload(u, codeword_bits, cons: PartitionedConstellation) -> np.nda
         raise ValueError(f"{float(u[off][0])!r} is not a constellation level")
     bps = cons.bits_per_symbol
     bits = np.empty((u.size, bps), dtype=np.int64)
-    bits[:, 0] = (u < 0) ^ codeword
+    bits[:, 0] = u < 0
     bits[:, 1:] = (k.astype(np.int64)[:, None] >> np.arange(bps - 2, -1, -1)) & 1
     return bits.reshape(-1)
 
@@ -268,7 +255,7 @@ def _generator_matrix(code: ShapingCode, n_steps: int) -> np.ndarray:
 def trellis_shape(ch: ChannelMatrix, u0, code: ShapingCode) -> PrecodeResult:
     """Exact minimum-energy coset member via search over the code trellis.
 
-    ``u0`` is the zero-codeword point, e.g. payload_to_coset(payload, 0).
+    ``u0`` is the zero-codeword point, e.g. payload_to_coset(payload, cons).
     A codeword bit flips the sign of its symbol, so the coset member of
     codeword c is u0 * (1 - 2c).
     The encoder runs n = M/n_s steps, the last ``memory`` with forced zero
@@ -399,7 +386,7 @@ class LatticePartition:
     """Self-similar partition Lambda/Lambda' of a scaled integer lattice.
 
     Lambda = spacing * Z^(2 n_u) per user and Lambda' = q * Lambda, so
-    |Lambda/Lambda'| = q^(2 n_u). ``cosets`` holds the coset
+    |Lambda/Lambda'| = q^(2 n_u). ``representatives`` gives the coset
     representatives (one point per coset) inside the fundamental domain
     [-q*spacing/2, q*spacing/2)^(2 n_u); they double as the per-user
     constellation. The search shift set is Lambda'-valued:
@@ -411,13 +398,13 @@ class LatticePartition:
     q: int
     spacing: float
 
-    @functools.cached_property
-    def cosets(self) -> np.ndarray:
-        """The q^(2 n_u) coset representatives, one row each, built on first read."""
-        # Residues centered into the half-open fundamental domain of Lambda'.
-        reps = self.spacing * np.arange(-(self.q // 2), self.q - (self.q // 2))
-        grids = np.meshgrid(*([reps] * self.dim), indexing="ij")
-        return np.stack([g.ravel() for g in grids], axis=-1)
+    def representatives(self, idx) -> np.ndarray:
+        """One row per coset index 0 .. q^(2 n_u) - 1, in lexicographic order.
+
+        Row idx is spacing * (d - q // 2), d the 2*n_u base-q digits of idx:
+        residues centered into the half-open fundamental domain of Lambda'.
+        """
+        return self.spacing * (lex_digits(idx, self.q, self.dim) - self.q // 2)
 
     @property
     def dim(self) -> int:

@@ -6,6 +6,9 @@ and scans for the minimum-energy coset member; it builds each codeword with
 with ``shaping.trellis_shape``. ``lattice_offsets`` lists a nested-lattice
 partition's shift vectors for scans that do not go through
 ``vector_perturb``, and ``reconstruct`` multiplies an eigensystem back out.
+``offset_grid`` and ``coset_table`` build the vector-perturbation offsets
+and a partition's coset representatives with ``np.meshgrid``, apart from
+the package's digit map ``precoders.lex_digits``.
 """
 
 import numpy as np
@@ -75,11 +78,26 @@ def exhaustive_shape(ch, u0, code):
     )
 
 
+def _lex_rows(values, width) -> np.ndarray:
+    """Every ``width``-tuple of ``values`` as a row, the first coordinate varying slowest."""
+    grids = np.meshgrid(*([values] * width), indexing="ij")
+    return np.stack([g.ravel() for g in grids], axis=-1)
+
+
 def lattice_offsets(part) -> np.ndarray:
     """The q^(2 n_u) Lambda' shift vectors searched per user."""
-    rng = part.q * part.spacing * offset_range(part.q)
-    grids = np.meshgrid(*([rng] * part.dim), indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=-1)
+    return _lex_rows(part.q * part.spacing * offset_range(part.q), part.dim)
+
+
+def offset_grid(b, m) -> np.ndarray:
+    """The b^m vector-perturbation offset vectors as float rows, in lexicographic order."""
+    return _lex_rows(offset_range(b), m).astype(np.float64)
+
+
+def coset_table(part) -> np.ndarray:
+    """All q^(2 n_u) coset representatives of a partition, row idx for coset index idx."""
+    reps = part.spacing * np.arange(-(part.q // 2), part.q - (part.q // 2))
+    return _lex_rows(reps, part.dim)
 
 
 def reconstruct(eig) -> np.ndarray:

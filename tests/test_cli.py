@@ -166,6 +166,8 @@ _DEEP = "<matrix nested 100000 deep>"
         # n beyond precoders.SEARCH_BUDGET is refused before a trial
         # allocates its (n, m) candidate array
         ({"precoder": {"kind": "slm_random", "n": 2**40}}, 3),
+        # n * m beyond the budget: one draw would hold n * m doubles
+        ({"precoder": {"kind": "slm_random", "n": 2**20}}, 3),
         # nested objects take only their kind's keys
         ({"precoder": {"kind": "trellis", "genrators": "17,15"}}, 2),
         ({"precoder": {"kind": "slm_random", "n": 4,
@@ -178,13 +180,19 @@ _DEEP = "<matrix nested 100000 deep>"
         ({"trials": 2**40}, 3),
         ({"channel_source": {"kind": "file", "path": "chan\0.csv"}}, 2),
         ({"channel_source": {"kind": "inline", "matrix": _DEEP}}, 2),
+        # integers beyond the float range
+        ({"tau": 10**400}, 2),
+        ({"condition_limit": 10**400}, 2),
+        ({"precoder": {"kind": "slm_random", "n": 4,
+                       "region": {"kind": "ball", "radius": 10**400}}}, 2),
     ],
     ids=["nan_tau", "non_numeric_matrix", "nan_matrix", "string_channel_source",
          "list_precoder", "fractional_m", "boolean_trials", "huge_ball_radius",
          "huge_tau_plain", "huge_tau_vector_perturb", "trellis_k_s_2",
-         "slm_n_over_budget", "trellis_misspelled_key", "region_misspelled_key",
-         "vector_perturb_extra_keys", "channel_source_extra_key", "m_over_budget",
-         "trials_over_budget", "nul_in_channel_path", "matrix_nested_100000_deep"],
+         "slm_n_over_budget", "slm_n_times_m_over_budget", "trellis_misspelled_key",
+         "region_misspelled_key", "vector_perturb_extra_keys", "channel_source_extra_key",
+         "m_over_budget", "trials_over_budget", "nul_in_channel_path", "matrix_nested_100000_deep",
+         "tau_401_digits", "condition_limit_401_digits", "ball_radius_401_digits"],
 )
 def test_exit_code_malformed_config(tmp_path, capsys, overrides, code):
     cfg = _write_cfg(tmp_path, **overrides)

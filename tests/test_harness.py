@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from slmprecode import harness, shaping, theory
+from slmprecode import harness, precoders, shaping, theory
 from slmprecode.errors import ConfigError, ParseError, PrecodingError, ReportIOError
 
 
@@ -506,7 +506,7 @@ def test_run_experiment_nested_smoke():
 
 def test_nested_validation_builds_no_coset_table():
     # q^m = 2^20 is within the budget; validating the config must not
-    # build the partition's 2^20-row coset table
+    # build anything with 2^20 rows
     d = _base_cfg(m=20, channel_source={"kind": "random", "seed": 3},
                   precoder={"kind": "nested", "k": 1, "n_u": 10, "q": 2})
     tracemalloc.start()
@@ -516,6 +516,38 @@ def test_nested_validation_builds_no_coset_table():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def test_nested_report_memory_at_budget_corner():
+    # one trial at q^m = 2^20 holds the 160 MiB offset grid and the 160 MiB
+    # candidates, and nothing else of that size
+    cfg = harness.ExperimentConfig.from_dict(
+        _base_cfg(m=20, channel_source={"kind": "random", "seed": 3}, trials=1,
+                  precoder={"kind": "nested", "k": 1, "n_u": 10, "q": 2})
+    )
+    precoders._offset_grid.cache_clear()
+    tracemalloc.start()
+    try:
+        rep = harness.run_experiment(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        precoders._offset_grid.cache_clear()
+    assert rep.n_candidates == 2**20
+    assert peak < 400 * 2**20
+
+
+@pytest.mark.parametrize(
+    "overrides,field",
+    [({"tau": 10**400}, "tau"),
+     ({"condition_limit": 10**400}, "condition_limit"),
+     ({"precoder": {"kind": "slm_random", "n": 4,
+                    "region": {"kind": "ball", "radius": 10**400}}}, "region.radius")],
+    ids=["tau", "condition_limit", "radius"],
+)
+def test_config_integer_beyond_float_range(overrides, field):
+    with pytest.raises(ConfigError, match=f"^{field} must be a finite number"):
+        harness.ExperimentConfig.from_dict(_base_cfg(**overrides))
 
 
 def test_information_sigma2():

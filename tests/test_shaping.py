@@ -19,7 +19,7 @@ from slmprecode.errors import (
     SearchBudgetExceededError,
 )
 
-from oracles import conv_encode, exhaustive_shape, lattice_offsets
+from oracles import coset_table, conv_encode, exhaustive_shape, lattice_offsets, offset_grid
 
 
 def _rng():
@@ -31,12 +31,6 @@ def _random_channel(rng, m, cond_cap=300.0):
         h = rng.standard_normal((m, m))
         if np.linalg.cond(h) < cond_cap:
             return theory.build_channel(h)
-
-
-def _u0(payload, con):
-    """The zero-codeword point of a payload, the vector the shaping searches take."""
-    n_sym = len(payload) // con.bits_per_symbol
-    return shaping.payload_to_coset(payload, np.zeros(n_sym, dtype=np.int64), con)
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +117,7 @@ def test_conv_encode_rejects_non_binary():
 
 def test_pam_constellation_levels():
     con = shaping.pam_constellation(4, spacing=1.0)
-    levels = sorted(shaping.payload_to_coset(p, [0], con)[0]
+    levels = sorted(shaping.payload_to_coset(p, con)[0]
                     for p in itertools.product((0, 1), repeat=2))
     assert np.allclose(levels, [-1.5, -0.5, 0.5, 1.5])
     assert con.bits_per_symbol == 2
@@ -138,22 +132,23 @@ def test_pam_constellation_levels():
 def test_pam_constellation_sign_magnitude():
     con = shaping.pam_constellation(4, spacing=1.0)
     # sign bit 0 -> positive half, magnitude index orders outward
-    u = shaping.payload_to_coset([0, 0, 0, 1, 1, 0, 1, 1], [0, 0, 0, 0], con)
+    u = shaping.payload_to_coset([0, 0, 0, 1, 1, 0, 1, 1], con)
     assert np.array_equal(u, [0.5, 1.5, -0.5, -1.5])
     # every label of PAM 2/4/8 maps to (1 - 2s) * spacing * (k + 1/2), with s
-    # the sign bit XOR the codeword bit and k the magnitude bits in binary,
-    # and back; 0.7 and the first level past the outermost are refused
+    # the sign bit and k the magnitude bits in binary, and back; a codeword
+    # bit flips the sign, which flips only the sign bit read back; 0.7 and
+    # the first level past the outermost are refused
     for n_levels, spacing, outside in ((2, 1.0, 1.5), (4, 1.0, 2.5), (8, 0.5, 2.25)):
         con = shaping.pam_constellation(n_levels, spacing=spacing)
         for bits in itertools.product((0, 1), repeat=con.bits_per_symbol):
             k = int("".join(map(str, bits[1:])) or "0", 2)
-            for cw in (0, 1):
-                u = shaping.payload_to_coset(bits, [cw], con)
-                assert u[0] == (1 - 2 * (bits[0] ^ cw)) * spacing * (k + 0.5)
-                assert tuple(shaping.coset_to_payload(u, [cw], con)) == bits
+            u = shaping.payload_to_coset(bits, con)
+            assert u[0] == (1 - 2 * bits[0]) * spacing * (k + 0.5)
+            assert tuple(shaping.coset_to_payload(u, con)) == bits
+            assert tuple(shaping.coset_to_payload(-u, con)) == (1 - bits[0],) + bits[1:]
         for bad in (0.7, outside):
             with pytest.raises(ValueError):
-                shaping.coset_to_payload([bad], [0], con)
+                shaping.coset_to_payload([bad], con)
 
 
 def test_pam_constellation_validation():
@@ -175,33 +170,38 @@ def test_pam_constellation_validation():
 def test_payload_to_coset_zero_codeword():
     con = shaping.pam_constellation(4, spacing=1.0)
     # payload per symbol: [sign, magnitude]; zero codeword leaves signs alone
-    u = shaping.payload_to_coset([0, 1, 1, 0], [0, 0], con)
+    u = shaping.payload_to_coset([0, 1, 1, 0], con)
     assert np.allclose(u, [1.5, -0.5])
 
 
 def test_payload_to_coset_sign_flip():
+    # setting the sign bits negates the symbols, as an all-ones codeword does
     con = shaping.pam_constellation(4, spacing=1.0)
-    base = shaping.payload_to_coset([0, 1, 0, 1], [0, 0], con)
-    flipped = shaping.payload_to_coset([0, 1, 0, 1], [1, 1], con)
-    assert np.allclose(flipped, -base)
-    assert np.allclose(np.abs(flipped), np.abs(base))
+    base = shaping.payload_to_coset([0, 1, 0, 1], con)
+    flipped = shaping.payload_to_coset([1, 1, 1, 1], con)
+    assert np.array_equal(flipped, -base)
+    assert np.array_equal(np.abs(flipped), np.abs(base))
 
 
 def test_payload_coset_roundtrip_exhaustive():
+    # the codeword's sign flips u0 * (1 - 2c), undone by the receiver, give the payload back
     con = shaping.pam_constellation(4, spacing=1.0)
     for payload in itertools.product((0, 1), repeat=4):
         for cw in itertools.product((0, 1), repeat=2):
-            u = shaping.payload_to_coset(payload, cw, con)
-            back = shaping.coset_to_payload(u, cw, con)
+            sign = 1 - 2 * np.array(cw)
+            u = shaping.payload_to_coset(payload, con) * sign
+            back = shaping.coset_to_payload(u * sign, con)
             assert tuple(back) == payload
 
 
 def test_payload_to_coset_validation():
     con = shaping.pam_constellation(4, spacing=1.0)
     with pytest.raises(LengthMismatchError):
-        shaping.payload_to_coset([0, 1, 1], [0, 0], con)
+        shaping.payload_to_coset([0, 1, 1], con)  # not a whole number of symbols
     with pytest.raises(LengthMismatchError):
-        shaping.payload_to_coset([0, 1, 1, 0], [0], con)
+        shaping.payload_to_coset([0, 2, 1, 0], con)
+    with pytest.raises(LengthMismatchError):
+        shaping.payload_to_coset([[0, 1], [1, 0]], con)
 
 
 # ---------------------------------------------------------------------------
@@ -218,8 +218,8 @@ def test_trellis_shape_memoryless_zero_code():
     rng = _rng()
     ch = _random_channel(rng, 4)
     payload = rng.integers(0, 2, size=8)
-    res = shaping.trellis_shape(ch, _u0(payload, con), code)
-    u0 = shaping.payload_to_coset(payload, np.zeros(4, dtype=np.int64), con)
+    u0 = shaping.payload_to_coset(payload, con)
+    res = shaping.trellis_shape(ch, u0, code)
     assert np.array_equal(res.u_chosen, u0)
     assert np.array_equal(res.meta["codeword"], np.zeros(4, dtype=np.int64))
     assert res.gamma == pytest.approx(ch.energy(u0), rel=1e-9)
@@ -234,7 +234,7 @@ def test_trellis_shape_identity_channel_prefers_zero_codeword():
     rng = _rng()
     for _ in range(10):
         payload = rng.integers(0, 2, size=16)
-        res = shaping.trellis_shape(ch, _u0(payload, con), code)
+        res = shaping.trellis_shape(ch, shaping.payload_to_coset(payload, con), code)
         assert res.n_candidates == 4  # 4 steps, 2 free before termination
         assert np.array_equal(res.meta["codeword"], np.zeros(8, dtype=np.int64))
         assert np.array_equal(res.meta["inputs"], np.zeros(4, dtype=np.int64))
@@ -264,8 +264,9 @@ def test_trellis_shape_matches_exhaustive(spec, symbols):
         con = shaping.pam_constellation(int(rng.choice([2, 4, 8])), spacing=1.0)
         ch = _random_channel(rng, m)
         payload = rng.integers(0, 2, size=m * con.bits_per_symbol)
-        fast = shaping.trellis_shape(ch, _u0(payload, con), code)
-        slow = exhaustive_shape(ch, _u0(payload, con), code)
+        u0 = shaping.payload_to_coset(payload, con)
+        fast = shaping.trellis_shape(ch, u0, code)
+        slow = exhaustive_shape(ch, u0, code)
         # bit-identical under the (gamma, codeword, input index) tie-break
         assert np.array_equal(fast.meta["codeword"], slow.meta["codeword"]), f"trial {trial}"
         assert np.array_equal(fast.meta["inputs"], slow.meta["inputs"])
@@ -281,12 +282,12 @@ def test_trellis_shape_budget(monkeypatch):
     ch = theory.build_channel(np.eye(8))
     code = shaping.default_code()
     con = shaping.pam_constellation(4, spacing=1.0)
-    payload = _rng().integers(0, 2, size=16)
+    u0 = shaping.payload_to_coset(_rng().integers(0, 2, size=16), con)
     monkeypatch.setattr(shaping, "SEARCH_BUDGET", 15)
-    assert shaping.trellis_shape(ch, _u0(payload, con), code).n_candidates == 4
+    assert shaping.trellis_shape(ch, u0, code).n_candidates == 4
     monkeypatch.setattr(shaping, "SEARCH_BUDGET", 14)
     with pytest.raises(SearchBudgetExceededError):
-        shaping.trellis_shape(ch, _u0(payload, con), code)
+        shaping.trellis_shape(ch, u0, code)
 
 
 def test_trellis_shape_deeper_than_recursion_limit(monkeypatch):
@@ -302,7 +303,7 @@ def test_trellis_shape_deeper_than_recursion_limit(monkeypatch):
     con = shaping.pam_constellation(4, spacing=1.0)
     monkeypatch.setattr(shaping, "SEARCH_BUDGET", n_steps + 10)
     with pytest.raises(SearchBudgetExceededError):
-        shaping.trellis_shape(ch, _u0(np.zeros(4 * n_steps, dtype=np.int64), con), code)
+        shaping.trellis_shape(ch, shaping.payload_to_coset([0] * (4 * n_steps), con), code)
 
 
 def test_trellis_shape_counts_nodes():
@@ -310,7 +311,7 @@ def test_trellis_shape_counts_nodes():
     ch = theory.build_channel(np.eye(8))
     con = shaping.pam_constellation(4, spacing=1.0)
     payload = _rng().integers(0, 2, size=16)
-    res = shaping.trellis_shape(ch, _u0(payload, con), shaping.default_code())
+    res = shaping.trellis_shape(ch, shaping.payload_to_coset(payload, con), shaping.default_code())
     assert res.meta["nodes"] == 15
 
 
@@ -334,10 +335,10 @@ def test_trellis_shape_equals_oracle(spec, steps, pam, channel, seed):
     con = shaping.pam_constellation(pam, spacing=1.0)
     if channel == "random":
         ch = _random_channel(rng, m)
-        u0 = _u0(rng.integers(0, 2, size=m * con.bits_per_symbol), con)
+        u0 = shaping.payload_to_coset(rng.integers(0, 2, size=m * con.bits_per_symbol), con)
     elif channel == "identity":
         ch = theory.build_channel(np.eye(m))
-        u0 = _u0(rng.integers(0, 2, size=m * con.bits_per_symbol), con)
+        u0 = shaping.payload_to_coset(rng.integers(0, 2, size=m * con.bits_per_symbol), con)
     else:
         ch = theory.build_channel(np.eye(m))
         u0 = 0.5 * rng.choice([-1.0, 1.0], size=m)
@@ -357,7 +358,7 @@ def test_trellis_shape_m56():
     con = shaping.pam_constellation(4, spacing=0.5)
     payload = regions.make_stream(1000, 0).integers(0, 2, size=112)
     start = time.perf_counter()
-    res = shaping.trellis_shape(ch, _u0(payload, con), shaping.default_code())
+    res = shaping.trellis_shape(ch, shaping.payload_to_coset(payload, con), shaping.default_code())
     elapsed = time.perf_counter() - start
     assert res.gamma.hex() == "0x1.fe5629097787bp-2"
     assert "".join(map(str, res.meta["codeword"])) == (
@@ -376,7 +377,7 @@ def test_trellis_shape_memory_is_bounded(monkeypatch):
     rng = np.random.default_rng(5)
     ch = theory.build_channel(np.eye(m) + 0.3 * rng.standard_normal((m, m)) / math.sqrt(m))
     con = shaping.pam_constellation(4, spacing=1.0)
-    u0 = _u0(rng.integers(0, 2, size=2 * m), con)
+    u0 = shaping.payload_to_coset(rng.integers(0, 2, size=2 * m), con)
     monkeypatch.setattr(shaping, "SEARCH_BUDGET", 2**17)
     tracemalloc.start()
     try:
@@ -395,8 +396,8 @@ def test_trellis_shape_dominates_zero_codeword():
     ch = _random_channel(rng, 6)
     for _ in range(20):
         payload = rng.integers(0, 2, size=12)
-        res = shaping.trellis_shape(ch, _u0(payload, con), code)
-        u0 = shaping.payload_to_coset(payload, np.zeros(6, dtype=np.int64), con)
+        u0 = shaping.payload_to_coset(payload, con)
+        res = shaping.trellis_shape(ch, u0, code)
         assert res.gamma <= ch.energy(u0) * (1 + 1e-9) + 1e-12
 
 
@@ -407,7 +408,7 @@ def test_trellis_shape_metric_matches_energy():
     ch = _random_channel(rng, 8)
     for _ in range(10):
         payload = rng.integers(0, 2, size=16)
-        res = shaping.trellis_shape(ch, _u0(payload, con), code)
+        res = shaping.trellis_shape(ch, shaping.payload_to_coset(payload, con), code)
         assert res.meta["path_metric"] == pytest.approx(res.gamma, rel=1e-8)
         assert res.gamma == pytest.approx(ch.energy(res.u_chosen), rel=1e-8)
         # the winning codeword is a real codeword of the shaping code
@@ -423,9 +424,9 @@ def test_trellis_shape_receiver_recovers_payload():
     ch = _random_channel(rng, 6)
     for _ in range(50):
         payload = rng.integers(0, 2, size=12)
-        res = shaping.trellis_shape(ch, _u0(payload, con), code)
+        res = shaping.trellis_shape(ch, shaping.payload_to_coset(payload, con), code)
         y = ch.h @ res.s
-        back = shaping.coset_to_payload(y, res.meta["codeword"], con)
+        back = shaping.coset_to_payload(y * (1 - 2 * res.meta["codeword"]), con)
         assert np.array_equal(back, payload)
 
 
@@ -434,12 +435,12 @@ def test_trellis_shape_validation():
     con = shaping.pam_constellation(4, spacing=1.0)
     ch = theory.build_channel(np.eye(4))
     with pytest.raises(LengthMismatchError):
-        shaping.trellis_shape(ch, _u0([0, 1, 0], con), code)
+        shaping.trellis_shape(ch, shaping.payload_to_coset([0, 1, 0], con), code)
     with pytest.raises(DimensionMismatchError):
         shaping.trellis_shape(ch, [0.5, -0.5, 0.5], code)  # 3 symbols, M = 4
     ch3 = theory.build_channel(np.eye(3))
     with pytest.raises(DimensionMismatchError):
-        shaping.trellis_shape(ch3, _u0([0] * 6, con), code)
+        shaping.trellis_shape(ch3, shaping.payload_to_coset([0] * 6, con), code)
 
 
 def test_exhaustive_shape_budget():
@@ -447,7 +448,7 @@ def test_exhaustive_shape_budget():
     con = shaping.pam_constellation(4, spacing=1.0)
     ch = theory.build_channel(np.eye(40))
     with pytest.raises(SearchBudgetExceededError):
-        exhaustive_shape(ch, _u0([0] * 80, con), code)
+        exhaustive_shape(ch, shaping.payload_to_coset([0] * 80, con), code)
 
 
 # ---------------------------------------------------------------------------
@@ -461,12 +462,32 @@ def test_lattice_partition_bookkeeping():
     assert part.coset_count == 4
     assert part.modulo_period == pytest.approx(2.0)
     # representatives live in the fundamental domain of the coarse lattice
-    reps = part.cosets
+    reps = part.representatives(np.arange(part.coset_count))
     assert reps.shape == (4, 2)
     assert np.all(reps >= -part.modulo_period / 2)
     assert np.all(reps < part.modulo_period / 2)
     # all distinct modulo the coarse lattice
     assert len({tuple(r) for r in reps}) == 4
+
+
+def test_digit_map_matches_meshgrid_oracles():
+    # the coset representatives and the vector-perturbation offset grid,
+    # built from precoders.lex_digits, equal the meshgrid tables bit for bit
+    for n_u, q, spacing in itertools.product((1, 2, 3), (2, 3, 4, 5), (1.0, 0.7, 1 / 3)):
+        part = shaping.lattice_partition(n_u=n_u, q=q, spacing=spacing)
+        reps = part.representatives(np.arange(part.coset_count))
+        table = coset_table(part)
+        assert reps.dtype == table.dtype and reps.shape == table.shape
+        assert reps.tobytes() == table.tobytes(), (n_u, q, spacing)
+    for m in range(1, 13):
+        b = 1
+        while b**m <= 4096:
+            grid = precoders._offset_grid(b, m)
+            want = offset_grid(b, m)
+            assert grid.dtype == want.dtype and grid.shape == want.shape
+            assert grid.tobytes() == want.tobytes(), (b, m)
+            assert not grid.flags.writeable
+            b += 1
 
 
 def test_lattice_partition_offsets_centered():
@@ -506,7 +527,7 @@ def test_nested_select_identity_channel_separable():
     part = shaping.lattice_partition(n_u=1, q=2, spacing=1.0)
     rng = _rng()
     for _ in range(20):
-        symbols = part.cosets[rng.integers(0, 4, size=2)]
+        symbols = part.representatives(rng.integers(0, 4, size=2))
         res = shaping.nested_select(ch, symbols.ravel(), part)
         per_user = 0.0
         for blk in symbols:
@@ -520,7 +541,7 @@ def test_nested_select_matches_independent_scan():
         k = int(rng.choice([2, 3, 4]))
         part = shaping.lattice_partition(n_u=1, q=2, spacing=1.0)
         ch = _random_channel(rng, 2 * k)
-        symbols = part.cosets[rng.integers(0, 4, size=k)]
+        symbols = part.representatives(rng.integers(0, 4, size=k))
         res = shaping.nested_select(ch, symbols.ravel(), part)
         # independent oracle: loop every joint shift with itertools
         offs = lattice_offsets(part)
@@ -543,7 +564,7 @@ def test_nested_select_equals_blockwise_vector_perturb():
         part = shaping.lattice_partition(n_u=1, q=q, spacing=spacing)
         ch = _random_channel(rng, 2 * k)
         for _ in range(5):
-            symbols = part.cosets[rng.integers(0, part.coset_count, size=k)]
+            symbols = part.representatives(rng.integers(0, part.coset_count, size=k))
             res = shaping.nested_select(ch, symbols.ravel(), part)
             vp = precoders.vector_perturb(
                 ch, symbols.ravel(), tau=part.modulo_period, b=part.q
@@ -561,7 +582,7 @@ def test_nested_select_receiver_folds_back():
     ch = _random_channel(rng, 4)
     period = part.modulo_period
     for _ in range(200):
-        symbols = part.cosets[rng.integers(0, 4, size=2)]
+        symbols = part.representatives(rng.integers(0, 4, size=2))
         res = shaping.nested_select(ch, symbols.ravel(), part)
         assert precoders.receiver_verify(ch, res, symbols.ravel(), tau=period)
 
@@ -572,7 +593,7 @@ def test_nested_select_offset_is_coarse_lattice_point():
     part = shaping.lattice_partition(n_u=1, q=2, spacing=1.0)
     ch = _random_channel(rng, 4)
     for _ in range(20):
-        symbols = part.cosets[rng.integers(0, 4, size=2)]
+        symbols = part.representatives(rng.integers(0, 4, size=2))
         res = shaping.nested_select(ch, symbols.ravel(), part)
         offset = np.asarray(res.meta["offset"])
         assert np.issubdtype(offset.dtype, np.integer)
@@ -585,7 +606,7 @@ def test_nested_select_validation():
     part = shaping.lattice_partition(n_u=1, q=2, spacing=1.0)
     ch = theory.build_channel(np.eye(4))
     with pytest.raises(DimensionMismatchError):
-        shaping.nested_select(ch, part.cosets[:3].ravel(), part)  # 3*2 != 4
+        shaping.nested_select(ch, part.representatives(np.arange(3)).ravel(), part)  # 3*2 != 4
     with pytest.raises(DimensionMismatchError):
         shaping.nested_select(ch, np.zeros((2, 3)), part)  # not a flat vector
     with pytest.raises(DimensionMismatchError):
@@ -595,6 +616,6 @@ def test_nested_select_validation():
 def test_nested_select_budget():
     part = shaping.lattice_partition(n_u=1, q=8, spacing=1.0)
     ch = theory.build_channel(np.eye(16))
-    symbols = np.tile(part.cosets[0], (8, 1))
+    symbols = np.tile(part.representatives(0), (8, 1))
     with pytest.raises(SearchBudgetExceededError):
         shaping.nested_select(ch, symbols.ravel(), part)  # 64^8 joint shifts
