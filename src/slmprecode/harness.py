@@ -58,6 +58,7 @@ import json
 import math
 import numbers
 import os
+import reprlib
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -96,11 +97,10 @@ TRIAL_CHUNK = 256
 
 def _int(value, name: str) -> int:
     """An integer config field; booleans and non-integral numbers are rejected."""
-    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+    integral = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    if integral or (isinstance(value, float) and value.is_integer()):
         return int(value)
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    raise ConfigError(f"{name} must be an integer, got {value!r}")
+    raise ConfigError(f"{name} must be an integer, got {reprlib.repr(value)}")
 
 
 def _float(value, name: str) -> float:
@@ -108,12 +108,12 @@ def _float(value, name: str) -> float:
     real = isinstance(value, numbers.Real) and not isinstance(value, bool)
     if real and abs(value) <= sys.float_info.max:  # exact for an int: no OverflowError
         return float(value)
-    raise ConfigError(f"{name} must be a finite number, got {value!r}")
+    raise ConfigError(f"{name} must be a finite number, got {reprlib.repr(value)}")
 
 
 def _object(value, name: str) -> Dict:
     if not isinstance(value, dict):
-        raise ConfigError(f"{name} must be a JSON object, got {value!r}")
+        raise ConfigError(f"{name} must be a JSON object, got {reprlib.repr(value)}")
     return dict(value)
 
 
@@ -128,10 +128,10 @@ def _kind(obj: Dict, keys: Dict[str, Tuple[str, ...]], name: str) -> str:
     """``obj["kind"]``, a key of ``keys``; obj may hold only the keys that kind takes."""
     kind = obj.get("kind")
     if not isinstance(kind, str) or kind not in keys:
-        raise ConfigError(f"{name}.kind must be {'/'.join(keys)}, got {kind!r}")
+        raise ConfigError(f"{name}.kind must be {'/'.join(keys)}, got {reprlib.repr(kind)}")
     unknown = obj.keys() - {"kind", *keys[kind]}
     if unknown:
-        raise ConfigError(f"{name} has unknown keys: {sorted(unknown, key=str)}")
+        raise ConfigError(f"{name} has unknown keys: {reprlib.repr(sorted(unknown, key=str))}")
     return kind
 
 
@@ -154,7 +154,7 @@ def _channel_kind(src) -> str:
     if key not in src:
         raise ConfigError(f"channel_source.kind={kind} requires a {key}")
     if kind == "file" and not isinstance(src["path"], str):
-        raise ConfigError(f"channel_source.path must be a string, got {src['path']!r}")
+        raise ConfigError(f"channel_source.path must be a string, got {reprlib.repr(src['path'])}")
     if kind == "random":
         _int(src["seed"], "channel_source.seed")
     return kind
@@ -162,7 +162,7 @@ def _channel_kind(src) -> str:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Experiment description, checked when built; the module docstring has the schema."""
+    """Experiment description (schema in the module docstring), checked however it is built."""
 
     m: int
     channel_source: Dict
@@ -176,35 +176,27 @@ class ExperimentConfig:
     def from_dict(d: Dict) -> "ExperimentConfig":
         if not isinstance(d, dict):
             raise ConfigError("config must be a JSON object")
-        required = {"m", "channel_source", "tau", "precoder", "trials", "master_seed"}
-        allowed = required | {"condition_limit"}
-        missing = required - d.keys()
+        allowed = {f.name for f in dataclasses.fields(ExperimentConfig)}
+        missing = allowed - {"condition_limit"} - d.keys()
         if missing:
             raise ConfigError(f"config is missing keys: {sorted(missing)}")
         unknown = d.keys() - allowed
         if unknown:
-            raise ConfigError(f"config has unknown keys: {sorted(unknown)}")
-        return ExperimentConfig(
-            m=_int(d["m"], "m"),
-            channel_source=_object(d["channel_source"], "channel_source"),
-            tau=_float(d["tau"], "tau"),
-            precoder=_object(d["precoder"], "precoder"),
-            trials=_int(d["trials"], "trials"),
-            master_seed=_int(d["master_seed"], "master_seed"),
-            condition_limit=_float(
-                d.get("condition_limit", theory.CONDITION_LIMIT), "condition_limit"
-            ),
-        )
+            raise ConfigError(f"config has unknown keys: {reprlib.repr(sorted(unknown, key=str))}")
+        return ExperimentConfig(**{"condition_limit": theory.CONDITION_LIMIT, **d})
 
     def __post_init__(self) -> None:
+        for f in dataclasses.fields(self):
+            parse = {"int": _int, "float": _float, "Dict": _object}[f.type]  # str annotations
+            object.__setattr__(self, f.name, parse(getattr(self, f.name), f.name))
         if self.m < 1:
-            raise ConfigError(f"m must be >= 1, got {self.m}")
-        _within_budget(self.m, 2, f"the m x m channel, m = {self.m},")
+            raise ConfigError(f"m must be >= 1, got {reprlib.repr(self.m)}")
+        _within_budget(self.m, 2, f"the m x m channel, m = {reprlib.repr(self.m)},")
         if self.tau <= 0:
             raise ConfigError(f"tau must be positive, got {self.tau}")
         if self.trials < 1:
-            raise ConfigError(f"trials must be >= 1, got {self.trials}")
-        _within_budget(self.trials, 1, f"trials = {self.trials}")
+            raise ConfigError(f"trials must be >= 1, got {reprlib.repr(self.trials)}")
+        _within_budget(self.trials, 1, f"trials = {reprlib.repr(self.trials)}")
         if self.condition_limit <= 1:
             raise ConfigError("condition_limit must exceed 1")
         _channel_kind(self.channel_source)
@@ -363,7 +355,7 @@ def _scheme(cfg: ExperimentConfig) -> Tuple[int, float, _Trial]:
         n = _int(p.get("n", 0), "precoder.n")
         if n < 1:
             raise ConfigError("slm_random requires n >= 1")
-        _within_budget(n * m, 1, f"n * m = {n} * {m}")
+        _within_budget(n * m, 1, f"n * m = {reprlib.repr(n)} * {m}")
         spec = _object(p.get("region", {"kind": "hypercube"}), "precoder.region")
         if _kind(spec, _REGION_KEYS, "precoder.region") == "ball":
             radius = _float(spec.get("radius", 0.0), "region.radius")
@@ -374,7 +366,8 @@ def _scheme(cfg: ExperimentConfig) -> Tuple[int, float, _Trial]:
         else:
             expand = spec.get("expand", True)
             if not isinstance(expand, bool):
-                raise ConfigError(f"region.expand must be true or false, got {expand!r}")
+                got = reprlib.repr(expand)
+                raise ConfigError(f"region.expand must be true or false, got {got}")
             base = regions.hypercube(tau, m)
             region = regions.expanded_region(base, n) if expand else base
         return n, sigma2, functools.partial(_slm_random_trial, region, n, seed)
@@ -382,7 +375,7 @@ def _scheme(cfg: ExperimentConfig) -> Tuple[int, float, _Trial]:
         b = _int(p.get("b", 0), "precoder.b")
         if b < 1:
             raise ConfigError("vector_perturb requires b >= 1")
-        count = _within_budget(b, m, f"b^m = {b}^{m}")
+        count = _within_budget(b, m, f"b^m = {reprlib.repr(b)}^{m}")
         cube = regions.hypercube(tau, m)
         return count, sigma2, functools.partial(_vector_perturb_trial, cube, tau, b, seed)
     if kind == "trellis":
@@ -404,8 +397,9 @@ def _scheme(cfg: ExperimentConfig) -> Tuple[int, float, _Trial]:
     if k_users < 1 or n_u < 1 or q < 2:
         raise ConfigError("nested requires k >= 1, n_u >= 1, q >= 2")
     if k_users * 2 * n_u != m:
-        raise ConfigError(f"nested needs K*2*n_u = m, got {k_users}*2*{n_u} != {m}")
-    count = _within_budget(q, m, f"q^(2 n_u K) = {q}^{m}")
+        got = f"{reprlib.repr(k_users)}*2*{reprlib.repr(n_u)}"
+        raise ConfigError(f"nested needs K*2*n_u = m, got {got} != {m}")
+    count = _within_budget(q, m, f"q^(2 n_u K) = {reprlib.repr(q)}^{m}")
     part = shaping.lattice_partition(n_u, q, spacing=tau / q)
     return count, sigma2, functools.partial(_nested_trial, part, k_users, seed)
 

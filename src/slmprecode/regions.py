@@ -103,8 +103,7 @@ def ball(radius: float, m: int) -> Region:
     if 0.0 < volume < math.inf:
         entropy = math.log2(volume) / m
     else:
-        log_unit = 0.5 * m * math.log(math.pi) - math.lgamma(1.0 + 0.5 * m)
-        entropy = log_unit / (m * math.log(2.0)) + math.log2(radius)
+        entropy = theory.log_ball_volume(m) / (m * math.log(2.0)) + math.log2(radius)
     return Region(
         kind="ball",
         dim=int(m),

@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import functools
 import math
+import reprlib
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -115,7 +116,7 @@ def shaping_code(generators) -> ShapingCode:
     """
     masks = tuple(generators)
     if any(not isinstance(g, (int, np.integer)) or g < 0 for g in masks):
-        raise ConfigError(f"tap masks must be non-negative integers, got {masks!r}")
+        raise ConfigError(f"tap masks must be non-negative integers, got {reprlib.repr(masks)}")
     if len(masks) < 2:
         raise ConfigError(f"need n_s >= 2 output streams, got {len(masks)}")
     return ShapingCode(generators=tuple(int(g) for g in masks))
@@ -125,11 +126,11 @@ def code_from_octal(spec: str) -> ShapingCode:
     """Parse a comma-separated octal generator string, e.g. "7,5"."""
     toks = [t.strip() for t in str(spec).split(",") if t.strip()]
     if not toks:
-        raise ConfigError(f"no generators in {spec!r}")
+        raise ConfigError(f"no generators in {reprlib.repr(spec)}")
     try:
         masks = [int(t, 8) for t in toks]
-    except ValueError as exc:
-        raise ConfigError(f"bad octal generator in {spec!r}: {exc}") from None
+    except ValueError:
+        raise ConfigError(f"bad octal generator in {reprlib.repr(spec)}") from None
     return shaping_code(masks)
 
 
@@ -177,7 +178,8 @@ def pam_constellation(n_levels: int, spacing: float = 1.0) -> PartitionedConstel
     """
     n_levels = int(n_levels)
     if n_levels < 2 or n_levels > 2**53 or n_levels & (n_levels - 1):
-        raise ConfigError(f"n_levels must be a power of two from 2 to 2^53, got {n_levels}")
+        got = reprlib.repr(n_levels)
+        raise ConfigError(f"n_levels must be a power of two from 2 to 2^53, got {got}")
     if spacing <= 0.0:
         raise ConfigError("spacing must be positive")
     return PartitionedConstellation(n_levels=n_levels, spacing=float(spacing))

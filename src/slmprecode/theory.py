@@ -206,19 +206,26 @@ def ball_volume(m: int) -> float:
     return math.pi ** (m / 2.0) / math.gamma(1.0 + m / 2.0)
 
 
+def log_ball_volume(m: int) -> float:
+    """Natural log 0.5 M log(pi) - lgamma(1 + M/2) of the unit M-ball's volume B_M."""
+    if m < 1:
+        raise ValueError("dimension must be >= 1")
+    return 0.5 * m * math.log(math.pi) - math.lgamma(1.0 + 0.5 * m)
+
+
 def slm_limit_uniform(m: int, r: float, region_volume: float) -> float:
     """Large-N limit of E{N^(r/M) * min_i ||s_i||^r} for uniform candidates.
 
     For N i.i.d. candidates uniform over a region of volume V containing the
     origin, the scaled minimum r-th-power norm converges to
-    B_M^(-r/M) * Gamma(1 + r/M) * V^(r/M).
+    B_M^(-r/M) * Gamma(1 + r/M) * V^(r/M), in the log domain: finite for M <= 1024.
     """
     if region_volume <= 0.0:
         raise ValueError("region_volume must be positive")
     if r <= 0.0:
         raise ValueError("order r must be positive")
     rm = r / m
-    return ball_volume(m) ** (-rm) * math.gamma(1.0 + rm) * region_volume ** rm
+    return math.exp(math.lgamma(1.0 + rm) + rm * (math.log(region_volume) - log_ball_volume(m)))
 
 
 def slm_limit_general(m: int, r: float, g_rho: float) -> float:
@@ -226,14 +233,11 @@ def slm_limit_general(m: int, r: float, g_rho: float) -> float:
 
     ``g_rho`` is the infimum over small origin-centered balls of candidate
     probability mass per unit volume; for a uniform distribution over a
-    region of volume V it equals 1/V, recovering ``slm_limit_uniform``.
+    region of volume V it equals 1/V: this is ``slm_limit_uniform`` at V = 1/g_rho.
     """
     if g_rho <= 0.0:
         raise ValueError("g_rho must be positive")
-    if r <= 0.0:
-        raise ValueError("order r must be positive")
-    rm = r / m
-    return ball_volume(m) ** (-rm) * math.gamma(1.0 + rm) * g_rho ** (-rm)
+    return slm_limit_uniform(m, r, 1.0 / g_rho)
 
 
 def e_slm(ch: ChannelMatrix, sigma2: float) -> float:

@@ -8,8 +8,12 @@ partition's shift vectors for scans that do not go through
 ``vector_perturb``, and ``reconstruct`` multiplies an eigensystem back out.
 ``offset_grid`` and ``coset_table`` build the vector-perturbation offsets
 and a partition's coset representatives with ``np.meshgrid``, apart from
-the package's digit map ``precoders.lex_digits``.
+the package's digit map ``precoders.lex_digits``. ``slm_limit_linear`` is
+the selection limit in its linear form, from ``math.gamma`` and powers, apart
+from the package's log-domain ``theory.slm_limit_uniform``.
 """
+
+import math
 
 import numpy as np
 
@@ -98,6 +102,12 @@ def coset_table(part) -> np.ndarray:
     """All q^(2 n_u) coset representatives of a partition, row idx for coset index idx."""
     reps = part.spacing * np.arange(-(part.q // 2), part.q - (part.q // 2))
     return _lex_rows(reps, part.dim)
+
+
+def slm_limit_linear(m, r, volume) -> float:
+    """B_M^(-r/M) * Gamma(1 + r/M) * V^(r/M); math.gamma overflows from M = 342 on."""
+    ball = math.pi ** (m / 2.0) / math.gamma(1.0 + m / 2.0)
+    return ball ** (-r / m) * math.gamma(1.0 + r / m) * volume ** (r / m)
 
 
 def reconstruct(eig) -> np.ndarray:

@@ -206,6 +206,21 @@ def test_exit_code_malformed_config(tmp_path, capsys, overrides, code):
 
 
 @pytest.mark.parametrize(
+    "overrides",
+    [{"tau": 10**400}, {"precoder": [0] * 10**5}, {"precoder": {"kind": "k" * 10**5}},
+     {"channel_source": {"kind": "file", "path": [0] * 10**5}}],
+    ids=["tau_401_digits", "precoder_long_list", "precoder_long_kind", "channel_path_long_list"],
+)
+def test_error_line_shows_a_short_value(tmp_path, capsys, overrides):
+    # a malformed value is abbreviated in the error line, however long it is
+    cfg = _write_cfg(tmp_path, **overrides)
+    assert cli.main(["run", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert len(err.encode()) < 200, err[:300]
+
+
+@pytest.mark.parametrize(
     "m,matrix",
     [(1, [[0.0]]), (2, [[0.0, 0.0], [0.0, 0.0]]), (2, [[1e-300, 0.0], [0.0, 1e-300]]),
      (1, [[1e-200]])],

@@ -337,6 +337,44 @@ def test_replace_checks_the_config():
         dataclasses.replace(cfg, precoder={"kind": "slm_random", "n": 0})
 
 
+def _build(how, **changes):
+    """A config built from a valid one with fields changed, by the constructor or replace."""
+    cfg = harness.ExperimentConfig.from_dict(_base_cfg())
+    if how == "replace":
+        return dataclasses.replace(cfg, **changes)
+    return harness.ExperimentConfig(**{**cfg.to_dict(), **changes})
+
+
+_HOW = pytest.mark.parametrize("how", ["constructor", "replace"])
+
+
+@_HOW
+@pytest.mark.parametrize(
+    "field,value",
+    [("master_seed", 1.5), ("master_seed", True), ("trials", True), ("tau", True),
+     ("tau", "2"), ("tau", math.inf), ("condition_limit", "x"), ("precoder", [1])],
+    ids=["fractional_seed", "boolean_seed", "boolean_trials", "boolean_tau", "string_tau",
+         "infinite_tau", "string_condition_limit", "list_precoder"],
+)
+def test_every_build_checks_the_fields(how, field, value):
+    # from_dict refuses each of these; so must the other two ways to build a config
+    with pytest.raises(ConfigError, match=f"^{field} must be"):
+        _build(how, **{field: value})
+
+
+@_HOW
+def test_every_build_parses_the_fields(how):
+    cfg = _build(how, m=2.0, trials=2.0)
+    assert type(cfg.m) is int and cfg.m == 2
+    assert type(cfg.trials) is int and cfg.trials == 2
+    precoder = {"kind": "vector_perturb", "b": 2}
+    source = {"kind": "random", "seed": 3}
+    cfg = _build(how, precoder=precoder, channel_source=source)
+    # the config holds copies: changing the caller's dicts cannot change it
+    assert cfg.precoder == precoder and cfg.precoder is not precoder
+    assert cfg.channel_source == source and cfg.channel_source is not source
+
+
 @pytest.mark.parametrize(
     "precoder",
     [{"kind": "vector_perturb", "b": 3}, {"kind": "trellis", "generators": "7,5", "pam": 4},
@@ -381,27 +419,36 @@ def test_benchmark_trace_hooks_install(monkeypatch):
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
     tracing = importlib.import_module("tracing")
     originals = [owner.__dict__[attr] for owner, attr, _, _ in tracing.TARGETS]
-    cfg = harness.ExperimentConfig.from_dict(
-        _base_cfg(m=4, channel_source={"kind": "random", "seed": 3}, trials=3,
-                  precoder={"kind": "nested", "k": 2, "n_u": 1, "q": 2})
-    )
-    with tracing.installed(tracing.Tracer()) as tr:
-        harness.run_experiment(cfg)
-    restored = [owner.__dict__[attr] for owner, attr, _, _ in tracing.TARGETS]
-    assert all(a is b for a, b in zip(restored, originals))
-    assert tr.counts["harness.channel_loads"] == 1
-    # a nested trial's 2^4 candidates are counted once, not again by the
+    precoders_by_kind = {
+        "plain": {"kind": "plain"},
+        "slm_random": {"kind": "slm_random", "n": 4},
+        "vector_perturb": {"kind": "vector_perturb", "b": 2},
+        "trellis": {"kind": "trellis", "generators": "7,5", "pam": 4},
+        "nested": {"kind": "nested", "k": 4, "n_u": 1, "q": 2},
+    }
+    counts = {}
+    for kind, precoder in precoders_by_kind.items():
+        cfg = harness.ExperimentConfig.from_dict(
+            _base_cfg(m=8, channel_source={"kind": "random", "seed": 3}, trials=3,
+                      precoder=precoder)
+        )
+        with tracing.installed(tracing.Tracer()) as tr:
+            harness.run_experiment(cfg)
+        restored = [owner.__dict__[attr] for owner, attr, _, _ in tracing.TARGETS]
+        assert all(a is b for a, b in zip(restored, originals))
+        counts[kind] = tr.counts
+    # perfbench's per-report layer metrics index these two counters: one
+    # channel load and one checked snapshot per report, whatever the kind
+    for kind, count in counts.items():
+        assert count["harness.channel_loads"] == 1, kind
+        assert count["harness.config_validations"] == 1, kind
+    # a nested trial's 2^8 candidates are counted once, not again by the
     # vector perturbation search it runs on
-    assert tr.counts["candidates"] == 3 * 16
+    assert counts["nested"]["candidates"] == 3 * 2**8
     # perfbench's shaping.leaves_per_trial reads these two counters
-    cfg = harness.ExperimentConfig.from_dict(
-        _base_cfg(m=8, channel_source={"kind": "random", "seed": 3}, trials=3,
-                  precoder={"kind": "trellis", "generators": "7,5", "pam": 4})
-    )
-    with tracing.installed(tracing.Tracer()) as tr:
-        harness.run_experiment(cfg)
-    assert tr.counts["codewords"] == 3 * shaping.default_code().codeword_count(4)
-    assert tr.counts["rows.shaping.trellis_shape"] >= 3
+    trellis = counts["trellis"]
+    assert trellis["codewords"] == 3 * shaping.default_code().codeword_count(4)
+    assert trellis["rows.shaping.trellis_shape"] >= 3
 
 
 def test_run_experiment_single_trial():

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import slm_limit_linear
 from slmprecode import theory
 from slmprecode.errors import (
     DimensionMismatchError,
@@ -245,6 +246,10 @@ def test_channel_gain_accepts_eigensystem():
 # ---------------------------------------------------------------------------
 
 
+_ORDERS = (1.0, 2.0, 3.5)
+_VOLUMES = (1e-30, 1e-3, 1.0, math.pi, 1e30)
+
+
 def test_ball_volume_known_dimensions():
     assert theory.ball_volume(1) == pytest.approx(2.0, rel=1e-12)
     assert theory.ball_volume(2) == pytest.approx(math.pi, rel=1e-12)
@@ -275,10 +280,12 @@ def test_slm_limit_uniform_volume_scaling():
 
 def test_slm_limit_general_reduces_to_uniform():
     # density 1/V at the origin reproduces the uniform-set limit
-    m, r, vol = 4, 2, 5.0
-    uni = theory.slm_limit_uniform(m, r, vol)
-    gen = theory.slm_limit_general(m, r, g_rho=1.0 / vol)
-    assert gen == pytest.approx(uni, rel=1e-12)
+    for m in (1, 2, 4, 64, 341, 342, 1024):
+        for r in _ORDERS:
+            for vol in _VOLUMES + (5.0,):
+                uni = theory.slm_limit_uniform(m, r, vol)
+                gen = theory.slm_limit_general(m, r, g_rho=1.0 / vol)
+                assert gen == pytest.approx(uni, rel=1e-12)
 
 
 def test_slm_limit_general_hand_value():
@@ -286,6 +293,35 @@ def test_slm_limit_general_hand_value():
     got = theory.slm_limit_general(4, 2, g_rho=1.0)
     want = (math.pi**2 / 2) ** (-0.5) * math.sqrt(math.pi) / 2
     assert got == pytest.approx(want, rel=1e-12)
+
+
+def test_slm_limits_finite_at_every_config_dimension():
+    # configs take m up to 1024; math.gamma(1 + M/2) overflows from M = 342
+    for m in range(1, 1025):
+        for r in _ORDERS:
+            for vol in _VOLUMES:
+                assert math.isfinite(theory.slm_limit_uniform(m, r, vol))
+                assert math.isfinite(theory.slm_limit_general(m, r, 1.0 / vol))
+
+
+def test_slm_limits_match_the_linear_formula():
+    for m in range(1, 342):
+        for r in _ORDERS:
+            for vol in _VOLUMES:
+                want = slm_limit_linear(m, r, vol)
+                assert theory.slm_limit_uniform(m, r, vol) == pytest.approx(want, rel=1e-12)
+
+
+def test_e_slm_is_the_uniform_limit_of_its_ball():
+    # E_SLM is the r = 2 limit over the ball of radius sqrt(M r_eq2):
+    # V = B_M (M r_eq2)^(M/2), so the limit is Gamma(1 + 2/M) M r_eq2
+    rng = _rng()
+    for m in (2, 4, 8):
+        ch = theory.build_channel(rng.standard_normal((m, m)) + 3.0 * np.eye(m))
+        r_eq2 = theory.equivalent_radius_sq(ch, 1.7)
+        vol = theory.ball_volume(m) * (m * r_eq2) ** (m / 2)
+        want = theory.slm_limit_uniform(m, 2, vol)
+        assert theory.e_slm(ch, 1.7) == pytest.approx(want, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
