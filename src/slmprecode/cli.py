@@ -12,7 +12,7 @@ import argparse
 import dataclasses
 import json
 import sys
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from . import harness, theory
 from .errors import ConfigError, PrecodingError
@@ -63,11 +63,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load(args) -> harness.ExperimentConfig:
-    cfg = harness.load_config(args.config)
+def _read(args) -> Dict:
+    """The config file's object with ``--seed`` applied, not yet checked."""
+    d = harness.read_config(args.config)
     if getattr(args, "seed", None) is not None:
-        cfg = dataclasses.replace(cfg, master_seed=args.seed)
-    return cfg
+        d["master_seed"] = args.seed
+    return d
+
+
+def _load(args) -> harness.ExperimentConfig:
+    return harness.ExperimentConfig.from_dict(_read(args))
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -108,7 +113,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    cfg = _load(args)
+    # only the swept points are checked: the file's own N or b may be over the budget
+    cfg = _read(args)
     try:
         values = [int(v) for v in args.values.split(",") if v.strip()]
     except ValueError:

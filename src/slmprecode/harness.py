@@ -5,7 +5,9 @@ independent trials (trial t draws everything it needs from the counter
 stream keyed by (master_seed, t)), and aggregates the empirical transmit
 energy against the closed-form references. Trials are chunked into
 fixed-size blocks reduced in block order, so reports are byte-identical
-for any worker count and across reruns. A config is checked when it is
+for any worker count and across reruns. A chunk owns one stream,
+``regions.Streams(master_seed)``, and re-keys it to (master_seed, t) before
+trial t, so no trial builds a generator. A config is checked when it is
 built, and a report runs one checked snapshot of its config: serial and
 pooled chunks run the one trial that snapshot built. ``trials`` is
 at most ``precoders.SEARCH_BUDGET`` (2^20); a process pool gets no more
@@ -62,7 +64,7 @@ import reprlib
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -219,15 +221,20 @@ class ExperimentConfig:
         return dataclasses.asdict(self)
 
 
+def _reason(exc: Exception) -> str:
+    """Why a file could not be opened, without the file name an OSError's text repeats."""
+    return getattr(exc, "strerror", None) or str(exc)
+
+
 def _read_text(path: str, what: str) -> str:
     """The UTF-8 text of a file: ReportIOError if it cannot be read, ParseError if not text."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
     except OSError as exc:
-        raise ReportIOError(f"cannot read {what} {path!r}: {exc}") from None
+        raise ReportIOError(f"cannot read {what} {reprlib.repr(path)}: {_reason(exc)}") from None
     except ValueError as exc:  # not UTF-8, or a NUL in the path
-        raise ParseError(f"cannot read {what} {path!r}: {exc}") from None
+        raise ParseError(f"cannot read {what} {reprlib.repr(path)}: {exc}") from None
 
 
 def write_text(path: str, text: str, what: str) -> None:
@@ -236,16 +243,23 @@ def write_text(path: str, text: str, what: str) -> None:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
     except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
-        raise ReportIOError(f"cannot write {what} {path!r}: {exc}") from None
+        raise ReportIOError(f"cannot write {what} {reprlib.repr(path)}: {_reason(exc)}") from None
 
 
-def load_config(path: str) -> ExperimentConfig:
-    """Read a JSON config file and build its config."""
+def read_config(path: str) -> Dict:
+    """The JSON object of a config file, not yet checked as a config."""
     try:
         data = json.loads(_read_text(path, "config"))
     except (ValueError, RecursionError) as exc:  # also an over-long integer literal
         raise ParseError(f"config {path} is not valid JSON: {exc}") from None
-    return ExperimentConfig.from_dict(data)
+    if not isinstance(data, dict):
+        raise ConfigError("config must be a JSON object")
+    return data
+
+
+def load_config(path: str) -> ExperimentConfig:
+    """Read a JSON config file and build its config."""
+    return ExperimentConfig.from_dict(read_config(path))
 
 
 def _parse_channel_csv(text: str, path: str) -> np.ndarray:
@@ -304,34 +318,34 @@ def load_channel(
 # ---------------------------------------------------------------------------
 
 
-_Trial = Callable[[ChannelMatrix, int], Tuple[float, float]]
+_Trial = Callable[[ChannelMatrix, np.random.Generator], Tuple[float, float]]
 
 
-def _plain_trial(cube, seed, ch, t):
-    res = precoders.invert_precode(ch, regions.Sampler(cube, seed, t).draw())
+def _plain_trial(cube, ch, gen):
+    res = precoders.invert_precode(ch, regions.draw(cube, gen))
     return res.gamma, res.gamma
 
 
-def _slm_random_trial(region, n, seed, ch, t):
-    candidates = regions.Sampler(region, seed, t).draw(n)
+def _slm_random_trial(region, n, ch, gen):
+    candidates = regions.draw(region, gen, n)
     res = precoders.slm_random(ch, candidates)
     return res.gamma, ch.energy(candidates[0])
 
 
-def _vector_perturb_trial(cube, tau, b, seed, ch, t):
-    u = regions.Sampler(cube, seed, t).draw()
+def _vector_perturb_trial(cube, tau, b, ch, gen):
+    u = regions.draw(cube, gen)
     res = precoders.vector_perturb(ch, u, tau, b)
     return res.gamma, ch.energy(u)
 
 
-def _trellis_trial(code, cons, seed, ch, t):
-    payload = regions.make_stream(seed, t).integers(0, 2, size=ch.m * cons.bits_per_symbol)
+def _trellis_trial(code, cons, ch, gen):
+    payload = gen.integers(0, 2, size=ch.m * cons.bits_per_symbol)
     u0 = shaping.payload_to_coset(payload, cons)
     return shaping.trellis_shape(ch, u0, code).gamma, ch.energy(u0)
 
 
-def _nested_trial(part, k_users, seed, ch, t):
-    idx = regions.make_stream(seed, t).integers(0, part.coset_count, size=k_users)
+def _nested_trial(part, k_users, ch, gen):
+    idx = gen.integers(0, part.coset_count, size=k_users)
     u = part.representatives(idx).reshape(-1)
     return shaping.nested_select(ch, u, part).gamma, ch.energy(u)
 
@@ -340,17 +354,18 @@ def _scheme(cfg: ExperimentConfig) -> Tuple[int, float, _Trial]:
     """Validate the precoder and build its per-report constants once.
 
     Returns (candidate count, sigma^2 of the information source, trial),
-    where ``trial(ch, t)`` runs trial t and returns (gamma of the precoder,
-    gamma with no selection). The trial is one of the ``_*_trial``
-    functions with its constants bound, so it pickles to pool workers.
+    where ``trial(ch, gen)`` runs one trial on the stream ``gen`` and returns
+    (gamma of the precoder, gamma with no selection). The trial is one of
+    the ``_*_trial`` functions with its constants bound, so it pickles to
+    pool workers; the stream is the chunk's, re-keyed per trial.
     This is the only code that branches on the precoder kind.
     """
     p = cfg.precoder
     kind = _kind(p, _PRECODER_KEYS, "precoder")
-    m, tau, seed = cfg.m, cfg.tau, cfg.master_seed
+    m, tau = cfg.m, cfg.tau
     sigma2 = theory.sigma_from_entropy(math.log2(tau))
     if kind == "plain":
-        return 1, sigma2, functools.partial(_plain_trial, regions.hypercube(tau, m), seed)
+        return 1, sigma2, functools.partial(_plain_trial, regions.hypercube(tau, m))
     if kind == "slm_random":
         n = _int(p.get("n", 0), "precoder.n")
         if n < 1:
@@ -370,24 +385,24 @@ def _scheme(cfg: ExperimentConfig) -> Tuple[int, float, _Trial]:
                 raise ConfigError(f"region.expand must be true or false, got {got}")
             base = regions.hypercube(tau, m)
             region = regions.expanded_region(base, n) if expand else base
-        return n, sigma2, functools.partial(_slm_random_trial, region, n, seed)
+        return n, sigma2, functools.partial(_slm_random_trial, region, n)
     if kind == "vector_perturb":
         b = _int(p.get("b", 0), "precoder.b")
         if b < 1:
             raise ConfigError("vector_perturb requires b >= 1")
         count = _within_budget(b, m, f"b^m = {reprlib.repr(b)}^{m}")
         cube = regions.hypercube(tau, m)
-        return count, sigma2, functools.partial(_vector_perturb_trial, cube, tau, b, seed)
+        return count, sigma2, functools.partial(_vector_perturb_trial, cube, tau, b)
     if kind == "trellis":
         if _int(p.get("k_s", 1), "precoder.k_s") != 1:
             raise ConfigError("trellis shaping codes have rate 1/n_s: k_s must be 1")
         code = shaping.code_from_octal(p.get("generators", shaping.DEFAULT_CODE_SPEC))
         if m % code.n_s:
             raise ConfigError(f"m = {m} is not divisible by the code's n_s = {code.n_s}")
-        pam = _int(p.get("pam", 4), "precoder.pam")
-        # max() keeps pam = 0 out of the division; pam_constellation refuses pam < 2
-        cons = shaping.pam_constellation(pam, spacing=tau / max(pam, 1))
-        trial = functools.partial(_trellis_trial, code, cons, seed)
+        # the PAM size is checked before tau / pam can overflow or divide by 0
+        levels = shaping.pam_levels(_int(p.get("pam", 4), "precoder.pam"), "precoder.pam")
+        cons = shaping.pam_constellation(levels, spacing=tau / levels)
+        trial = functools.partial(_trellis_trial, code, cons)
         return code.codeword_count(m // code.n_s), sigma2, trial
     # nested
     k_users = _int(p.get("k", 0), "precoder.k")
@@ -401,23 +416,26 @@ def _scheme(cfg: ExperimentConfig) -> Tuple[int, float, _Trial]:
         raise ConfigError(f"nested needs K*2*n_u = m, got {got} != {m}")
     count = _within_budget(q, m, f"q^(2 n_u K) = {reprlib.repr(q)}^{m}")
     part = shaping.lattice_partition(n_u, q, spacing=tau / q)
-    return count, sigma2, functools.partial(_nested_trial, part, k_users, seed)
+    return count, sigma2, functools.partial(_nested_trial, part, k_users)
 
 
 def _run_chunk(
-    trial: _Trial, ch: ChannelMatrix, k: int, trials: range
+    trial: _Trial, seed: int, ch: ChannelMatrix, k: int, trials: range
 ) -> Tuple[float, float, float]:
     """Worker entry point: sums of gamma / 2^k, its square and plain gamma / 2^k over trials.
 
-    An energy that overflows a float sums to inf, which ``_run`` refuses, so
-    numpy's overflow warning is not raised here.
+    The chunk owns one stream, re-keyed to (seed, t) before trial t, so the
+    trial draws what ``regions.make_stream(seed, t)`` would. An energy that
+    overflows a float sums to inf, which ``_run`` refuses, so numpy's
+    overflow warning is not raised here.
     """
+    at = regions.Streams(seed).at
     sum_g = 0.0
     sum_g2 = 0.0
     sum_plain = 0.0
     with np.errstate(over="ignore"):
         for t in trials:
-            g, g_plain = trial(ch, t)
+            g, g_plain = trial(ch, at(t))
             g = math.ldexp(g, -k)
             sum_g += g
             sum_g2 += g * g
@@ -498,7 +516,7 @@ def _run(cfg: ExperimentConfig, pool: Optional[ProcessPoolExecutor]) -> Experime
     k = math.frexp(rep.e_opt)[1]
     n = cfg.trials
     chunks = (range(s, min(s + TRIAL_CHUNK, n)) for s in range(0, n, TRIAL_CHUNK))
-    chunk = functools.partial(_run_chunk, trial, ch, k)
+    chunk = functools.partial(_run_chunk, trial, cfg.master_seed, ch, k)
     partials = (map if pool is None else pool.map)(chunk, chunks)
     sum_g = 0.0
     sum_g2 = 0.0
@@ -534,20 +552,25 @@ def _run(cfg: ExperimentConfig, pool: Optional[ProcessPoolExecutor]) -> Experime
 
 
 def sweep_experiment(
-    cfg: ExperimentConfig,
+    cfg: Union[ExperimentConfig, Dict],
     param: str,
     values: Sequence[int],
     workers: int = 1,
 ) -> List[ExperimentReport]:
     """Re-run the experiment with the precoder's N or b swept over values.
 
-    Every point is checked before any runs, and all points share one
-    process pool when ``workers > 1``.
+    ``cfg`` is a config or a config dict (``read_config``). Only the swept
+    points are built and checked, all before any runs, so a dict whose own N
+    or b is over the budget still sweeps values within it. All points share
+    one process pool when ``workers > 1``.
     """
     if param not in ("n", "b"):
         raise ConfigError(f"sweep parameter must be 'n' or 'b', got {param!r}")
-    cfgs = [dataclasses.replace(cfg, precoder={**cfg.precoder, param: int(v)}) for v in values]
-    return _run_all(cfgs, workers)
+    if isinstance(cfg, ExperimentConfig):  # not to_dict: that copies an inline matrix
+        cfg = {f.name: getattr(cfg, f.name) for f in dataclasses.fields(cfg)}
+    precoder = _object(cfg.get("precoder"), "precoder")
+    points = [{**cfg, "precoder": {**precoder, param: int(v)}} for v in values]
+    return _run_all([ExperimentConfig.from_dict(d) for d in points], workers)
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,14 @@ differential entropy of its distribution, in bits; a finite region's
 Lebesgue volume is derived on read.
 
 Randomness is counter-based: every stream is a numpy Philox generator keyed
-by a pair of 64-bit words, so parallel trials derive independent,
-scheduling-independent streams from (master_seed, trial_index) without any
-coordination.
+by a pair of 64-bit words (``stream_key``), so parallel trials derive
+independent, scheduling-independent streams from (master_seed, trial_index)
+without any coordination. ``make_stream`` builds one such stream. A chunk of
+trials owns one ``Streams(master_seed)``, which re-keys a single generator to
+each trial's (master_seed, t) under the same key law, so it draws the bits
+that ``make_stream(master_seed, t)`` would without building a generator per
+trial. ``draw`` is the one sampling law of a region, used by ``Sampler`` and
+by the trials.
 """
 
 from __future__ import annotations
@@ -31,10 +36,38 @@ CHANNEL_STREAM_TAG = 0xFFFF_FFFF_FFFF_FFFF
 LOG2_TWO_PI_E = math.log2(2.0 * math.pi * math.e)
 
 
+def stream_key(seed: int, index: int) -> np.ndarray:
+    """The Philox key of stream (seed, index): the seed's low 64 bits, then the index."""
+    return np.array([seed & 0xFFFF_FFFF_FFFF_FFFF, index], dtype=np.uint64)
+
+
 def make_stream(seed: int, index: int) -> np.random.Generator:
     """Independent Philox stream keyed by (seed, index)."""
-    key = np.array([np.uint64(seed & 0xFFFF_FFFF_FFFF_FFFF), np.uint64(index)], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.Philox(key=stream_key(seed, index)))
+
+
+class Streams:
+    """The streams (seed, index) of one seed, through one generator that ``at`` re-keys.
+
+    After ``at(index)`` the generator draws exactly the bits of
+    ``make_stream(seed, index)``. Re-keying assigns a state built once (key
+    word set to the index, counter zeroed, nothing buffered), which costs a
+    fraction of building a generator. Every call returns the same generator,
+    re-keyed, so a stream is read to its end before the next ``at``.
+    """
+
+    __slots__ = ("_bits", "_gen", "_state", "_key")
+
+    def __init__(self, seed: int) -> None:
+        self._bits = np.random.Philox(key=stream_key(seed, 0))
+        self._gen = np.random.Generator(self._bits)
+        self._state = self._bits.state  # a copy: the start of stream (seed, 0)
+        self._key = self._state["state"]["key"]
+
+    def at(self, index: int) -> np.random.Generator:
+        self._key[1] = index
+        self._bits.state = self._state
+        return self._gen
 
 
 def channel_stream(seed: int) -> np.random.Generator:
@@ -147,25 +180,29 @@ class Sampler:
         self.gen = make_stream(self.seed, self.stream_index)
 
     def draw(self, n: Optional[int] = None) -> np.ndarray:
-        """One sample (shape (M,)) or a batch of n samples (shape (n, M)).
+        """``draw(self.region, self.gen, n)``: the next sample or batch of this stream."""
+        return draw(self.region, self.gen, n)
 
-        Hypercube coordinates are i.i.d. uniform on [-tau/2, tau/2). A ball
-        sample is a normalized standard Gaussian direction with norm
-        radius * U^(1/M), the inverse CDF of the radial distribution. A
-        Gaussian sample colors white noise with the region's Cholesky factor.
-        """
-        r = self.region
-        shape = (r.dim,) if n is None else (int(n), r.dim)
-        if r.kind == "hypercube":
-            return r.tau * (self.gen.random(shape) - 0.5)
-        if r.kind == "ball":
-            g = self.gen.standard_normal(shape)
-            norms = np.linalg.norm(g, axis=-1, keepdims=True)
-            # A zero Gaussian draw has probability zero; guard anyway.
-            norms = np.where(norms == 0.0, 1.0, norms)
-            u = self.gen.random(shape[:-1] + (1,))
-            return g / norms * (r.radius * u ** (1.0 / r.dim))
-        return self.gen.standard_normal(shape) @ r.chol.T
+
+def draw(region: Region, gen: np.random.Generator, n: Optional[int] = None) -> np.ndarray:
+    """One sample (shape (M,)) or a batch of n samples (shape (n, M)) of region from gen.
+
+    Hypercube coordinates are i.i.d. uniform on [-tau/2, tau/2). A ball
+    sample is a normalized standard Gaussian direction with norm
+    radius * U^(1/M), the inverse CDF of the radial distribution. A
+    Gaussian sample colors white noise with the region's Cholesky factor.
+    """
+    shape = (region.dim,) if n is None else (int(n), region.dim)
+    if region.kind == "hypercube":
+        return region.tau * (gen.random(shape) - 0.5)
+    if region.kind == "ball":
+        g = gen.standard_normal(shape)
+        norms = np.linalg.norm(g, axis=-1, keepdims=True)
+        # A zero Gaussian draw has probability zero; guard anyway.
+        norms = np.where(norms == 0.0, 1.0, norms)
+        u = gen.random(shape[:-1] + (1,))
+        return g / norms * (region.radius * u ** (1.0 / region.dim))
+    return gen.standard_normal(shape) @ region.chol.T
 
 
 def expanded_region(base: Region, n_candidates: int) -> Region:

@@ -169,17 +169,25 @@ class PartitionedConstellation:
         return self.n_levels.bit_length() - 1
 
 
-def pam_constellation(n_levels: int, spacing: float = 1.0) -> PartitionedConstellation:
-    """Symmetric uniform PAM with a sign/magnitude bit labeling.
+def pam_levels(n_levels: int, name: str = "n_levels") -> int:
+    """A PAM size as an int: a power of two from 2 to 2^53, else a ConfigError naming ``name``.
 
-    ``n_levels`` must be a power of two from 2 to 2^53, so that each
-    magnitude index k and k + 1/2 are exact in a float64 and the labeling's
-    int64 arithmetic cannot overflow; ``spacing`` must be positive.
+    Within that range each magnitude index k and k + 1/2 are exact in a
+    float64 and the labeling's int64 arithmetic cannot overflow.
     """
     n_levels = int(n_levels)
     if n_levels < 2 or n_levels > 2**53 or n_levels & (n_levels - 1):
         got = reprlib.repr(n_levels)
-        raise ConfigError(f"n_levels must be a power of two from 2 to 2^53, got {got}")
+        raise ConfigError(f"{name} must be a power of two from 2 to 2^53, got {got}")
+    return n_levels
+
+
+def pam_constellation(n_levels: int, spacing: float = 1.0) -> PartitionedConstellation:
+    """Symmetric uniform PAM with a sign/magnitude bit labeling.
+
+    ``n_levels`` is checked by ``pam_levels``; ``spacing`` must be positive.
+    """
+    n_levels = pam_levels(n_levels)
     if spacing <= 0.0:
         raise ConfigError("spacing must be positive")
     return PartitionedConstellation(n_levels=n_levels, spacing=float(spacing))
@@ -195,14 +203,19 @@ def payload_to_coset(payload_bits, cons: PartitionedConstellation) -> np.ndarray
     code carry the same information.
     """
     bps = cons.bits_per_symbol
-    payload = np.asarray(payload_bits).astype(np.int64)
+    payload = np.asarray(payload_bits)
     if payload.ndim != 1 or payload.size % bps:
         raise LengthMismatchError(
             f"payload must be a flat sequence of {bps}-bit symbols, got shape {payload.shape}"
         )
-    if not np.all((payload == 0) | (payload == 1)):
-        raise LengthMismatchError("payload bits must contain only 0/1 values")
-    bits = payload.reshape(-1, bps)
+    not_bits = "payload bits must contain only 0/1 values"
+    # other than integers, values are checked before the cast, which truncates 0.5 to 0
+    if payload.dtype.kind not in "biu" and not np.all((payload == 0) | (payload == 1)):
+        raise LengthMismatchError(not_bits)
+    bits = payload.astype(np.int64)
+    if (bits & -2).any():
+        raise LengthMismatchError(not_bits)
+    bits = bits.reshape(-1, bps)
     k = bits[:, 1:] @ (1 << np.arange(bps - 2, -1, -1))
     return (1.0 - 2.0 * bits[:, 0]) * cons.spacing * (k + 0.5)
 

@@ -220,6 +220,46 @@ def test_error_line_shows_a_short_value(tmp_path, capsys, overrides):
     assert len(err.encode()) < 200, err[:300]
 
 
+@pytest.mark.parametrize("pam", [10**400, 2**60, 3, 0], ids=["401_digits", "2_60", "3", "0"])
+def test_trellis_pam_error_names_the_pam_size(tmp_path, capsys, pam):
+    # the PAM size is checked before tau / pam is formed
+    cfg = _write_cfg(tmp_path, precoder={"kind": "trellis", "pam": pam})
+    assert cli.main(["run", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: precoder.pam must be a power of two") and err.count("\n") == 1
+    assert len(err.encode()) < 200, err[:300]
+
+
+@pytest.mark.parametrize("where", ["config", "channel", "out"])
+def test_io_error_line_shows_a_short_path(tmp_path, capsys, where):
+    # a path too long to open is abbreviated, and the OS's reason does not repeat it
+    long_path = str(tmp_path / ("p" * 10**5))
+    argv = ["run", "--config", _write_cfg(tmp_path)]
+    if where == "config":
+        argv[2] = long_path
+    elif where == "channel":
+        argv[2] = _write_cfg(tmp_path, channel_source={"kind": "file", "path": long_path})
+    else:
+        argv += ["--out", long_path]
+    assert cli.main(argv) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot") and err.count("\n") == 1
+    assert len(err.encode()) < 200, err[:300]
+
+
+def test_sweep_checks_only_its_points(tmp_path, capsys):
+    # the file's own n * m = 2^21 is over the budget, the swept points are not
+    cfg = _write_cfg(tmp_path, m=4, channel_source={"kind": "random", "seed": 7}, trials=16,
+                     precoder={"kind": "slm_random", "n": 2**19})
+    assert cli.main(["sweep", "--config", cfg, "--param", "n", "--values", "4,8"]) == 0
+    rows = capsys.readouterr().out.strip().split("\n")[1:]
+    assert [row.split(",")[2] for row in rows] == ["4", "8"]
+    # a swept point over the budget is still refused, before any point runs
+    assert cli.main(["sweep", "--config", cfg, "--param", "n", "--values", f"4,{2**19}"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error:")
+
+
 @pytest.mark.parametrize(
     "m,matrix",
     [(1, [[0.0]]), (2, [[0.0, 0.0], [0.0, 0.0]]), (2, [[1e-300, 0.0], [0.0, 1e-300]]),

@@ -73,8 +73,10 @@ def test_report_bytes_match_golden(name, tmp_path, goldens):
     assert _report_bytes(name, tmp_path) == goldens[name]
 
 
-def test_report_bytes_match_golden_two_workers(tmp_path, goldens):
-    assert _report_bytes("file_channel", tmp_path, workers=2) == goldens["file_channel"]
+@pytest.mark.parametrize("name", sorted(PRECODERS))
+def test_report_bytes_match_golden_two_workers(name, tmp_path, goldens):
+    # each pooled chunk owns its stream and re-keys it per trial
+    assert _report_bytes(name, tmp_path, workers=2) == goldens[name]
 
 
 if __name__ == "__main__":

@@ -33,6 +33,49 @@ def test_channel_stream_distinct_from_trial_streams():
         assert not np.array_equal(ch, trial)
 
 
+def _draws(gen):
+    # odd counts of 32-bit draws leave a uint32 buffered in the bit generator,
+    # so a re-key that kept it would shift every later draw
+    return [
+        gen.integers(0, 7, size=3),
+        gen.random(5),
+        gen.integers(0, 2**40, size=1),
+        gen.standard_normal(3),
+        gen.random(3, dtype=np.float32),
+        gen.integers(0, 2, size=7, dtype=np.int32),
+        gen.standard_normal(1),
+    ]
+
+
+def _same(a, b):
+    return all(x.dtype == y.dtype and np.array_equal(x, y) for x, y in zip(a, b))
+
+
+@pytest.mark.parametrize("seed", [2024, -5, 2**70 + 3])
+def test_streams_rekey_to_make_stream(seed):
+    # the chunk stream re-keyed to t draws the bits of make_stream(seed, t),
+    # whatever the stream drew before, also when re-keyed back to an earlier t
+    streams = regions.Streams(seed)
+    order = list(range(300)) + [17, 0, 299, 17]
+    for t in order:
+        assert _same(_draws(streams.at(t)), _draws(regions.make_stream(seed, t))), t
+
+
+@pytest.mark.parametrize(
+    "region",
+    [regions.hypercube(2.0, 3), regions.ball(1.5, 3), regions.gaussian(np.diag([1.0, 2.0, 3.0]))],
+    ids=["hypercube", "ball", "gaussian"],
+)
+@pytest.mark.parametrize("n", [None, 5])
+def test_draw_on_a_rekeyed_stream_is_the_sampler_draw(region, n):
+    # trials draw with regions.draw on the chunk stream; API users with a Sampler
+    streams = regions.Streams(31)
+    for t in (4, 1, 4):
+        a = regions.draw(region, streams.at(t), n)
+        b = regions.Sampler(region, 31, t).draw(n)
+        assert np.array_equal(a, b)
+
+
 # ---------------------------------------------------------------------------
 # region factories
 # ---------------------------------------------------------------------------

@@ -204,6 +204,27 @@ def test_payload_to_coset_validation():
         shaping.payload_to_coset([[0, 1], [1, 0]], con)
 
 
+@pytest.mark.parametrize(
+    "payload",
+    [[0.5, 1, 0, 1], [1.0, 0.0, 1.5, 0.0], [float("nan"), 1, 0, 1], [-1, 1, 0, 1],
+     np.array([2**64 - 1, 1, 0, 1], dtype=np.uint64)],
+    ids=["half", "one_and_a_half", "nan", "minus_one", "uint64_max"],
+)
+def test_payload_to_coset_refuses_values_that_are_not_bits(payload):
+    # a fraction is refused, not truncated to a bit by the int64 cast
+    con = shaping.pam_constellation(4, spacing=1.0)
+    with pytest.raises(LengthMismatchError):
+        shaping.payload_to_coset(payload, con)
+
+
+def test_payload_to_coset_takes_bits_of_any_numeric_type():
+    con = shaping.pam_constellation(4, spacing=1.0)
+    expected = shaping.payload_to_coset([1, 0, 0, 1], con)
+    for payload in ([1.0, 0.0, 0.0, 1.0], [True, False, False, True],
+                    np.array([1, 0, 0, 1], dtype=np.uint8)):
+        assert np.array_equal(shaping.payload_to_coset(payload, con), expected)
+
+
 # ---------------------------------------------------------------------------
 # trellis search
 # ---------------------------------------------------------------------------
