@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import reprlib
 import sys
 from typing import Dict, List, Optional
 
@@ -118,7 +119,9 @@ def cmd_sweep(args) -> int:
     try:
         values = [int(v) for v in args.values.split(",") if v.strip()]
     except ValueError:
-        raise ConfigError(f"--values must be comma-separated integers: {args.values!r}")
+        raise ConfigError(
+            f"--values must be comma-separated integers, got {reprlib.repr(args.values)}"
+        ) from None
     if not values:
         raise ConfigError("--values is empty")
     reports = harness.sweep_experiment(cfg, args.param, values, workers=args.workers)

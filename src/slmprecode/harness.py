@@ -13,10 +13,20 @@ pooled chunks run the one trial that snapshot built. ``trials`` is
 at most ``precoders.SEARCH_BUDGET`` (2^20); a process pool gets no more
 processes than the largest config has chunks or than there are usable CPUs.
 
-Every trial draws a data vector and hands it to its precoder: the trellis
-trial maps its payload bits to the zero-codeword point once, with
-``shaping.payload_to_coset``, and the nested trial stacks its users' coset
-representatives, computed from the drawn indices, into one M-vector.
+A chunk runs its trials a group at a time. Each trial re-keys the stream
+and draws its own variates into its row of the group's array; then the
+array work runs once for the group: the hypercube map, the PAM map of the
+trellis payloads (the one behind ``shaping.payload_to_coset``), the nested
+users' coset representatives, and, for vector perturbation and nested, the
+fold, the candidates and one ``ChannelMatrix.energies`` call over every
+candidate row of the group with an argmin per trial, the private row kernel
+behind ``precoders.vector_perturb``. A group holds at most
+``theory.ENERGY_BLOCK`` candidate rows, and a trial with more is a group of
+its own. The energies whose bits would change if batched stay per trial:
+gamma = ||H^-1 u||^2 of the chosen vector and the energy with no selection.
+The trellis search and the ``slm_random`` selection run once per trial.
+A vector-perturbation chunk builds its offset grid once and frees it when
+it ends.
 
 Config files are JSON mirroring ExperimentConfig field names::
 
@@ -64,7 +74,7 @@ import reprlib
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -318,46 +328,75 @@ def load_channel(
 # ---------------------------------------------------------------------------
 
 
-_Trial = Callable[[ChannelMatrix, np.random.Generator], Tuple[float, float]]
+# trial(ch, streams, trials) yields (gamma of the precoder, gamma with no
+# selection) for each trial t of the range, drawn from streams.at(t)
+_Trial = Callable[[ChannelMatrix, regions.Streams, range], Iterator[Tuple[float, float]]]
+
+# Candidate rows whose energies one group of trials evaluates together: one
+# energy block, so a group's arrays stay as small as that block's product; a
+# trial with more candidates than that is a group of its own.
+_GROUP_ROWS = theory.ENERGY_BLOCK
 
 
-def _plain_trial(cube, ch, gen):
-    res = precoders.invert_precode(ch, regions.draw(cube, gen))
-    return res.gamma, res.gamma
+def _groups(trials: range, rows: int) -> Iterator[range]:
+    """``trials`` in consecutive groups of trials with at most _GROUP_ROWS rows, one at least."""
+    size = max(1, _GROUP_ROWS // rows)
+    return (trials[i:i + size] for i in range(0, len(trials), size))
 
 
-def _slm_random_trial(region, n, ch, gen):
-    candidates = regions.draw(region, gen, n)
-    res = precoders.slm_random(ch, candidates)
-    return res.gamma, ch.energy(candidates[0])
+def _integer_rows(streams: regions.Streams, trials: range, high: int, size: int) -> np.ndarray:
+    """Row i: the ``size`` integers in [0, high) that trial ``trials[i]`` draws from its stream."""
+    out = np.empty((len(trials), size), dtype=np.int64)
+    for row, t in zip(out, trials):
+        row[:] = streams.at(t).integers(0, high, size=size)
+    return out
 
 
-def _vector_perturb_trial(cube, tau, b, ch, gen):
-    u = regions.draw(cube, gen)
-    res = precoders.vector_perturb(ch, u, tau, b)
-    return res.gamma, ch.energy(u)
+def _nested_rows(part, k_users, streams, trials) -> np.ndarray:
+    """Row i: the K users' stacked coset representatives of trial ``trials[i]``."""
+    idx = _integer_rows(streams, trials, part.coset_count, k_users)
+    return part.representatives(idx).reshape(len(trials), -1)
 
 
-def _trellis_trial(code, cons, ch, gen):
-    payload = gen.integers(0, 2, size=ch.m * cons.bits_per_symbol)
-    u0 = shaping.payload_to_coset(payload, cons)
-    return shaping.trellis_shape(ch, u0, code).gamma, ch.energy(u0)
+def _plain_chunk(cube, ch, streams, trials):
+    for group in _groups(trials, 1):
+        for u in regions.draw_rows(cube, streams, group):
+            g = precoders._transmit(ch, u)[1]
+            yield g, g
 
 
-def _nested_trial(part, k_users, ch, gen):
-    idx = gen.integers(0, part.coset_count, size=k_users)
-    u = part.representatives(idx).reshape(-1)
-    return shaping.nested_select(ch, u, part).gamma, ch.energy(u)
+def _slm_random_chunk(region, n, ch, streams, trials):
+    for t in trials:
+        candidates = regions.draw(region, streams.at(t), n)
+        gammas = precoders.slm_random(ch, candidates).gamma, ch.energy(candidates[0])
+        del candidates  # freed before the yield, not kept while the next trial draws
+        yield gammas
+
+
+def _perturb_chunk(draw_rows, tau, b, ch, streams, trials):
+    """Vector perturbation (period tau, b offsets per coordinate) of the rows ``draw_rows`` gives."""
+    scaled = tau * precoders._offset_grid(b, ch.m)
+    for group in _groups(trials, len(scaled)):
+        u = draw_rows(streams, group)
+        chosen, _ = precoders._perturb_rows(ch, u, scaled, tau)
+        for row, u_row in zip(chosen, u):
+            yield precoders._transmit(ch, row)[1], ch.energy(u_row)
+
+
+def _trellis_chunk(code, cons, ch, streams, trials):
+    for group in _groups(trials, 1):
+        payload = _integer_rows(streams, group, 2, ch.m * cons.bits_per_symbol)
+        for u0 in shaping._pam_map(payload, cons):
+            yield shaping.trellis_shape(ch, u0, code).gamma, ch.energy(u0)
 
 
 def _scheme(cfg: ExperimentConfig) -> Tuple[int, float, _Trial]:
     """Validate the precoder and build its per-report constants once.
 
     Returns (candidate count, sigma^2 of the information source, trial),
-    where ``trial(ch, gen)`` runs one trial on the stream ``gen`` and returns
-    (gamma of the precoder, gamma with no selection). The trial is one of
-    the ``_*_trial`` functions with its constants bound, so it pickles to
-    pool workers; the stream is the chunk's, re-keyed per trial.
+    the trial (``_Trial``) being one of the ``_*_chunk`` functions with its
+    constants bound, so it pickles to pool workers. ``nested`` runs the
+    vector perturbation chunk on the rows of its users' representatives.
     This is the only code that branches on the precoder kind.
     """
     p = cfg.precoder
@@ -365,7 +404,7 @@ def _scheme(cfg: ExperimentConfig) -> Tuple[int, float, _Trial]:
     m, tau = cfg.m, cfg.tau
     sigma2 = theory.sigma_from_entropy(math.log2(tau))
     if kind == "plain":
-        return 1, sigma2, functools.partial(_plain_trial, regions.hypercube(tau, m))
+        return 1, sigma2, functools.partial(_plain_chunk, regions.hypercube(tau, m))
     if kind == "slm_random":
         n = _int(p.get("n", 0), "precoder.n")
         if n < 1:
@@ -385,14 +424,14 @@ def _scheme(cfg: ExperimentConfig) -> Tuple[int, float, _Trial]:
                 raise ConfigError(f"region.expand must be true or false, got {got}")
             base = regions.hypercube(tau, m)
             region = regions.expanded_region(base, n) if expand else base
-        return n, sigma2, functools.partial(_slm_random_trial, region, n)
+        return n, sigma2, functools.partial(_slm_random_chunk, region, n)
     if kind == "vector_perturb":
         b = _int(p.get("b", 0), "precoder.b")
         if b < 1:
             raise ConfigError("vector_perturb requires b >= 1")
         count = _within_budget(b, m, f"b^m = {reprlib.repr(b)}^{m}")
-        cube = regions.hypercube(tau, m)
-        return count, sigma2, functools.partial(_vector_perturb_trial, cube, tau, b)
+        draw_rows = functools.partial(regions.draw_rows, regions.hypercube(tau, m))
+        return count, sigma2, functools.partial(_perturb_chunk, draw_rows, tau, b)
     if kind == "trellis":
         if _int(p.get("k_s", 1), "precoder.k_s") != 1:
             raise ConfigError("trellis shaping codes have rate 1/n_s: k_s must be 1")
@@ -402,7 +441,7 @@ def _scheme(cfg: ExperimentConfig) -> Tuple[int, float, _Trial]:
         # the PAM size is checked before tau / pam can overflow or divide by 0
         levels = shaping.pam_levels(_int(p.get("pam", 4), "precoder.pam"), "precoder.pam")
         cons = shaping.pam_constellation(levels, spacing=tau / levels)
-        trial = functools.partial(_trellis_trial, code, cons)
+        trial = functools.partial(_trellis_chunk, code, cons)
         return code.codeword_count(m // code.n_s), sigma2, trial
     # nested
     k_users = _int(p.get("k", 0), "precoder.k")
@@ -416,7 +455,8 @@ def _scheme(cfg: ExperimentConfig) -> Tuple[int, float, _Trial]:
         raise ConfigError(f"nested needs K*2*n_u = m, got {got} != {m}")
     count = _within_budget(q, m, f"q^(2 n_u K) = {reprlib.repr(q)}^{m}")
     part = shaping.lattice_partition(n_u, q, spacing=tau / q)
-    return count, sigma2, functools.partial(_nested_trial, part, k_users)
+    draw_rows = functools.partial(_nested_rows, part, k_users)
+    return count, sigma2, functools.partial(_perturb_chunk, draw_rows, part.modulo_period, q)
 
 
 def _run_chunk(
@@ -424,18 +464,17 @@ def _run_chunk(
 ) -> Tuple[float, float, float]:
     """Worker entry point: sums of gamma / 2^k, its square and plain gamma / 2^k over trials.
 
-    The chunk owns one stream, re-keyed to (seed, t) before trial t, so the
-    trial draws what ``regions.make_stream(seed, t)`` would. An energy that
-    overflows a float sums to inf, which ``_run`` refuses, so numpy's
-    overflow warning is not raised here.
+    The chunk owns one stream, which the trial re-keys to (seed, t) before
+    trial t draws, so it draws what ``regions.make_stream(seed, t)`` would.
+    The trial's values are summed in trial order. An energy that overflows
+    a float sums to inf, which ``_run`` refuses, so numpy's overflow warning
+    is not raised here.
     """
-    at = regions.Streams(seed).at
     sum_g = 0.0
     sum_g2 = 0.0
     sum_plain = 0.0
     with np.errstate(over="ignore"):
-        for t in trials:
-            g, g_plain = trial(ch, at(t))
+        for g, g_plain in trial(ch, regions.Streams(seed), trials):
             g = math.ldexp(g, -k)
             sum_g += g
             sum_g2 += g * g
@@ -569,7 +608,7 @@ def sweep_experiment(
     if isinstance(cfg, ExperimentConfig):  # not to_dict: that copies an inline matrix
         cfg = {f.name: getattr(cfg, f.name) for f in dataclasses.fields(cfg)}
     precoder = _object(cfg.get("precoder"), "precoder")
-    points = [{**cfg, "precoder": {**precoder, param: int(v)}} for v in values]
+    points = [{**cfg, "precoder": {**precoder, param: v}} for v in values]
     return _run_all([ExperimentConfig.from_dict(d) for d in points], workers)
 
 

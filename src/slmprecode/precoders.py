@@ -17,9 +17,8 @@ data exactly (the independency condition).
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
-from typing import Any, Dict
+from typing import Any, Dict, Tuple
 
 import numpy as np
 
@@ -55,14 +54,20 @@ class PrecodeResult:
     meta: Dict[str, Any] = field(default_factory=dict)
 
 
+def _transmit(ch: ChannelMatrix, u: np.ndarray) -> Tuple[np.ndarray, float]:
+    """s = H^-1 u and gamma = ||s||^2 of one data vector: a GEMV and a dot product."""
+    s = ch.h_inv @ u
+    return s, float(s @ s)
+
+
 def precode_result(ch: ChannelMatrix, u: np.ndarray, index: int, count: int,
                    **meta: Any) -> PrecodeResult:
     """The result of transmitting ``u``: s = H^-1 u and gamma = ||s||^2."""
-    s = ch.h_inv @ u
+    s, gamma = _transmit(ch, u)
     return PrecodeResult(
         u_chosen=u,
         s=s,
-        gamma=float(s @ s),
+        gamma=gamma,
         candidate_index=index,
         n_candidates=count,
         meta=meta,
@@ -117,18 +122,30 @@ def lex_digits(idx, base: int, width: int) -> np.ndarray:
     return digits
 
 
-@functools.lru_cache(maxsize=1)
 def _offset_grid(b: int, m: int) -> np.ndarray:
-    """The b^m offset vectors as float rows, read-only and built once per (b, m).
+    """The b^m offset vectors as float rows, the first coordinate varying slowest.
 
-    Only the latest grid is kept: a report or a sweep point uses one (b, m),
-    and a grid may be as large as SEARCH_BUDGET rows.
-
-    Lexicographic row order: the first coordinate varies slowest.
+    A grid may be as large as SEARCH_BUDGET rows, so it is built for one
+    search, or one chunk of trials, and not kept.
     """
-    rows = lex_digits(np.arange(b**m), b, m) + float(offset_range(b)[0])
-    rows.flags.writeable = False
-    return rows
+    return lex_digits(np.arange(b**m), b, m) + float(offset_range(b)[0])
+
+
+def _perturb_rows(ch: ChannelMatrix, u: np.ndarray, scaled: np.ndarray,
+                  tau: float) -> Tuple[np.ndarray, np.ndarray]:
+    """Vector perturbation of each row of ``u``: the chosen rows and their candidate indices.
+
+    ``scaled`` is tau times the offset grid. Row i's candidates are its fold
+    into [-tau/2, tau/2) plus each row of ``scaled``; the energies of every
+    candidate of every row come from one ``ch.energies`` call, whose rows
+    keep their bits whatever rows share the call, and ties go to the lowest
+    index.
+    """
+    base = fold_interval(u, tau)
+    candidates = scaled + base[:, None, :]
+    energies = ch.energies(candidates.reshape(-1, ch.m)).reshape(len(u), -1)
+    best = energies.argmin(axis=1)
+    return candidates[np.arange(len(u)), best], best
 
 
 def vector_perturb(
@@ -160,14 +177,10 @@ def vector_perturb(
         raise SearchBudgetExceededError(
             f"b^M = {b}^{m} = {n} exceeds the exhaustive-search budget {SEARCH_BUDGET}"
         )
-    base = fold_interval(u, tau)
-    candidates = tau * _offset_grid(b, m)
-    candidates += base
-    energies = ch.energies(candidates)
-    best = int(np.argmin(energies))
-    u_chosen = candidates[best].copy()
+    chosen, best = _perturb_rows(ch, u[None], tau * _offset_grid(b, m), tau)
+    u_chosen = chosen[0]
     l_total = np.rint((u_chosen - u) / tau).astype(np.int64)
-    return precode_result(ch, u_chosen, best, n, offset=l_total, tau=float(tau), b=b)
+    return precode_result(ch, u_chosen, int(best[0]), n, offset=l_total, tau=float(tau), b=b)
 
 
 def fold_interval(x, tau: float):

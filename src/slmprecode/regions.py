@@ -15,7 +15,8 @@ trials owns one ``Streams(master_seed)``, which re-keys a single generator to
 each trial's (master_seed, t) under the same key law, so it draws the bits
 that ``make_stream(master_seed, t)`` would without building a generator per
 trial. ``draw`` is the one sampling law of a region, used by ``Sampler`` and
-by the trials.
+by the trials; ``draw_rows`` stacks one hypercube draw per stream of a
+``Streams``.
 """
 
 from __future__ import annotations
@@ -194,7 +195,7 @@ def draw(region: Region, gen: np.random.Generator, n: Optional[int] = None) -> n
     """
     shape = (region.dim,) if n is None else (int(n), region.dim)
     if region.kind == "hypercube":
-        return region.tau * (gen.random(shape) - 0.5)
+        return _cube(region, gen.random(shape))
     if region.kind == "ball":
         g = gen.standard_normal(shape)
         norms = np.linalg.norm(g, axis=-1, keepdims=True)
@@ -203,6 +204,27 @@ def draw(region: Region, gen: np.random.Generator, n: Optional[int] = None) -> n
         u = gen.random(shape[:-1] + (1,))
         return g / norms * (region.radius * u ** (1.0 / region.dim))
     return gen.standard_normal(shape) @ region.chol.T
+
+
+def _cube(region: Region, uniform: np.ndarray) -> np.ndarray:
+    """Uniforms on [0, 1) mapped to the hypercube's [-tau/2, tau/2), elementwise, in place."""
+    uniform -= 0.5
+    uniform *= region.tau
+    return uniform
+
+
+def draw_rows(region: Region, streams: Streams, indices: range) -> np.ndarray:
+    """Row i is ``draw(region, streams.at(indices[i]))``, for a hypercube region.
+
+    Each stream fills its own row of uniforms, and the map to the cube runs
+    once on the whole array; it is elementwise, so every row keeps its bits.
+    """
+    if region.kind != "hypercube":
+        raise ValueError(f"draw_rows draws from a hypercube, got {region.kind}")
+    uniform = np.empty((len(indices), region.dim))
+    for row, index in zip(uniform, indices):
+        streams.at(index).random(out=row)
+    return _cube(region, uniform)
 
 
 def expanded_region(base: Region, n_candidates: int) -> Region:

@@ -215,9 +215,15 @@ def payload_to_coset(payload_bits, cons: PartitionedConstellation) -> np.ndarray
     bits = payload.astype(np.int64)
     if (bits & -2).any():
         raise LengthMismatchError(not_bits)
-    bits = bits.reshape(-1, bps)
-    k = bits[:, 1:] @ (1 << np.arange(bps - 2, -1, -1))
-    return (1.0 - 2.0 * bits[:, 0]) * cons.spacing * (k + 0.5)
+    return _pam_map(bits, cons)
+
+
+def _pam_map(bits: np.ndarray, cons: PartitionedConstellation) -> np.ndarray:
+    """``payload_to_coset`` of each row of int64 0/1 bits, unchecked: (..., M * bps) -> (..., M)."""
+    bps = cons.bits_per_symbol
+    bits = bits.reshape(bits.shape[:-1] + (-1, bps))
+    k = bits[..., 1:] @ (1 << np.arange(bps - 2, -1, -1))
+    return (1.0 - 2.0 * bits[..., 0]) * cons.spacing * (k + 0.5)
 
 
 def coset_to_payload(u, cons: PartitionedConstellation) -> np.ndarray:

@@ -1,9 +1,11 @@
 """Reference implementations that the tests check the package against.
 
-``exhaustive_shape`` enumerates every terminated codeword of a shaping code
-and scans for the minimum-energy coset member; it builds each codeword with
-``conv_encode``, a bit-serial shift-register encoder, so it shares no code
-with ``shaping.trellis_shape``. ``lattice_offsets`` lists a nested-lattice
+``precoder_trial`` runs one Monte Carlo trial through the public precoders,
+one data vector at a time, for comparison with the harness, which runs its
+trials a group at a time. ``exhaustive_shape`` enumerates every terminated
+codeword of a shaping code and scans for the minimum-energy coset member; it
+builds each codeword with ``conv_encode``, a bit-serial shift-register
+encoder, so it shares no code with ``shaping.trellis_shape``. ``lattice_offsets`` lists a nested-lattice
 partition's shift vectors for scans that do not go through
 ``vector_perturb``, and ``reconstruct`` multiplies an eigensystem back out.
 ``offset_grid`` and ``coset_table`` build the vector-perturbation offsets
@@ -17,14 +19,46 @@ import math
 
 import numpy as np
 
+from slmprecode import regions, shaping
 from slmprecode.errors import (
     DimensionMismatchError,
     LengthMismatchError,
     SearchBudgetExceededError,
 )
-from slmprecode.precoders import check_dim, offset_range, precode_result
+from slmprecode.precoders import (
+    check_dim,
+    invert_precode,
+    offset_range,
+    precode_result,
+    vector_perturb,
+)
 
 ORACLE_BUDGET = 2**16
+
+
+def precoder_trial(precoder, ch, tau, gen):
+    """(gamma of the precoder, gamma with no selection) of one trial drawn from ``gen``.
+
+    ``precoder`` is a config's precoder dict, of kind plain, vector_perturb,
+    trellis or nested, with every key given.
+    """
+    kind, m = precoder["kind"], ch.m
+    if kind == "plain":
+        gamma = invert_precode(ch, regions.draw(regions.hypercube(tau, m), gen)).gamma
+        return gamma, gamma
+    if kind == "vector_perturb":
+        u = regions.draw(regions.hypercube(tau, m), gen)
+        return vector_perturb(ch, u, tau, precoder["b"]).gamma, ch.energy(u)
+    if kind == "trellis":
+        levels = precoder["pam"]
+        cons = shaping.pam_constellation(levels, spacing=tau / levels)
+        u0 = shaping.payload_to_coset(gen.integers(0, 2, size=m * cons.bits_per_symbol), cons)
+        code = shaping.code_from_octal(precoder["generators"])
+        return shaping.trellis_shape(ch, u0, code).gamma, ch.energy(u0)
+    q = precoder["q"]
+    part = shaping.lattice_partition(precoder["n_u"], q, spacing=tau / q)
+    u = part.representatives(gen.integers(0, part.coset_count, size=precoder["k"])).reshape(-1)
+    return shaping.nested_select(ch, u, part).gamma, ch.energy(u)
 
 
 def conv_encode(code, bits) -> np.ndarray:

@@ -144,6 +144,16 @@ def test_exit_code_sweep_values(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_sweep_values_error_line_is_short(tmp_path, capsys):
+    # a malformed --values string is abbreviated in the error line, however long it is
+    cfg = _write_cfg(tmp_path, precoder={"kind": "slm_random", "n": 4})
+    assert cli.main(["sweep", "--config", cfg, "--param", "n", "--values", "x" * 50_000]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --values must be comma-separated integers")
+    assert err.count("\n") == 1
+    assert len(err.encode()) < 200, err[:300]
+
+
 # stands in for a matrix nested 100000 deep, which json.dumps cannot write
 _DEEP = "<matrix nested 100000 deep>"
 

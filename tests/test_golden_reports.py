@@ -6,16 +6,25 @@ fails here. Regenerate ``golden_reports.json`` only when report bytes are
 meant to change::
 
     PYTHONPATH=src python tests/test_golden_reports.py
+
+The benchmark's tiny goldens (``perfbench/goldens/*-tiny.json``, both seed
+sets) are replayed too: they add M = 8 trellis reports and channels read
+from files. That replay only reads ``perfbench/``; the channel files go to
+a temporary directory.
 """
 
+import importlib
 import json
 import pathlib
+import sys
 
 import pytest
 
-from slmprecode import harness
+from slmprecode import harness, regions
 
 GOLDENS = pathlib.Path(__file__).with_name("golden_reports.json")
+PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+TINY_GOLDENS = sorted(PERFBENCH.glob("goldens/*-tiny.json"))
 
 # A well-conditioned 4x4 channel, written with repr floats so it loads exactly.
 CHANNEL_ROWS = (
@@ -77,6 +86,30 @@ def test_report_bytes_match_golden(name, tmp_path, goldens):
 def test_report_bytes_match_golden_two_workers(name, tmp_path, goldens):
     # each pooled chunk owns its stream and re-keys it per trial
     assert _report_bytes(name, tmp_path, workers=2) == goldens[name]
+
+
+@pytest.mark.parametrize("path", TINY_GOLDENS, ids=lambda p: p.stem)
+def test_perfbench_tiny_goldens_replay(path, tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # perfbench/ is only read
+    workloads = importlib.import_module("workloads")
+    for key, (seed, m) in workloads.FILE_CHANNELS.items():
+        h = regions.channel_stream(seed).standard_normal((m, m))
+        text = "".join(",".join(repr(float(x)) for x in row) + "\n" for row in h)
+        (tmp_path / f"{key}.csv").write_text(text, encoding="utf-8")
+    wl = workloads.get(path.stem[: -len("-tiny")], tiny=True)
+    goldens = json.loads(path.read_text(encoding="utf-8"))
+    assert sorted(goldens) == sorted(workloads.GOLDEN_SETS)
+    for golden_set, reports in goldens.items():
+        for ms in workloads.master_seeds(wl, golden_set):
+            for slot, slot_cfg in wl.slots:
+                d = workloads.report_config(slot_cfg, ms)
+                source = d["channel_source"]
+                if source["kind"] == "file":
+                    source["path"] = str(tmp_path / pathlib.Path(source["path"]).name)
+                rep = harness.run_experiment(harness.ExperimentConfig.from_dict(d))
+                key = workloads.golden_key(slot, ms)
+                assert harness.write_report(rep, "json", None) == reports[key], key
 
 
 if __name__ == "__main__":

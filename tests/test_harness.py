@@ -12,8 +12,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from slmprecode import harness, precoders, shaping, theory
+from slmprecode import harness, regions, shaping, theory
 from slmprecode.errors import ConfigError, ParseError, PrecodingError, ReportIOError
+
+from oracles import precoder_trial
 
 
 def _base_cfg(**overrides):
@@ -442,9 +444,11 @@ def test_benchmark_trace_hooks_install(monkeypatch):
     for kind, count in counts.items():
         assert count["harness.channel_loads"] == 1, kind
         assert count["harness.config_validations"] == 1, kind
-    # a nested trial's 2^8 candidates are counted once, not again by the
-    # vector perturbation search it runs on
-    assert counts["nested"]["candidates"] == 3 * 2**8
+    # a nested trial's 2^8 candidate rows reach ChannelMatrix.energies once,
+    # in the energies call of its group of trials; the harness calls no
+    # traced span around it, so they count under "rows.", next to one
+    # ChannelMatrix.energy row per trial for the gamma with no selection
+    assert counts["nested"]["rows."] == 3 * 2**8 + 3
     # perfbench's shaping.leaves_per_trial reads these two counters
     trellis = counts["trellis"]
     assert trellis["codewords"] == 3 * shaping.default_code().codeword_count(4)
@@ -519,22 +523,68 @@ def test_run_experiment_trellis_smoke():
 
 
 def test_trellis_trial_maps_payload_once(monkeypatch):
-    # the trial maps its payload to the zero-codeword point once and hands
-    # that vector to the search, which does not map it again
-    calls = []
-    real = shaping.payload_to_coset
+    # each trial's payload is mapped to its zero-codeword point once, by the
+    # PAM map behind payload_to_coset run on its group of trials, and the
+    # search does not map it again
+    rows = []
+    real = shaping._pam_map
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
+    def counting(bits, cons):
+        out = real(bits, cons)
+        rows.append(len(out))
+        return out
 
-    monkeypatch.setattr(shaping, "payload_to_coset", counting)
+    monkeypatch.setattr(shaping, "_pam_map", counting)
     cfg = harness.ExperimentConfig.from_dict(
         _base_cfg(m=8, channel_source={"kind": "random", "seed": 3}, trials=5,
                   precoder={"kind": "trellis", "generators": "7,5", "pam": 4})
     )
     harness.run_experiment(cfg)
-    assert len(calls) == 5
+    assert rows == [5]
+
+
+def _chunk_cases():
+    # (m, precoder, trials, group rows): every kind that runs a group of
+    # trials at once, on trial ranges that start past 0 and, where a group
+    # holds fewer trials than the range, cross group boundaries
+    cases = [(m, {"kind": "plain"}, range(5, 300)) for m in (1, 3, 4, 8)]
+    for m in (1, 3, 4, 8):
+        for b in (1, 2, 3):
+            # groups of 4096 // b^m trials: 50 at b = 3, m = 4; b = 3, m = 8 runs alone
+            cases.append((m, {"kind": "vector_perturb", "b": b}, range(250, 370)))
+    for m, k, n_u in ((4, 2, 1), (8, 2, 2), (8, 4, 1)):
+        for q in (2, 3):
+            cases.append((m, {"kind": "nested", "k": k, "n_u": n_u, "q": q}, range(3, 130)))
+    for m in (4, 8):
+        cases.append((m, {"kind": "trellis", "generators": "7,5", "k_s": 1, "pam": 4},
+                      range(7, 60)))
+    cases = [(m, precoder, trials, harness._GROUP_ROWS) for m, precoder, trials in cases]
+    # with groups of up to 4 energy blocks, one group of 2731 trials of 3
+    # candidates: 8193 rows, so energies folds a 1-row tail into its last block
+    cases.append((1, {"kind": "vector_perturb", "b": 3}, range(2731), 4 * theory.ENERGY_BLOCK))
+    return [
+        pytest.param(m, precoder, trials, rows, id="-".join(
+            [f"m{m}", *(str(v) for v in precoder.values()), f"{len(trials)}trials-{rows}rows"]))
+        for m, precoder, trials, rows in cases
+    ]
+
+
+@pytest.mark.parametrize("m,precoder,trials,group_rows", _chunk_cases())
+def test_chunk_matches_per_trial_oracle(m, precoder, trials, group_rows, monkeypatch):
+    # a chunk's (gamma, plain gamma) of each trial equals, bit for bit, what
+    # the public precoders give on that trial's re-keyed stream
+    monkeypatch.setattr(harness, "_GROUP_ROWS", group_rows)
+    tau = 3.0
+    cfg = harness.ExperimentConfig.from_dict(
+        _base_cfg(m=m, channel_source={"kind": "random", "seed": 20 + m}, tau=tau,
+                  precoder=precoder, trials=len(trials))
+    )
+    ch = harness.load_channel(cfg.channel_source, m)
+    trial = cfg._built_scheme[2]
+    got = list(trial(ch, regions.Streams(cfg.master_seed), trials))
+    streams = regions.Streams(cfg.master_seed)
+    want = [precoder_trial(precoder, ch, tau, streams.at(t)) for t in trials]
+    assert got == want
 
 
 def test_run_experiment_nested_smoke():
@@ -572,16 +622,32 @@ def test_nested_report_memory_at_budget_corner():
         _base_cfg(m=20, channel_source={"kind": "random", "seed": 3}, trials=1,
                   precoder={"kind": "nested", "k": 1, "n_u": 10, "q": 2})
     )
-    precoders._offset_grid.cache_clear()
     tracemalloc.start()
     try:
         rep = harness.run_experiment(cfg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-        precoders._offset_grid.cache_clear()
     assert rep.n_candidates == 2**20
     assert peak < 400 * 2**20
+
+
+def test_vector_perturb_report_frees_its_offset_grid():
+    # a chunk builds its scaled offset grid, 2^16 rows of 16 (8 MiB) here,
+    # and frees it when the chunk ends: nothing of that size outlives the report
+    cfg = harness.ExperimentConfig.from_dict(
+        _base_cfg(m=16, channel_source={"kind": "random", "seed": 3}, trials=1,
+                  precoder={"kind": "vector_perturb", "b": 2})
+    )
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        rep = harness.run_experiment(cfg)
+        held = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert rep.n_candidates == 2**16
+    assert held < 1 << 20
 
 
 @pytest.mark.parametrize(
@@ -701,6 +767,19 @@ def test_pool_sized_by_chunks_and_cpus(monkeypatch):
     )
     harness.sweep_experiment(small, "n", [4, 16], workers=8)
     assert sizes == []
+
+
+@pytest.mark.parametrize("value", [2.5, True], ids=["fraction", "boolean"])
+def test_sweep_refuses_a_value_it_would_truncate(monkeypatch, value):
+    # each swept value reaches the config check as given, so a value that is
+    # not an integer is refused, before any point runs, and not run as int(v)
+    def no_run(*args):
+        raise AssertionError("a sweep point ran")
+
+    monkeypatch.setattr(harness, "_run", no_run)
+    cfg = harness.ExperimentConfig.from_dict(_base_cfg(precoder={"kind": "slm_random", "n": 4}))
+    with pytest.raises(ConfigError, match=f"^precoder.n must be an integer, got {value}$"):
+        harness.sweep_experiment(cfg, "n", [4, value])
 
 
 def test_sweep_param_validation():
