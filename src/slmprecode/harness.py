@@ -20,11 +20,14 @@ trellis payloads (the one behind ``shaping.payload_to_coset``), the nested
 users' coset representatives, and, for vector perturbation and nested, the
 fold, the candidates and one ``ChannelMatrix.energies`` call over every
 candidate row of the group with an argmin per trial, the private row kernel
-behind ``precoders.vector_perturb``. A group holds at most
-``theory.ENERGY_BLOCK`` candidate rows, and a trial with more is a group of
-its own. The energies whose bits would change if batched stay per trial:
-gamma = ||H^-1 u||^2 of the chosen vector and the energy with no selection.
-The trellis search and the ``slm_random`` selection run once per trial.
+behind ``precoders.vector_perturb``. A trellis code whose whole tree of
+2^F codewords fits one search batch is scored the same way, every codeword
+of the group in one call, by ``shaping._shape_rows``, the row kernel
+behind ``shaping.trellis_shape``; a larger tree is searched once per trial.
+A group holds at most ``theory.ENERGY_BLOCK`` candidate rows, and a trial
+with more is a group of its own. The energies whose bits would change if
+batched stay per trial: gamma = ||H^-1 u||^2 of the chosen vector and the
+energy with no selection. The ``slm_random`` selection runs once per trial.
 A vector-perturbation chunk builds its offset grid once and frees it when
 it ends.
 
@@ -384,10 +387,18 @@ def _perturb_chunk(draw_rows, tau, b, ch, streams, trials):
 
 
 def _trellis_chunk(code, cons, ch, streams, trials):
-    for group in _groups(trials, 1):
+    """Trellis shaping: a whole code tree a group of trials at a time, a larger one searched per trial."""
+    n_steps = ch.m // code.n_s
+    whole = shaping._whole_tree(code, n_steps)
+    for group in _groups(trials, code.codeword_count(n_steps) if whole else 1):
         payload = _integer_rows(streams, group, 2, ch.m * cons.bits_per_symbol)
-        for u0 in shaping._pam_map(payload, cons):
-            yield shaping.trellis_shape(ch, u0, code).gamma, ch.energy(u0)
+        u0_rows = shaping._pam_map(payload, cons)
+        if whole:
+            for row, u0 in zip(shaping._shape_rows(ch, u0_rows, code)[0], u0_rows):
+                yield precoders._transmit(ch, row)[1], ch.energy(u0)
+        else:
+            for u0 in u0_rows:
+                yield shaping.trellis_shape(ch, u0, code).gamma, ch.energy(u0)
 
 
 def _scheme(cfg: ExperimentConfig) -> Tuple[int, float, _Trial]:

@@ -11,13 +11,20 @@ the transmitter searches the coset {u(payload, c) : c in C} for the vector
 minimizing gamma = u^T Q u. A codeword bit flips the sign of its symbol,
 so u(payload, c) = u0 * (1 - 2c) with u0 = u(payload, 0) the zero-codeword
 point, and the codewords are indexed by the encoder's free input bits.
-Because Q couples all dimensions, branch metrics come from the triangular
+Ties go to the smallest codeword, then the smallest input index (see
+``trellis_shape``).
+
+A code tree whose 2^F codewords fit one search batch (2^F <= 256, e.g.
+(7,5) up to M = 20) is scored whole by one row kernel, ``_shape_rows``:
+every codeword of every row of a (T, M) array of zero-codeword points in
+one ``ChannelMatrix.energies`` call. ``trellis_shape`` calls it with one
+row, and the harness with a group of trials. A larger tree is searched:
+because Q couples all dimensions, branch metrics come from the triangular
 factorization Q = L L^T: with G = L^T, gamma = ||G u||^2 and component i of
-G u depends only on u_i..u_M, so the code tree is searched in reverse
-symbol order with exact additive metric increments (a depth-first
+G u depends only on u_i..u_M, so the code tree is searched from its root in
+reverse symbol order with exact additive metric increments (a depth-first
 branch-and-bound on an explicit stack that expands a batch of nodes per
-array operation, bounded by ``SEARCH_BUDGET`` nodes; ties go to the
-smallest codeword, then the smallest input index; see ``trellis_shape``).
+array operation, bounded by ``SEARCH_BUDGET`` nodes).
 
 Like the precoders, both searches take the data vector: ``trellis_shape``
 the zero-codeword point u0, ``nested_select`` the M-vector of the users'
@@ -273,6 +280,55 @@ def _generator_matrix(code: ShapingCode, n_steps: int) -> np.ndarray:
     return gen
 
 
+def _whole_tree(code: ShapingCode, n_steps: int) -> bool:
+    """Whether all codewords over n_steps fit one search batch, so ``_shape_rows`` scores them."""
+    return code.codeword_count(n_steps) <= _BATCH
+
+
+@functools.lru_cache(maxsize=1)
+def _leaf_signs(code: ShapingCode, n_steps: int) -> np.ndarray:
+    """The signs 1 - 2c of every codeword c of a whole code tree, a row each in input-index order.
+
+    Read-only, built once per (code, n_steps); only ``_shape_rows`` asks
+    for it, for a ``_whole_tree``, so it has at most ``_BATCH`` rows.
+    """
+    free = max(0, n_steps - code.memory)
+    signs = _SIGN[lex_digits(np.arange(1 << free), 2, free) @ _generator_matrix(code, n_steps) & 1]
+    signs.flags.writeable = False
+    return signs
+
+
+def _shape_rows(ch: ChannelMatrix, u0_rows: np.ndarray,
+                code: ShapingCode) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Whole-tree shaping of each row of ``u0_rows``: the chosen rows, input indices and metrics.
+
+    For a code whose 2^F codewords fit one batch: row i's candidates are
+    u0_rows[i] * (1 - 2c) for every codeword c, in input-index order, and
+    their metrics come from one ``ch.energies`` call over every candidate
+    of every row. The leaves within 1e-9 * (1 + low) of their row's lowest
+    metric are near; where more than one is, they are rescored with
+    ``ch.energy`` and the winner has the smallest (gamma, codeword, input
+    index), as in ``trellis_shape``.
+    """
+    signs = _leaf_signs(code, ch.m // code.n_s)
+    n_rows, leaves = len(u0_rows), len(signs)
+    # each row repeated, then flipped in place: a long multiply, not one per candidate
+    candidates = u0_rows.repeat(leaves, axis=0).reshape(n_rows, leaves, ch.m)
+    candidates *= signs
+    metric = ch.energies(candidates.reshape(-1, ch.m)).reshape(n_rows, leaves)
+    low = metric.min(axis=1, keepdims=True)
+    near = metric <= low + 1e-9 * (1.0 + np.abs(low))
+    best = near.argmax(axis=1)  # the first near leaf, the winner where it is the only one
+    for i in np.flatnonzero(near.sum(axis=1) > 1):
+        # a codeword's bits are its sign flips
+        best[i] = min(
+            (ch.energy(candidates[i, k]), (signs[k] < 0).tolist(), k)
+            for k in np.flatnonzero(near[i])
+        )[2]
+    rows = np.arange(n_rows)
+    return candidates[rows, best], best, metric[rows, best]
+
+
 def trellis_shape(ch: ChannelMatrix, u0, code: ShapingCode) -> PrecodeResult:
     """Exact minimum-energy coset member via search over the code trellis.
 
@@ -282,28 +338,33 @@ def trellis_shape(ch: ChannelMatrix, u0, code: ShapingCode) -> PrecodeResult:
     The encoder runs n = M/n_s steps, the last ``memory`` with forced zero
     inputs, so the codewords are indexed by the F = n - memory free inputs
     x_0..x_{F-1}, and the n_s output bits of step t depend only on the
-    window x_{t-memory}..x_t (inputs before x_0 are zero). gamma =
-    ||G u||^2 with G = L^T upper triangular, so the search assigns the
-    steps backward from t = n - 1: step t fixes x_{t-memory} (a single
-    child when t < memory) and symbols t*n_s..t*n_s+n_s-1, which completes
-    components t*n_s..t*n_s+n_s-1 of G u: exact additive metric
-    increments.
+    window x_{t-memory}..x_t (inputs before x_0 are zero).
 
-    The depth-first search runs on an explicit stack of batches of nodes
-    at one step, and expands all nodes of a batch with array operations;
-    a node keeps only the components of G u that are not yet complete. A
-    node is pruned when its partial metric exceeds the incumbent energy by
-    more than 1e-9 * (1 + incumbent). Live children go back on the stack
-    sorted by partial metric, the best batch on top. Once its free inputs
-    are set a node is a leaf, and its forced steps are scored in one step;
-    if all 2^F codewords fit in one batch, the search starts from that
-    batch of leaves. The leaves within the slack of their batch's best are
-    scored with ``ch.energy``. The winner has the smallest (gamma, codeword, input
-    index), where the input index reads x_0..x_{F-1} as a binary number
-    with x_0 most significant, so the result equals an exhaustive scan of
-    the codewords. ``meta["nodes"]`` counts the unpruned nodes, the root
-    and the forced ones included; a search that counts more than
-    ``SEARCH_BUDGET`` raises SearchBudgetExceededError.
+    If all 2^F codewords fit in one batch (2^F <= 256), every leaf is
+    scored at once by the row kernel ``_shape_rows``, and ``meta["nodes"]``
+    counts the whole tree: 2^F * (2 + min(n, memory)) - 1 nodes.
+
+    Otherwise gamma = ||G u||^2 with G = L^T upper triangular, so the
+    search assigns the steps backward from t = n - 1: step t fixes
+    x_{t-memory} (a single child when t < memory) and symbols
+    t*n_s..t*n_s+n_s-1, which completes components t*n_s..t*n_s+n_s-1 of
+    G u: exact additive metric increments. The depth-first search starts
+    at the root and runs on an explicit stack of batches of nodes at one
+    step, and expands all nodes of a batch with array operations; a node
+    keeps only the components of G u that are not yet complete. A node is
+    pruned when its partial metric exceeds the incumbent energy by more
+    than 1e-9 * (1 + incumbent). Live children go back on the stack sorted
+    by partial metric, the best batch on top. Once its free inputs are set
+    a node is a leaf, and its forced steps are scored in one step; the
+    leaves within the slack of their batch's best are scored with
+    ``ch.energy``. ``meta["nodes"]`` counts the unpruned nodes, the root
+    and the forced ones included.
+
+    Either way the winner has the smallest (gamma, codeword, input index),
+    where the input index reads x_0..x_{F-1} as a binary number with x_0
+    most significant, so the result equals an exhaustive scan of the
+    codewords; a count of more than ``SEARCH_BUDGET`` nodes raises
+    SearchBudgetExceededError.
     """
     if ch.m % code.n_s:
         raise DimensionMismatchError(
@@ -313,7 +374,23 @@ def trellis_shape(ch: ChannelMatrix, u0, code: ShapingCode) -> PrecodeResult:
     n_s, mem = code.n_s, code.memory
     n_steps = ch.m // n_s
     free = max(0, n_steps - mem)
+    count = code.codeword_count(n_steps)
     gen = _generator_matrix(code, n_steps)
+    if _whole_tree(code, n_steps):
+        nodes = count * (2 + min(n_steps, mem)) - 1
+        if nodes > SEARCH_BUDGET:
+            raise SearchBudgetExceededError(
+                f"trellis search visited more than {SEARCH_BUDGET} nodes"
+            )
+        chosen, index, metric = _shape_rows(ch, u0[None], code)
+        inputs = lex_digits(index[0], 2, free)
+        return precode_result(
+            ch, chosen[0], int(index[0]), count,
+            codeword=inputs @ gen & 1,
+            inputs=np.concatenate([inputs, np.zeros(n_steps - free, dtype=np.int64)]),
+            path_metric=float(metric[0]),
+            nodes=nodes,
+        )
     # Row j of scaled is u0_j * G[:, j]: symbol j's share of G u, unflipped.
     scaled = u0[:, None] * ch.chol
 
@@ -323,13 +400,9 @@ def trellis_shape(ch: ChannelMatrix, u0, code: ShapingCode) -> PrecodeResult:
     # increasing order of partial metric: the metrics, components
     # 0..t*n_s-1 of G u, and the input bits x_0..x_{F-1} with the unset
     # ones zero. A node at step t <= memory is a leaf. The first batch is
-    # the root at step n, or, if all 2^F codewords fit in one batch, the
-    # leaves below the root, counted with the 2^F - 1 nodes above them.
-    whole = 1 << free <= _BATCH
-    width = 1 << free if whole else 1
-    inputs = (np.arange(width)[:, None] >> np.arange(free - 1, -1, -1) & 1).astype(np.uint8)
-    stack = [(n_steps, np.zeros(width), np.zeros((width, ch.m)), inputs)]
-    nodes = width - 1
+    # the root at step n.
+    stack = [(n_steps, np.zeros(1), np.zeros((1, ch.m)), np.zeros((1, free), dtype=np.uint8))]
+    nodes = 0
     while stack:
         t, partial, resid, bits = stack.pop()
         bound = best_gamma + 1e-9 * (1.0 + abs(best_gamma))
@@ -339,14 +412,14 @@ def trellis_shape(ch: ChannelMatrix, u0, code: ShapingCode) -> PrecodeResult:
                 continue
             partial, resid, bits = partial[:n_live], resid[:n_live], bits[:n_live]
         nodes += partial.size
-        leaf = whole or t <= mem
+        leaf = t <= mem
         if leaf:
             # The symbols of steps 0..t-1 complete the leaves' metrics; the
-            # last min(t, memory) steps below a leaf are forced nodes.
+            # last t steps below a leaf are forced nodes.
             hi, last = t * n_s, min(t, free)
             tail = resid + _SIGN[bits[:, :last] @ gen[:last, :hi] & 1] @ scaled[:hi, :hi]
             metric = partial + np.einsum("ij,ij->i", tail, tail)
-            nodes += min(t, mem) * np.count_nonzero(metric <= bound)
+            nodes += t * np.count_nonzero(metric <= bound)
         if nodes > SEARCH_BUDGET:
             raise SearchBudgetExceededError(
                 f"trellis search visited more than {SEARCH_BUDGET} nodes"
@@ -389,7 +462,7 @@ def trellis_shape(ch: ChannelMatrix, u0, code: ShapingCode) -> PrecodeResult:
     for bit in best_inputs[:free]:
         index = (index << 1) | bit
     return precode_result(
-        ch, best_u, index, code.codeword_count(n_steps),
+        ch, best_u, index, count,
         codeword=np.array(codeword, dtype=np.int64),
         inputs=np.array(best_inputs, dtype=np.int64),
         path_metric=best_metric,

@@ -9,8 +9,9 @@ meant to change::
 
 The benchmark's tiny goldens (``perfbench/goldens/*-tiny.json``, both seed
 sets) are replayed too: they add M = 8 trellis reports and channels read
-from files. That replay only reads ``perfbench/``; the channel files go to
-a temporary directory.
+from files. So is the trellis slot of the full-size ``cheap_kinds``
+goldens, 512 trials per report. That replay only reads ``perfbench/``; the
+channel files go to a temporary directory.
 """
 
 import importlib
@@ -88,8 +89,12 @@ def test_report_bytes_match_golden_two_workers(name, tmp_path, goldens):
     assert _report_bytes(name, tmp_path, workers=2) == goldens[name]
 
 
-@pytest.mark.parametrize("path", TINY_GOLDENS, ids=lambda p: p.stem)
-def test_perfbench_tiny_goldens_replay(path, tmp_path, monkeypatch):
+@pytest.fixture
+def replay(tmp_path, monkeypatch):
+    """replay(path, tiny, slots): run the goldens of a perfbench golden file, from both seed sets.
+
+    ``slots`` names the workload slots to replay, all of them if None.
+    """
     monkeypatch.syspath_prepend(str(PERFBENCH))
     monkeypatch.setattr(sys, "dont_write_bytecode", True)  # perfbench/ is only read
     workloads = importlib.import_module("workloads")
@@ -97,19 +102,37 @@ def test_perfbench_tiny_goldens_replay(path, tmp_path, monkeypatch):
         h = regions.channel_stream(seed).standard_normal((m, m))
         text = "".join(",".join(repr(float(x)) for x in row) + "\n" for row in h)
         (tmp_path / f"{key}.csv").write_text(text, encoding="utf-8")
-    wl = workloads.get(path.stem[: -len("-tiny")], tiny=True)
-    goldens = json.loads(path.read_text(encoding="utf-8"))
-    assert sorted(goldens) == sorted(workloads.GOLDEN_SETS)
-    for golden_set, reports in goldens.items():
-        for ms in workloads.master_seeds(wl, golden_set):
-            for slot, slot_cfg in wl.slots:
-                d = workloads.report_config(slot_cfg, ms)
-                source = d["channel_source"]
-                if source["kind"] == "file":
-                    source["path"] = str(tmp_path / pathlib.Path(source["path"]).name)
-                rep = harness.run_experiment(harness.ExperimentConfig.from_dict(d))
-                key = workloads.golden_key(slot, ms)
-                assert harness.write_report(rep, "json", None) == reports[key], key
+
+    def run(path, tiny, slots=None):
+        wl = workloads.get(path.stem[: -len("-tiny")] if tiny else path.stem, tiny=tiny)
+        goldens = json.loads(path.read_text(encoding="utf-8"))
+        assert sorted(goldens) == sorted(workloads.GOLDEN_SETS)
+        for golden_set, reports in goldens.items():
+            for ms in workloads.master_seeds(wl, golden_set):
+                for slot, slot_cfg in wl.slots:
+                    if slots is not None and slot not in slots:
+                        continue
+                    d = workloads.report_config(slot_cfg, ms)
+                    source = d["channel_source"]
+                    if source["kind"] == "file":
+                        source["path"] = str(tmp_path / pathlib.Path(source["path"]).name)
+                    rep = harness.run_experiment(harness.ExperimentConfig.from_dict(d))
+                    key = workloads.golden_key(slot, ms)
+                    assert harness.write_report(rep, "json", None) == reports[key], key
+
+    return run
+
+
+@pytest.mark.parametrize("path", TINY_GOLDENS, ids=lambda p: p.stem)
+def test_perfbench_tiny_goldens_replay(path, replay):
+    replay(path, tiny=True)
+
+
+def test_perfbench_trellis_goldens_replay(replay):
+    # the M = 8 trellis slot of cheap_kinds at benchmark size: 512 trials on
+    # each master seed of both sets, so the row kernel's bits are pinned as
+    # timed
+    replay(PERFBENCH / "goldens" / "cheap_kinds.json", tiny=False, slots={"trellis"})
 
 
 if __name__ == "__main__":

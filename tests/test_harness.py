@@ -15,7 +15,7 @@ import pytest
 from slmprecode import harness, regions, shaping, theory
 from slmprecode.errors import ConfigError, ParseError, PrecodingError, ReportIOError
 
-from oracles import precoder_trial
+from oracles import exhaustive_shape, precoder_trial
 
 
 def _base_cfg(**overrides):
@@ -429,9 +429,12 @@ def test_benchmark_trace_hooks_install(monkeypatch):
         "nested": {"kind": "nested", "k": 4, "n_u": 1, "q": 2},
     }
     counts = {}
-    for kind, precoder in precoders_by_kind.items():
+    runs = [(kind, 8, precoder) for kind, precoder in precoders_by_kind.items()]
+    # M = 24, as in the benchmark's trellis_deep: 2^10 codewords, one search per trial
+    runs.append(("trellis_search", 24, precoders_by_kind["trellis"]))
+    for kind, m, precoder in runs:
         cfg = harness.ExperimentConfig.from_dict(
-            _base_cfg(m=8, channel_source={"kind": "random", "seed": 3}, trials=3,
+            _base_cfg(m=m, channel_source={"kind": "random", "seed": 3}, trials=3,
                       precoder=precoder)
         )
         with tracing.installed(tracing.Tracer()) as tr:
@@ -449,10 +452,16 @@ def test_benchmark_trace_hooks_install(monkeypatch):
     # traced span around it, so they count under "rows.", next to one
     # ChannelMatrix.energy row per trial for the gamma with no selection
     assert counts["nested"]["rows."] == 3 * 2**8 + 3
-    # perfbench's shaping.leaves_per_trial reads these two counters
-    trellis = counts["trellis"]
-    assert trellis["codewords"] == 3 * shaping.default_code().codeword_count(4)
-    assert trellis["rows.shaping.trellis_shape"] >= 3
+    # the M = 8 trellis trials' 4 codewords each reach ChannelMatrix.energies
+    # in one call for the group, outside any traced span, next to the plain
+    # energy of each trial; no near set holds two leaves, so none is rescored
+    assert counts["trellis"]["rows."] == 3 * 4 + 3
+    assert "codewords" not in counts["trellis"]
+    # perfbench's shaping.leaves_per_trial reads these two counters, which a
+    # code tree too large for the row kernel still sets through trellis_shape
+    search = counts["trellis_search"]
+    assert search["codewords"] == 3 * shaping.default_code().codeword_count(12)
+    assert search["rows.shaping.trellis_shape"] >= 3
 
 
 def test_run_experiment_single_trial():
@@ -525,7 +534,7 @@ def test_run_experiment_trellis_smoke():
 def test_trellis_trial_maps_payload_once(monkeypatch):
     # each trial's payload is mapped to its zero-codeword point once, by the
     # PAM map behind payload_to_coset run on its group of trials, and the
-    # search does not map it again
+    # row kernel that shapes the group does not map it again
     rows = []
     real = shaping._pam_map
 
@@ -543,6 +552,26 @@ def test_trellis_trial_maps_payload_once(monkeypatch):
     assert rows == [5]
 
 
+def test_trellis_group_stays_within_group_rows(monkeypatch):
+    # at M = 20 (7,5) has 2^8 codewords, so a group is 16 trials whose
+    # candidates fill one _GROUP_ROWS energies call; 40 trials are 16 + 16 + 8
+    calls = []
+    real = theory.ChannelMatrix.energies
+
+    def counting(self, u_rows):
+        calls.append(len(u_rows))
+        return real(self, u_rows)
+
+    monkeypatch.setattr(theory.ChannelMatrix, "energies", counting)
+    cfg = harness.ExperimentConfig.from_dict(
+        _base_cfg(m=20, channel_source={"kind": "random", "seed": 3}, trials=40,
+                  precoder={"kind": "trellis", "generators": "7,5", "pam": 4})
+    )
+    harness.run_experiment(cfg)
+    assert harness._GROUP_ROWS == 16 * 2**8
+    assert calls == [16 * 2**8, 16 * 2**8, 8 * 2**8]
+
+
 def _chunk_cases():
     # (m, precoder, trials, group rows): every kind that runs a group of
     # trials at once, on trial ranges that start past 0 and, where a group
@@ -555,29 +584,42 @@ def _chunk_cases():
     for m, k, n_u in ((4, 2, 1), (8, 2, 2), (8, 4, 1)):
         for q in (2, 3):
             cases.append((m, {"kind": "nested", "k": k, "n_u": n_u, "q": q}, range(3, 130)))
-    for m in (4, 8):
-        cases.append((m, {"kind": "trellis", "generators": "7,5", "k_s": 1, "pam": 4},
+    # trellis: whole code trees of 2^2 to 2^8 codewords (M = 20) go through
+    # the row kernel a group of trials at a time, 2^9 (M = 22) through one
+    # search per trial
+    for m, gens in ((4, "7,5"), (8, "7,5"), (16, "7,5"), (20, "7,5"), (22, "7,5"),
+                    (9, "7,7,5"), (12, "17,15"), (8, "0,0"), (8, "1,1")):
+        cases.append((m, {"kind": "trellis", "generators": gens, "k_s": 1, "pam": 4},
                       range(7, 60)))
-    cases = [(m, precoder, trials, harness._GROUP_ROWS) for m, precoder, trials in cases]
+    cases = [(m, precoder, trials, harness._GROUP_ROWS, None) for m, precoder, trials in cases]
     # with groups of up to 4 energy blocks, one group of 2731 trials of 3
     # candidates: 8193 rows, so energies folds a 1-row tail into its last block
-    cases.append((1, {"kind": "vector_perturb", "b": 3}, range(2731), 4 * theory.ENERGY_BLOCK))
+    cases.append((1, {"kind": "vector_perturb", "b": 3}, range(2731), 4 * theory.ENERGY_BLOCK,
+                  None))
+    trellis = {"kind": "trellis", "generators": "7,5", "k_s": 1, "pam": 4}
+    # H = I: every leaf ties, so every trial rescores its whole near set
+    cases.append((8, trellis, range(7, 60), harness._GROUP_ROWS, "identity"))
+    # groups of 16 rows: 4 trials of 4 codewords, so a chunk is many groups
+    cases.append((8, trellis, range(7, 60), 16, None))
     return [
-        pytest.param(m, precoder, trials, rows, id="-".join(
-            [f"m{m}", *(str(v) for v in precoder.values()), f"{len(trials)}trials-{rows}rows"]))
-        for m, precoder, trials, rows in cases
+        pytest.param(m, precoder, trials, rows, channel, id="-".join(
+            [f"m{m}", *(str(v) for v in precoder.values()), f"{len(trials)}trials-{rows}rows",
+             *([channel] if channel else [])]))
+        for m, precoder, trials, rows, channel in cases
     ]
 
 
-@pytest.mark.parametrize("m,precoder,trials,group_rows", _chunk_cases())
-def test_chunk_matches_per_trial_oracle(m, precoder, trials, group_rows, monkeypatch):
+@pytest.mark.parametrize("m,precoder,trials,group_rows,channel", _chunk_cases())
+def test_chunk_matches_per_trial_oracle(m, precoder, trials, group_rows, channel, monkeypatch):
     # a chunk's (gamma, plain gamma) of each trial equals, bit for bit, what
     # the public precoders give on that trial's re-keyed stream
     monkeypatch.setattr(harness, "_GROUP_ROWS", group_rows)
     tau = 3.0
+    source = {"kind": "random", "seed": 20 + m}
+    if channel == "identity":
+        source = {"kind": "inline", "matrix": np.eye(m).tolist()}
     cfg = harness.ExperimentConfig.from_dict(
-        _base_cfg(m=m, channel_source={"kind": "random", "seed": 20 + m}, tau=tau,
-                  precoder=precoder, trials=len(trials))
+        _base_cfg(m=m, channel_source=source, tau=tau, precoder=precoder, trials=len(trials))
     )
     ch = harness.load_channel(cfg.channel_source, m)
     trial = cfg._built_scheme[2]
@@ -585,6 +627,19 @@ def test_chunk_matches_per_trial_oracle(m, precoder, trials, group_rows, monkeyp
     streams = regions.Streams(cfg.master_seed)
     want = [precoder_trial(precoder, ch, tau, streams.at(t)) for t in trials]
     assert got == want
+    if precoder["kind"] != "trellis":
+        return
+    code = shaping.code_from_octal(precoder["generators"])
+    if code.codeword_count(m // code.n_s) > shaping._BATCH:
+        return
+    # precoder_trial's trellis_shape runs the same row kernel as the chunk:
+    # a whole tree's gammas are also checked against a scan that shares no
+    # code with shaping
+    cons = shaping.pam_constellation(4, spacing=tau / 4)
+    for t, (gamma, _) in zip(trials, got):
+        payload = streams.at(t).integers(0, 2, size=m * cons.bits_per_symbol)
+        u0 = shaping.payload_to_coset(payload, cons)
+        assert gamma == exhaustive_shape(ch, u0, code).gamma, t
 
 
 def test_run_experiment_nested_smoke():
