@@ -20,10 +20,10 @@ trellis payloads (the one behind ``shaping.payload_to_coset``), the nested
 users' coset representatives, and, for vector perturbation and nested, the
 fold, the candidates and one ``ChannelMatrix.energies`` call over every
 candidate row of the group with an argmin per trial, the private row kernel
-behind ``precoders.vector_perturb``. A trellis code whose whole tree of
-2^F codewords fits one search batch is scored the same way, every codeword
-of the group in one call, by ``shaping._shape_rows``, the row kernel
-behind ``shaping.trellis_shape``; a larger tree is searched once per trial.
+behind ``precoders.vector_perturb``. The trellis payloads' zero-codeword
+points go to ``shaping.shape_rows``, which scans a small code tree the same
+way, every codeword of the group in one call, and searches a larger one
+once per trial.
 A group holds at most ``theory.ENERGY_BLOCK`` candidate rows, and a trial
 with more is a group of its own. The energies whose bits would change if
 batched stay per trial: gamma = ||H^-1 u||^2 of the chosen vector and the
@@ -316,9 +316,12 @@ def load_channel(
         h = regions.channel_stream(int(source["seed"])).standard_normal((m, m))
     else:
         try:
-            h = np.asarray(source["matrix"], dtype=np.float64)
-        except (TypeError, ValueError, OverflowError):
-            raise ParseError("channel_source.matrix must be a matrix of numbers") from None
+            h = np.asarray(source["matrix"])
+            numeric = h.dtype.kind in "iuf"  # strings and booleans cast to floats, not numbers
+        except (TypeError, ValueError):
+            numeric = False
+        if not numeric:
+            raise ParseError("channel_source.matrix must be a matrix of numbers")
     if not np.all(np.isfinite(h)):
         raise ParseError("channel matrix has non-finite entries")
     if h.shape != (m, m):
@@ -387,18 +390,12 @@ def _perturb_chunk(draw_rows, tau, b, ch, streams, trials):
 
 
 def _trellis_chunk(code, cons, ch, streams, trials):
-    """Trellis shaping: a whole code tree a group of trials at a time, a larger one searched per trial."""
-    n_steps = ch.m // code.n_s
-    whole = shaping._whole_tree(code, n_steps)
-    for group in _groups(trials, code.codeword_count(n_steps) if whole else 1):
+    """Trellis shaping, a group of trials at a time; ``shaping.shape_rows`` scans or searches."""
+    for group in _groups(trials, code.codeword_count(ch.m // code.n_s)):
         payload = _integer_rows(streams, group, 2, ch.m * cons.bits_per_symbol)
         u0_rows = shaping._pam_map(payload, cons)
-        if whole:
-            for row, u0 in zip(shaping._shape_rows(ch, u0_rows, code)[0], u0_rows):
-                yield precoders._transmit(ch, row)[1], ch.energy(u0)
-        else:
-            for u0 in u0_rows:
-                yield shaping.trellis_shape(ch, u0, code).gamma, ch.energy(u0)
+        for row, u0 in zip(shaping.shape_rows(ch, u0_rows, code), u0_rows):
+            yield precoders._transmit(ch, row)[1], ch.energy(u0)
 
 
 def _scheme(cfg: ExperimentConfig) -> Tuple[int, float, _Trial]:

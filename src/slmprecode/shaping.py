@@ -14,17 +14,18 @@ point, and the codewords are indexed by the encoder's free input bits.
 Ties go to the smallest codeword, then the smallest input index (see
 ``trellis_shape``).
 
-A code tree whose 2^F codewords fit one search batch (2^F <= 256, e.g.
-(7,5) up to M = 20) is scored whole by one row kernel, ``_shape_rows``:
-every codeword of every row of a (T, M) array of zero-codeword points in
-one ``ChannelMatrix.energies`` call. ``trellis_shape`` calls it with one
-row, and the harness with a group of trials. A larger tree is searched:
-because Q couples all dimensions, branch metrics come from the triangular
-factorization Q = L L^T: with G = L^T, gamma = ||G u||^2 and component i of
-G u depends only on u_i..u_M, so the code tree is searched from its root in
-reverse symbol order with exact additive metric increments (a depth-first
-branch-and-bound on an explicit stack that expands a batch of nodes per
-array operation, bounded by ``SEARCH_BUDGET`` nodes).
+The search is ``trellis_shape``. Because Q couples all dimensions, branch
+metrics come from the triangular factorization Q = L L^T: with G = L^T,
+gamma = ||G u||^2 and component i of G u depends only on u_i..u_M, so the
+code tree is searched from its root in reverse symbol order with exact
+additive metric increments (a depth-first branch-and-bound on an explicit
+stack that expands a batch of nodes per array operation, bounded by
+``SEARCH_BUDGET`` nodes). ``shape_rows`` gives the same chosen vectors for
+each row of a (T, M) array of zero-codeword points, and is the one place
+that picks how: a code tree whose 2^F codewords fit one search batch
+(2^F <= 256, e.g. (7,5) up to M = 20) is scanned whole, every codeword of
+every row in one ``ChannelMatrix.energies`` call; a larger tree is
+searched one row at a time.
 
 Like the precoders, both searches take the data vector: ``trellis_shape``
 the zero-codeword point u0, ``nested_select`` the M-vector of the users'
@@ -280,17 +281,12 @@ def _generator_matrix(code: ShapingCode, n_steps: int) -> np.ndarray:
     return gen
 
 
-def _whole_tree(code: ShapingCode, n_steps: int) -> bool:
-    """Whether all codewords over n_steps fit one search batch, so ``_shape_rows`` scores them."""
-    return code.codeword_count(n_steps) <= _BATCH
-
-
 @functools.lru_cache(maxsize=1)
 def _leaf_signs(code: ShapingCode, n_steps: int) -> np.ndarray:
-    """The signs 1 - 2c of every codeword c of a whole code tree, a row each in input-index order.
+    """The signs 1 - 2c of every codeword c of a code tree, a row each in input-index order.
 
-    Read-only, built once per (code, n_steps); only ``_shape_rows`` asks
-    for it, for a ``_whole_tree``, so it has at most ``_BATCH`` rows.
+    Read-only, built once per (code, n_steps); only ``shape_rows`` asks for
+    it, for a tree it scans, so it has at most ``_BATCH`` rows.
     """
     free = max(0, n_steps - code.memory)
     signs = _SIGN[lex_digits(np.arange(1 << free), 2, free) @ _generator_matrix(code, n_steps) & 1]
@@ -298,19 +294,23 @@ def _leaf_signs(code: ShapingCode, n_steps: int) -> np.ndarray:
     return signs
 
 
-def _shape_rows(ch: ChannelMatrix, u0_rows: np.ndarray,
-                code: ShapingCode) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Whole-tree shaping of each row of ``u0_rows``: the chosen rows, input indices and metrics.
+def shape_rows(ch: ChannelMatrix, u0_rows: np.ndarray, code: ShapingCode) -> np.ndarray:
+    """The minimum-energy coset member of each row of ``u0_rows``, a (T, M) array of u0 rows.
 
-    For a code whose 2^F codewords fit one batch: row i's candidates are
-    u0_rows[i] * (1 - 2c) for every codeword c, in input-index order, and
-    their metrics come from one ``ch.energies`` call over every candidate
-    of every row. The leaves within 1e-9 * (1 + low) of their row's lowest
-    metric are near; where more than one is, they are rescored with
-    ``ch.energy`` and the winner has the smallest (gamma, codeword, input
-    index), as in ``trellis_shape``.
+    Row i of the result is ``trellis_shape(ch, u0_rows[i], code).u_chosen``;
+    the rows are not checked. A code tree of at most ``_BATCH`` codewords is
+    scanned: row i's candidates are u0_rows[i] * (1 - 2c) for every codeword
+    c, in input-index order, and their metrics come from one
+    ``ch.energies`` call over every candidate of every row. The leaves
+    within 1e-9 * (1 + low) of their row's lowest metric are near; where
+    more than one is, they are rescored with ``ch.energy`` and the winner
+    has the smallest (gamma, codeword, input index), as in the search. A
+    larger tree is searched, one ``trellis_shape`` call per row.
     """
-    signs = _leaf_signs(code, ch.m // code.n_s)
+    n_steps = ch.m // code.n_s
+    if code.codeword_count(n_steps) > _BATCH:
+        return np.array([trellis_shape(ch, u0, code).u_chosen for u0 in u0_rows])
+    signs = _leaf_signs(code, n_steps)
     n_rows, leaves = len(u0_rows), len(signs)
     # each row repeated, then flipped in place: a long multiply, not one per candidate
     candidates = u0_rows.repeat(leaves, axis=0).reshape(n_rows, leaves, ch.m)
@@ -325,12 +325,11 @@ def _shape_rows(ch: ChannelMatrix, u0_rows: np.ndarray,
             (ch.energy(candidates[i, k]), (signs[k] < 0).tolist(), k)
             for k in np.flatnonzero(near[i])
         )[2]
-    rows = np.arange(n_rows)
-    return candidates[rows, best], best, metric[rows, best]
+    return candidates[np.arange(n_rows), best]
 
 
 def trellis_shape(ch: ChannelMatrix, u0, code: ShapingCode) -> PrecodeResult:
-    """Exact minimum-energy coset member via search over the code trellis.
+    """Exact minimum-energy coset member via branch-and-bound over the code trellis.
 
     ``u0`` is the zero-codeword point, e.g. payload_to_coset(payload, cons).
     A codeword bit flips the sign of its symbol, so the coset member of
@@ -340,30 +339,26 @@ def trellis_shape(ch: ChannelMatrix, u0, code: ShapingCode) -> PrecodeResult:
     x_0..x_{F-1}, and the n_s output bits of step t depend only on the
     window x_{t-memory}..x_t (inputs before x_0 are zero).
 
-    If all 2^F codewords fit in one batch (2^F <= 256), every leaf is
-    scored at once by the row kernel ``_shape_rows``, and ``meta["nodes"]``
-    counts the whole tree: 2^F * (2 + min(n, memory)) - 1 nodes.
+    gamma = ||G u||^2 with G = L^T upper triangular, so the search assigns
+    the steps backward from t = n - 1: step t fixes x_{t-memory} (a single
+    child when t < memory) and symbols t*n_s..t*n_s+n_s-1, which completes
+    components t*n_s..t*n_s+n_s-1 of G u: exact additive metric
+    increments. The depth-first search starts at the root and runs on an
+    explicit stack of batches of nodes at one step, and expands all nodes
+    of a batch with array operations; a node keeps only the components of
+    G u that are not yet complete. A node is pruned when its partial metric
+    exceeds the incumbent energy by more than 1e-9 * (1 + incumbent). Live
+    children go back on the stack sorted by partial metric, the best batch
+    on top. Once its free inputs are set a node is a leaf, and its forced
+    steps are scored in one step; the leaves within the slack of their
+    batch's best are scored with ``ch.energy``. ``meta["nodes"]`` counts
+    the unpruned nodes, the root and the forced ones included, at every
+    tree size.
 
-    Otherwise gamma = ||G u||^2 with G = L^T upper triangular, so the
-    search assigns the steps backward from t = n - 1: step t fixes
-    x_{t-memory} (a single child when t < memory) and symbols
-    t*n_s..t*n_s+n_s-1, which completes components t*n_s..t*n_s+n_s-1 of
-    G u: exact additive metric increments. The depth-first search starts
-    at the root and runs on an explicit stack of batches of nodes at one
-    step, and expands all nodes of a batch with array operations; a node
-    keeps only the components of G u that are not yet complete. A node is
-    pruned when its partial metric exceeds the incumbent energy by more
-    than 1e-9 * (1 + incumbent). Live children go back on the stack sorted
-    by partial metric, the best batch on top. Once its free inputs are set
-    a node is a leaf, and its forced steps are scored in one step; the
-    leaves within the slack of their batch's best are scored with
-    ``ch.energy``. ``meta["nodes"]`` counts the unpruned nodes, the root
-    and the forced ones included.
-
-    Either way the winner has the smallest (gamma, codeword, input index),
-    where the input index reads x_0..x_{F-1} as a binary number with x_0
-    most significant, so the result equals an exhaustive scan of the
-    codewords; a count of more than ``SEARCH_BUDGET`` nodes raises
+    The winner has the smallest (gamma, codeword, input index), where the
+    input index reads x_0..x_{F-1} as a binary number with x_0 most
+    significant, so the result equals an exhaustive scan of the codewords at
+    every tree size; a count of more than ``SEARCH_BUDGET`` nodes raises
     SearchBudgetExceededError.
     """
     if ch.m % code.n_s:
@@ -376,21 +371,6 @@ def trellis_shape(ch: ChannelMatrix, u0, code: ShapingCode) -> PrecodeResult:
     free = max(0, n_steps - mem)
     count = code.codeword_count(n_steps)
     gen = _generator_matrix(code, n_steps)
-    if _whole_tree(code, n_steps):
-        nodes = count * (2 + min(n_steps, mem)) - 1
-        if nodes > SEARCH_BUDGET:
-            raise SearchBudgetExceededError(
-                f"trellis search visited more than {SEARCH_BUDGET} nodes"
-            )
-        chosen, index, metric = _shape_rows(ch, u0[None], code)
-        inputs = lex_digits(index[0], 2, free)
-        return precode_result(
-            ch, chosen[0], int(index[0]), count,
-            codeword=inputs @ gen & 1,
-            inputs=np.concatenate([inputs, np.zeros(n_steps - free, dtype=np.int64)]),
-            path_metric=float(metric[0]),
-            nodes=nodes,
-        )
     # Row j of scaled is u0_j * G[:, j]: symbol j's share of G u, unflipped.
     scaled = u0[:, None] * ch.chol
 

@@ -164,6 +164,9 @@ _DEEP = "<matrix nested 100000 deep>"
         ({"tau": float("nan")}, 2),
         ({"channel_source": {"kind": "inline", "matrix": [[1.0, "x"], [0.0, 1.0]]}}, 2),
         ({"channel_source": {"kind": "inline", "matrix": [[float("nan"), 0.0], [0.0, 1.0]]}}, 2),
+        # strings and booleans are not numbers, though numpy casts them to floats
+        ({"channel_source": {"kind": "inline", "matrix": [["1", "0"], ["0", "1"]]}}, 2),
+        ({"channel_source": {"kind": "inline", "matrix": [[True, False], [False, True]]}}, 2),
         ({"channel_source": "abc"}, 2),
         ({"precoder": [1]}, 2),
         ({"m": 2.7}, 2),
@@ -196,7 +199,8 @@ _DEEP = "<matrix nested 100000 deep>"
         ({"precoder": {"kind": "slm_random", "n": 4,
                        "region": {"kind": "ball", "radius": 10**400}}}, 2),
     ],
-    ids=["nan_tau", "non_numeric_matrix", "nan_matrix", "string_channel_source",
+    ids=["nan_tau", "non_numeric_matrix", "nan_matrix", "string_matrix", "boolean_matrix",
+         "string_channel_source",
          "list_precoder", "fractional_m", "boolean_trials", "huge_ball_radius",
          "huge_tau_plain", "huge_tau_vector_perturb", "trellis_k_s_2",
          "slm_n_over_budget", "slm_n_times_m_over_budget", "trellis_misspelled_key",

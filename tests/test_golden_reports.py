@@ -9,9 +9,10 @@ meant to change::
 
 The benchmark's tiny goldens (``perfbench/goldens/*-tiny.json``, both seed
 sets) are replayed too: they add M = 8 trellis reports and channels read
-from files. So is the trellis slot of the full-size ``cheap_kinds``
-goldens, 512 trials per report. That replay only reads ``perfbench/``; the
-channel files go to a temporary directory.
+from files. So are the trellis slot of the full-size ``cheap_kinds``
+goldens, 512 trials per report, and the full-size ``trellis_deep`` goldens,
+whose M = 24 code trees are searched. Those replays only read
+``perfbench/``; the channel files go to a temporary directory.
 """
 
 import importlib
@@ -133,6 +134,12 @@ def test_perfbench_trellis_goldens_replay(replay):
     # each master seed of both sets, so the row kernel's bits are pinned as
     # timed
     replay(PERFBENCH / "goldens" / "cheap_kinds.json", tiny=False, slots={"trellis"})
+
+
+def test_perfbench_trellis_deep_goldens_replay(replay):
+    # trellis_deep at benchmark size: M = 24, 2^10 codewords, which
+    # shaping.shape_rows searches; 16 trials on each master seed of both sets
+    replay(PERFBENCH / "goldens" / "trellis_deep.json", tiny=False)
 
 
 if __name__ == "__main__":

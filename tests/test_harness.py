@@ -584,9 +584,9 @@ def _chunk_cases():
     for m, k, n_u in ((4, 2, 1), (8, 2, 2), (8, 4, 1)):
         for q in (2, 3):
             cases.append((m, {"kind": "nested", "k": k, "n_u": n_u, "q": q}, range(3, 130)))
-    # trellis: whole code trees of 2^2 to 2^8 codewords (M = 20) go through
-    # the row kernel a group of trials at a time, 2^9 (M = 22) through one
-    # search per trial
+    # trellis: shaping.shape_rows scans code trees of 2^2 to 2^8 codewords
+    # (M = 20) a group of trials at a time and searches 2^9 (M = 22) per
+    # trial; the oracle's trellis_shape always searches
     for m, gens in ((4, "7,5"), (8, "7,5"), (16, "7,5"), (20, "7,5"), (22, "7,5"),
                     (9, "7,7,5"), (12, "17,15"), (8, "0,0"), (8, "1,1")):
         cases.append((m, {"kind": "trellis", "generators": gens, "k_s": 1, "pam": 4},
@@ -597,8 +597,10 @@ def _chunk_cases():
     cases.append((1, {"kind": "vector_perturb", "b": 3}, range(2731), 4 * theory.ENERGY_BLOCK,
                   None))
     trellis = {"kind": "trellis", "generators": "7,5", "k_s": 1, "pam": 4}
-    # H = I: every leaf ties, so every trial rescores its whole near set
-    cases.append((8, trellis, range(7, 60), harness._GROUP_ROWS, "identity"))
+    # H = I: every leaf ties, so every trial rescores its whole near set, in
+    # the scan against the search's leaves at 2^2, 2^6 and 2^8 codewords
+    for m in (8, 16, 20):
+        cases.append((m, trellis, range(7, 60), harness._GROUP_ROWS, "identity"))
     # groups of 16 rows: 4 trials of 4 codewords, so a chunk is many groups
     cases.append((8, trellis, range(7, 60), 16, None))
     return [
@@ -632,9 +634,8 @@ def test_chunk_matches_per_trial_oracle(m, precoder, trials, group_rows, channel
     code = shaping.code_from_octal(precoder["generators"])
     if code.codeword_count(m // code.n_s) > shaping._BATCH:
         return
-    # precoder_trial's trellis_shape runs the same row kernel as the chunk:
-    # a whole tree's gammas are also checked against a scan that shares no
-    # code with shaping
+    # where the chunk scans, its gammas are also checked against a scan that
+    # shares no code with shaping (too slow in Python for larger trees)
     cons = shaping.pam_constellation(4, spacing=tau / 4)
     for t, (gamma, _) in zip(trials, got):
         payload = streams.at(t).integers(0, 2, size=m * cons.bits_per_symbol)
