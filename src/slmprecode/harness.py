@@ -8,10 +8,11 @@ fixed-size blocks reduced in block order, so reports are byte-identical
 for any worker count and across reruns. A chunk owns one stream,
 ``regions.Streams(master_seed)``, and re-keys it to (master_seed, t) before
 trial t, so no trial builds a generator. A config is checked when it is
-built, and a report runs one checked snapshot of its config: serial and
-pooled chunks run the one trial that snapshot built. ``trials`` is
-at most ``precoders.SEARCH_BUDGET`` (2^20); a process pool gets no more
-processes than the largest config has chunks or than there are usable CPUs.
+built, an inline matrix's entries too, and a report runs one snapshot of
+it, built before any report runs, whose trial serial and pooled chunks
+run. ``trials`` is at most ``precoders.SEARCH_BUDGET`` (2^20); a process
+pool gets no more processes than the largest config has chunks or than
+there are usable CPUs.
 
 A chunk runs its trials a group at a time. Each trial re-keys the stream
 and draws its own variates into its row of the group's array; then the
@@ -172,6 +173,15 @@ def _channel_kind(src) -> str:
         raise ConfigError(f"channel_source.path must be a string, got {reprlib.repr(src['path'])}")
     if kind == "random":
         _int(src["seed"], "channel_source.seed")
+    if kind == "inline":
+        try:
+            h = np.asarray(src["matrix"])
+        except (TypeError, ValueError):  # ragged, or nested past numpy's dimension limit
+            h = np.asarray(None)  # an object array, refused below
+        # the dtype finds strings and booleans; the row scan, a boolean cast to a number
+        rows = src["matrix"] if h.ndim == 2 else ()
+        if h.dtype.kind not in "iuf" or any({bool, np.bool_} & set(map(type, r)) for r in rows):
+            raise ParseError("channel_source.matrix must be a matrix of numbers")
     return kind
 
 
@@ -189,8 +199,7 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(d: Dict) -> "ExperimentConfig":
-        if not isinstance(d, dict):
-            raise ConfigError("config must be a JSON object")
+        d = _object(d, "config")
         allowed = {f.name for f in dataclasses.fields(ExperimentConfig)}
         missing = allowed - {"condition_limit"} - d.keys()
         if missing:
@@ -265,14 +274,7 @@ def read_config(path: str) -> Dict:
         data = json.loads(_read_text(path, "config"))
     except (ValueError, RecursionError) as exc:  # also an over-long integer literal
         raise ParseError(f"config {path} is not valid JSON: {exc}") from None
-    if not isinstance(data, dict):
-        raise ConfigError("config must be a JSON object")
-    return data
-
-
-def load_config(path: str) -> ExperimentConfig:
-    """Read a JSON config file and build its config."""
-    return ExperimentConfig.from_dict(read_config(path))
+    return _object(data, "config")
 
 
 def _parse_channel_csv(text: str, path: str) -> np.ndarray:
@@ -315,13 +317,7 @@ def load_channel(
     elif kind == "random":
         h = regions.channel_stream(int(source["seed"])).standard_normal((m, m))
     else:
-        try:
-            h = np.asarray(source["matrix"])
-            numeric = h.dtype.kind in "iuf"  # strings and booleans cast to floats, not numbers
-        except (TypeError, ValueError):
-            numeric = False
-        if not numeric:
-            raise ParseError("channel_source.matrix must be a matrix of numbers")
+        h = np.asarray(source["matrix"])
     if not np.all(np.isfinite(h)):
         raise ParseError("channel matrix has non-finite entries")
     if h.shape != (m, m):
@@ -521,7 +517,12 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentReport:
     grouped into fixed chunks of 256 whose partial sums are reduced in
     chunk order, so scheduling cannot change the result.
     """
-    return _run_all([cfg], workers)[0]
+    return _run_all([_fields(cfg)], workers)[0]
+
+
+def _fields(cfg: ExperimentConfig) -> Dict:
+    """The config's fields by name, not copied: ``to_dict`` would copy an inline matrix."""
+    return {f.name: getattr(cfg, f.name) for f in dataclasses.fields(cfg)}
 
 
 def _usable_cpus() -> int:
@@ -531,13 +532,15 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _run_all(cfgs: Sequence[ExperimentConfig], workers: int) -> List[ExperimentReport]:
-    """Reports of the configs, in order; chunks of all of them share one process pool.
+def _run_all(points: Sequence[Dict], workers: int) -> List[ExperimentReport]:
+    """Reports of the configs the field dicts build, in order, in one process pool.
 
-    The configs run one after another, each spreading its chunks over the
-    pool, so the pool gets no more processes than the largest config has
-    chunks, nor than there are usable CPUs; with one, it is not started.
+    Every config is built, so checked, before any report runs. The configs
+    run one after another, each spreading its chunks over the pool, so the
+    pool gets no more processes than the largest config has chunks, nor than
+    there are usable CPUs; with one, it is not started.
     """
+    cfgs = [ExperimentConfig.from_dict(d) for d in points]
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
     most_chunks = max((-(-c.trials // TRIAL_CHUNK) for c in cfgs), default=0)
@@ -549,15 +552,13 @@ def _run_all(cfgs: Sequence[ExperimentConfig], workers: int) -> List[ExperimentR
 
 
 def _run(cfg: ExperimentConfig, pool: Optional[ProcessPoolExecutor]) -> ExperimentReport:
-    """One report of one checked snapshot of ``cfg``; its chunks run in ``pool`` if given.
+    """The report of ``cfg``; its chunks run in ``pool`` if given.
 
     Energies are summed divided by 2^k, k the binary exponent of e_opt, so their
     squares stay in the float range; that scaling is exact, so it leaves the
     report's bytes as they are.
     """
-    # the channel first: a matrix nested too deep is refused before to_dict recurses
     ch = load_channel(cfg.channel_source, cfg.m, cfg.condition_limit)
-    cfg = ExperimentConfig.from_dict(cfg.to_dict())
     n_candidates, sigma2, trial = cfg._built_scheme
     rep = theory.theory_report(ch, sigma2)
     k = math.frexp(rep.e_opt)[1]
@@ -613,11 +614,9 @@ def sweep_experiment(
     """
     if param not in ("n", "b"):
         raise ConfigError(f"sweep parameter must be 'n' or 'b', got {param!r}")
-    if isinstance(cfg, ExperimentConfig):  # not to_dict: that copies an inline matrix
-        cfg = {f.name: getattr(cfg, f.name) for f in dataclasses.fields(cfg)}
-    precoder = _object(cfg.get("precoder"), "precoder")
-    points = [{**cfg, "precoder": {**precoder, param: v}} for v in values]
-    return _run_all([ExperimentConfig.from_dict(d) for d in points], workers)
+    base = _fields(cfg) if isinstance(cfg, ExperimentConfig) else cfg
+    precoder = _object(base.get("precoder"), "precoder")
+    return _run_all([{**base, "precoder": {**precoder, param: v}} for v in values], workers)
 
 
 # ---------------------------------------------------------------------------

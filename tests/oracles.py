@@ -30,6 +30,7 @@ from slmprecode.precoders import (
     invert_precode,
     offset_range,
     precode_result,
+    slm_random,
     vector_perturb,
 )
 
@@ -39,13 +40,23 @@ ORACLE_BUDGET = 2**16
 def precoder_trial(precoder, ch, tau, gen):
     """(gamma of the precoder, gamma with no selection) of one trial drawn from ``gen``.
 
-    ``precoder`` is a config's precoder dict, of kind plain, vector_perturb,
-    trellis or nested, with every key given.
+    ``precoder`` is a config's precoder dict, of any kind, with every key
+    given (an ``slm_random`` region's too).
     """
     kind, m = precoder["kind"], ch.m
     if kind == "plain":
         gamma = invert_precode(ch, regions.draw(regions.hypercube(tau, m), gen)).gamma
         return gamma, gamma
+    if kind == "slm_random":
+        n, spec = precoder["n"], precoder["region"]
+        if spec["kind"] == "ball":
+            region = regions.ball(spec["radius"], m)
+        elif spec["expand"]:
+            region = regions.expanded_region(regions.hypercube(tau, m), n)
+        else:
+            region = regions.hypercube(tau, m)
+        candidates = regions.draw(region, gen, n)
+        return slm_random(ch, candidates).gamma, ch.energy(candidates[0])
     if kind == "vector_perturb":
         u = regions.draw(regions.hypercube(tau, m), gen)
         return vector_perturb(ch, u, tau, precoder["b"]).gamma, ch.energy(u)

@@ -167,6 +167,9 @@ _DEEP = "<matrix nested 100000 deep>"
         # strings and booleans are not numbers, though numpy casts them to floats
         ({"channel_source": {"kind": "inline", "matrix": [["1", "0"], ["0", "1"]]}}, 2),
         ({"channel_source": {"kind": "inline", "matrix": [[True, False], [False, True]]}}, 2),
+        # a boolean among numbers, which numpy casts to a float or an integer
+        ({"channel_source": {"kind": "inline", "matrix": [[True, 0.5], [0, 1]]}}, 2),
+        ({"channel_source": {"kind": "inline", "matrix": [[True, 2], [0, 1]]}}, 2),
         ({"channel_source": "abc"}, 2),
         ({"precoder": [1]}, 2),
         ({"m": 2.7}, 2),
@@ -200,7 +203,7 @@ _DEEP = "<matrix nested 100000 deep>"
                        "region": {"kind": "ball", "radius": 10**400}}}, 2),
     ],
     ids=["nan_tau", "non_numeric_matrix", "nan_matrix", "string_matrix", "boolean_matrix",
-         "string_channel_source",
+         "boolean_among_floats_matrix", "boolean_among_integers_matrix", "string_channel_source",
          "list_precoder", "fractional_m", "boolean_trials", "huge_ball_radius",
          "huge_tau_plain", "huge_tau_vector_perturb", "trellis_k_s_2",
          "slm_n_over_budget", "slm_n_times_m_over_budget", "trellis_misspelled_key",

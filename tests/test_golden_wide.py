@@ -1,15 +1,21 @@
-"""Golden report bytes above M = 8: trellis reports at the sizes where group products grow.
+"""Golden report bytes above M = 8, at the sizes where group products grow.
 
-(7,5) PAM 4 on random channels at M = 16 and 20, whose whole code trees of
-2^6 and 2^8 codewords are scanned a group of trials at a time, and at
-M = 26, whose 2^11 codewords are searched. Each report runs 300 trials, two
-256-trial chunks, so a run at ``workers=2`` starts a pool. Every report is
-checked three ways: serially, at ``workers=2``, and in a child process whose
-own environment sets ``OPENBLAS_NUM_THREADS=1``, so report bytes depend
-neither on pooling nor on how many threads BLAS runs. Regenerate
-``golden_reports_wide.json`` only when report bytes are meant to change::
+(7,5) PAM 4 trellis reports on random channels at M = 16 and 20, whose
+whole code trees of 2^6 and 2^8 codewords are scanned a group of trials at
+a time, and at M = 26, whose 2^11 codewords are searched; vector
+perturbation at b = 2, M = 12 (2^12 candidates a trial) and b = 3, M = 10
+(3^10, a group of its own); and nested K = 3, n_u = 2, q = 2 at M = 12.
+Each report runs 300 trials, two 256-trial chunks, so a run at
+``workers=2`` starts a pool. Every report is checked three ways: serially,
+at ``workers=2``, and in a child process whose own environment sets
+``OPENBLAS_NUM_THREADS=1``, so report bytes depend neither on pooling nor on
+how many threads BLAS runs. Capture the entries of new ``CONFIGS`` with::
 
     PYTHONPATH=src python tests/test_golden_wide.py
+
+It adds only the entries that ``golden_reports_wide.json`` lacks, and exits
+non-zero, naming the entry, if an existing entry's bytes would change. To
+change an entry on purpose, delete it from the file first.
 """
 
 import json
@@ -25,17 +31,26 @@ from slmprecode import harness
 GOLDENS = pathlib.Path(__file__).with_name("golden_reports_wide.json")
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
-# name: (m, seed of the random channel)
-CONFIGS = {"trellis_m16": (16, 16), "trellis_m20": (20, 20), "trellis_m26": (26, 26)}
+_TRELLIS = {"kind": "trellis", "generators": "7,5", "k_s": 1, "pam": 4}
+
+# name: (m, seed of the random channel, precoder)
+CONFIGS = {
+    "trellis_m16": (16, 16, _TRELLIS),
+    "trellis_m20": (20, 20, _TRELLIS),
+    "trellis_m26": (26, 26, _TRELLIS),
+    "vector_perturb_b2_m12": (12, 12, {"kind": "vector_perturb", "b": 2}),
+    "vector_perturb_b3_m10": (10, 10, {"kind": "vector_perturb", "b": 3}),
+    "nested_k3_m12": (12, 13, {"kind": "nested", "k": 3, "n_u": 2, "q": 2}),
+}
 
 
 def _config(name):
-    m, seed = CONFIGS[name]
+    m, seed, precoder = CONFIGS[name]
     return {
         "m": m,
         "channel_source": {"kind": "random", "seed": seed},
         "tau": 4.0,
-        "precoder": {"kind": "trellis", "generators": "7,5", "k_s": 1, "pam": 4},
+        "precoder": precoder,
         "trials": 300,
         "master_seed": 2024,
     }
@@ -49,6 +64,19 @@ def _report_bytes(name, workers=1):
 
 def _all_reports():
     return {name: _report_bytes(name) for name in sorted(CONFIGS)}
+
+
+def _capture_new():
+    """Add the reports of configs the golden file lacks; refuse to change an existing one."""
+    goldens = json.loads(GOLDENS.read_text()) if GOLDENS.exists() else {}
+    reports = _all_reports()
+    changed = [name for name, old in sorted(goldens.items()) if reports.get(name, old) != old]
+    if changed:
+        sys.exit(f"{GOLDENS.name}: the bytes of {', '.join(changed)} would change; "
+                 "delete an entry first to change it on purpose")
+    added = sorted(reports.keys() - goldens.keys())
+    GOLDENS.write_text(json.dumps({**goldens, **reports}, indent=2, sort_keys=True) + "\n")
+    print(f"added {', '.join(added) or 'nothing'}")
 
 
 @pytest.fixture(scope="module")
@@ -76,8 +104,7 @@ def test_wide_report_bytes_match_golden_one_blas_thread(goldens):
 
 
 if __name__ == "__main__":
-    reports = _all_reports()
     if sys.argv[1:] == ["--stdout"]:
-        print(json.dumps(reports))
+        print(json.dumps(_all_reports()))
     else:
-        GOLDENS.write_text(json.dumps(reports, indent=2, sort_keys=True) + "\n")
+        _capture_new()

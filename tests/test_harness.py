@@ -85,6 +85,25 @@ def test_config_channel_source_validation():
     ):
         with pytest.raises(ConfigError):
             harness.ExperimentConfig.from_dict(_base_cfg(channel_source=src))
+    # an inline matrix is checked when the config is built: a boolean entry
+    # is refused whatever numpy would cast the array to
+    for matrix in (
+        [[np.True_, 0.5], [0, 1]],  # float64
+        [[np.True_, 2], [0, 1]],  # int64
+        [np.array([True, False]), [0.5, 1.0]],  # a row of numpy booleans
+        np.eye(2, dtype=bool),
+        [[True, 0.5], [0, 1]],
+        [["1", "0"], ["0", "1"]],
+        [[1.0, 0.0], [0.0]],  # ragged
+    ):
+        src = {"kind": "inline", "matrix": matrix}
+        with pytest.raises(ParseError, match="matrix of numbers"):
+            harness.ExperimentConfig.from_dict(_base_cfg(channel_source=src))
+        with pytest.raises(ParseError, match="matrix of numbers"):
+            harness.load_channel(src, 2)
+    for matrix in ([[1, 0.5], [0, 1]], np.eye(2), np.eye(2, dtype=np.int32)):
+        harness.ExperimentConfig.from_dict(
+            _base_cfg(channel_source={"kind": "inline", "matrix": matrix}))
 
 
 def test_config_precoder_validation():
@@ -117,30 +136,30 @@ def test_config_precoder_validation():
 def test_load_config(tmp_path):
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps(_base_cfg()))
-    cfg = harness.load_config(str(p))
+    cfg = harness.ExperimentConfig.from_dict(harness.read_config(str(p)))
     assert cfg.m == 2
     assert cfg.precoder == {"kind": "plain"}
 
 
 def test_load_config_missing_file():
     with pytest.raises(ReportIOError):
-        harness.load_config("/no/such/config.json")
+        harness.ExperimentConfig.from_dict(harness.read_config("/no/such/config.json"))
 
 
 def test_load_config_bad_json(tmp_path):
     p = tmp_path / "cfg.json"
     p.write_text("{not valid json")
     with pytest.raises(ParseError):
-        harness.load_config(str(p))
+        harness.ExperimentConfig.from_dict(harness.read_config(str(p)))
     # an integer literal beyond Python's int-from-string digit limit
     p.write_text('{"m": 1' + "0" * 5000 + "}")
     with pytest.raises(ParseError):
-        harness.load_config(str(p))
+        harness.ExperimentConfig.from_dict(harness.read_config(str(p)))
     # not UTF-8, and nested beyond the JSON decoder's recursion limit
     for raw in (b"\xff" + json.dumps(_base_cfg()).encode(), b"[" * 200000):
         p.write_bytes(raw)
         with pytest.raises(ParseError):
-            harness.load_config(str(p))
+            harness.ExperimentConfig.from_dict(harness.read_config(str(p)))
 
 
 # ---------------------------------------------------------------------------
@@ -280,6 +299,37 @@ def test_run_experiment_builds_scheme_once_per_report(monkeypatch, trials):
     monkeypatch.setattr(harness, "_scheme", counting)
     harness.run_experiment(cfg)
     assert len(calls) == 1
+
+
+def test_sweep_builds_scheme_once_per_point(monkeypatch):
+    # each point's config is built once, before any point runs, and its
+    # report runs that config: no second build per point
+    cfg = harness.ExperimentConfig.from_dict(
+        _base_cfg(trials=16, precoder={"kind": "slm_random", "n": 4}))
+    calls = []
+    real = harness._scheme
+
+    def counting(c):
+        calls.append(c.precoder["n"])
+        return real(c)
+
+    monkeypatch.setattr(harness, "_scheme", counting)
+    harness.sweep_experiment(cfg, "n", [2, 4, 8])
+    assert calls == [2, 4, 8]
+
+
+def test_reports_do_not_copy_the_config(monkeypatch):
+    # a report and a sweep build their configs from the fields, so to_dict,
+    # which copies an inline matrix, is never called
+    cfg = harness.ExperimentConfig.from_dict(
+        _base_cfg(trials=16, precoder={"kind": "slm_random", "n": 4}))
+
+    def refuse(self):
+        raise AssertionError("to_dict called")
+
+    monkeypatch.setattr(harness.ExperimentConfig, "to_dict", refuse)
+    assert harness.run_experiment(cfg).trials == 16
+    assert [r.n_candidates for r in harness.sweep_experiment(cfg, "n", [2, 4])] == [2, 4]
 
 
 @pytest.mark.parametrize(
@@ -447,6 +497,15 @@ def test_benchmark_trace_hooks_install(monkeypatch):
     for kind, count in counts.items():
         assert count["harness.channel_loads"] == 1, kind
         assert count["harness.config_validations"] == 1, kind
+    # a sweep builds, so checks, each point once and loads its channel once a point
+    cfg = harness.ExperimentConfig.from_dict(
+        _base_cfg(m=8, channel_source={"kind": "random", "seed": 3}, trials=3,
+                  precoder=precoders_by_kind["slm_random"])
+    )
+    with tracing.installed(tracing.Tracer()) as tr:
+        harness.sweep_experiment(cfg, "n", [2, 4])
+    assert tr.counts["harness.config_validations"] == 2
+    assert tr.counts["harness.channel_loads"] == 2
     # a nested trial's 2^8 candidate rows reach ChannelMatrix.energies once,
     # in the energies call of its group of trials; the harness calls no
     # traced span around it, so they count under "rows.", next to one
@@ -584,6 +643,14 @@ def _chunk_cases():
     for m, k, n_u in ((4, 2, 1), (8, 2, 2), (8, 4, 1)):
         for q in (2, 3):
             cases.append((m, {"kind": "nested", "k": k, "n_u": n_u, "q": q}, range(3, 130)))
+    # slm_random selects once per trial, from each region its scheme builds
+    for m in (1, 4, 8):
+        for n in (1, 4, 64):
+            for region in ({"kind": "hypercube", "expand": True},
+                           {"kind": "hypercube", "expand": False},
+                           {"kind": "ball", "radius": 1.5}):
+                cases.append((m, {"kind": "slm_random", "n": n, "region": region},
+                              range(260, 300)))
     # trellis: shaping.shape_rows scans code trees of 2^2 to 2^8 codewords
     # (M = 20) a group of trials at a time and searches 2^9 (M = 22) per
     # trial; the oracle's trellis_shape always searches
@@ -605,10 +672,16 @@ def _chunk_cases():
     cases.append((8, trellis, range(7, 60), 16, None))
     return [
         pytest.param(m, precoder, trials, rows, channel, id="-".join(
-            [f"m{m}", *(str(v) for v in precoder.values()), f"{len(trials)}trials-{rows}rows",
+            [f"m{m}", *_id_values(precoder), f"{len(trials)}trials-{rows}rows",
              *([channel] if channel else [])]))
         for m, precoder, trials, rows, channel in cases
     ]
+
+
+def _id_values(spec):
+    """The values of a spec dict as strings, a nested dict's (a region's) in line."""
+    for v in spec.values():
+        yield from _id_values(v) if isinstance(v, dict) else [str(v)]
 
 
 @pytest.mark.parametrize("m,precoder,trials,group_rows,channel", _chunk_cases())
@@ -777,16 +850,17 @@ def test_sweep_uses_one_pool(monkeypatch):
 
 def test_sweep_of_a_deeply_nested_matrix_is_a_parse_error():
     # a sweep point is the config with its precoder changed, not a copy of
-    # the whole config, so a matrix nested 900 deep reaches load_channel
+    # the whole config, so a matrix nested 900 deep meets the inline matrix
+    # check when each point's config is built
     deep = 1.0
     for _ in range(900):
         deep = [deep]
-    cfg = harness.ExperimentConfig.from_dict(
-        _base_cfg(channel_source={"kind": "inline", "matrix": deep},
+    d = _base_cfg(channel_source={"kind": "inline", "matrix": deep},
                   precoder={"kind": "slm_random", "n": 4})
-    )
     with pytest.raises(ParseError):
-        harness.sweep_experiment(cfg, "n", [2, 3])
+        harness.sweep_experiment(d, "n", [2, 3])
+    with pytest.raises(ParseError):
+        harness.ExperimentConfig.from_dict(d)
 
 
 def test_pool_sized_by_chunks_and_cpus(monkeypatch):
