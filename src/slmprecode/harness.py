@@ -8,11 +8,11 @@ fixed-size blocks reduced in block order, so reports are byte-identical
 for any worker count and across reruns. A chunk owns one stream,
 ``regions.Streams(master_seed)``, and re-keys it to (master_seed, t) before
 trial t, so no trial builds a generator. A config is checked when it is
-built, an inline matrix's entries too, and a report runs one snapshot of
-it, built before any report runs, whose trial serial and pooled chunks
-run. ``trials`` is at most ``precoders.SEARCH_BUDGET`` (2^20); a process
-pool gets no more processes than the largest config has chunks or than
-there are usable CPUs.
+built, an inline matrix's entries too, and holds its own copy of its two
+dicts and the matrix's rows; a report runs one snapshot of it, built before
+any report runs, whose trial serial and pooled chunks run. ``trials`` is at
+most ``precoders.SEARCH_BUDGET`` (2^20); a process pool gets no more
+processes than the largest config has chunks or than there are usable CPUs.
 
 A chunk runs its trials a group at a time. Each trial re-keys the stream
 and draws its own variates into its row of the group's array; then the
@@ -68,6 +68,7 @@ offsets per coordinate.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import functools
 import json
@@ -130,7 +131,7 @@ def _float(value, name: str) -> float:
 def _object(value, name: str) -> Dict:
     if not isinstance(value, dict):
         raise ConfigError(f"{name} must be a JSON object, got {reprlib.repr(value)}")
-    return dict(value)
+    return value
 
 
 def _within_budget(base: int, power: int, what: str) -> int:
@@ -163,8 +164,8 @@ _PRECODER_KEYS = {
 _REGION_KEYS = {"hypercube": ("expand",), "ball": ("radius",)}
 
 
-def _channel_kind(src) -> str:
-    """The kind of a channel source, after checking the source against its schema."""
+def _channel_kind(src) -> Tuple[str, Optional[np.ndarray]]:
+    """A checked channel source's kind, and its inline matrix as an array (else None)."""
     kind = _kind(_object(src, "channel_source"), _CHANNEL_KEYS, "channel_source")
     (key,) = _CHANNEL_KEYS[kind]
     if key not in src:
@@ -173,6 +174,7 @@ def _channel_kind(src) -> str:
         raise ConfigError(f"channel_source.path must be a string, got {reprlib.repr(src['path'])}")
     if kind == "random":
         _int(src["seed"], "channel_source.seed")
+    h = None
     if kind == "inline":
         try:
             h = np.asarray(src["matrix"])
@@ -182,7 +184,7 @@ def _channel_kind(src) -> str:
         rows = src["matrix"] if h.ndim == 2 else ()
         if h.dtype.kind not in "iuf" or any({bool, np.bool_} & set(map(type, r)) for r in rows):
             raise ParseError("channel_source.matrix must be a matrix of numbers")
-    return kind
+    return kind, h
 
 
 @dataclass(frozen=True)
@@ -233,6 +235,10 @@ class ExperimentConfig:
             ) from None
         if sigma2 == 0.0:
             raise ConfigError("tau or region size is too small: the source power underflows")
+        for name in ("channel_source", "precoder"):  # own copies; only a matrix nests rows
+            own = {k: type(v)(map(copy.copy, v)) if type(v) in (list, tuple) else copy.copy(v)
+                   for k, v in getattr(self, name).items()}
+            object.__setattr__(self, name, own)
 
     @functools.cached_property
     def _built_scheme(self) -> Tuple[int, float, _Trial]:
@@ -310,14 +316,11 @@ def load_channel(
     dedicated counter stream of the seed, so the same seed is bit-identical
     across runs and platforms.
     """
-    kind = _channel_kind(source)
+    kind, h = _channel_kind(source)
     if kind == "file":
-        path = source["path"]
-        h = _parse_channel_csv(_read_text(path, "channel file"), path)
+        h = _parse_channel_csv(_read_text(source["path"], "channel file"), source["path"])
     elif kind == "random":
         h = regions.channel_stream(int(source["seed"])).standard_normal((m, m))
-    else:
-        h = np.asarray(source["matrix"])
     if not np.all(np.isfinite(h)):
         raise ParseError("channel matrix has non-finite entries")
     if h.shape != (m, m):
@@ -506,8 +509,8 @@ class ExperimentReport:
 
 
 def information_sigma2(cfg: ExperimentConfig) -> float:
-    """sigma^2 of the entropy-matched Gaussian for the experiment's data source."""
-    return cfg._built_scheme[1]
+    """sigma^2 of the entropy-matched Gaussian for the data source of the config as it now is."""
+    return _scheme(cfg)[1]
 
 
 def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentReport:
@@ -521,7 +524,7 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentReport:
 
 
 def _fields(cfg: ExperimentConfig) -> Dict:
-    """The config's fields by name, not copied: ``to_dict`` would copy an inline matrix."""
+    """The config's fields by name, not copied, since ``from_dict`` takes its own copy."""
     return {f.name: getattr(cfg, f.name) for f in dataclasses.fields(cfg)}
 
 

@@ -192,7 +192,12 @@ def fold_interval(x, tau: float):
     if tau <= 0.0:
         raise ValueError("tau must be positive")
     x = np.asarray(x, dtype=np.float64)
-    return x - tau * np.floor(x / tau + 0.5)
+    r = x - tau * np.floor(x / tau + 0.5)
+    edge = (r < -tau / 2) | (r >= tau / 2)
+    if edge.any():  # the floor missed by one; fmod and a shift by tau are exact (Sterbenz)
+        f = np.fmod(x, tau)
+        r = np.where(edge, f - tau * ((f >= tau / 2) * 1.0 - (f < -tau / 2)), r)
+    return r
 
 
 def receiver_verify(

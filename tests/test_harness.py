@@ -381,6 +381,40 @@ def test_report_runs_the_config_it_checks(monkeypatch, workers):
     assert rep.mean_gamma == fresh.mean_gamma
 
 
+def _ball_cfg(radius, **overrides):
+    return _base_cfg(m=4, channel_source={"kind": "random", "seed": 7}, trials=64,
+                     precoder={"kind": "slm_random", "n": 4,
+                               "region": {"kind": "ball", "radius": radius}}, **overrides)
+
+
+def test_configs_built_from_one_template_report_as_fresh_ones():
+    # the template's nested region changes between builds; each config keeps
+    # the radius it was built with, so its report is a fresh config's
+    template = _ball_cfg(None)
+    built = {}
+    for radius in (0.5, 1.0, 2.0):
+        template["precoder"]["region"]["radius"] = radius
+        built[radius] = harness.ExperimentConfig.from_dict(template)
+    for radius, cfg in built.items():
+        rep = harness.run_experiment(cfg)
+        fresh = harness.run_experiment(harness.ExperimentConfig.from_dict(_ball_cfg(radius)))
+        assert (rep.mean_gamma, rep.e_opt) == (fresh.mean_gamma, fresh.e_opt)
+        assert harness.write_report(rep, "json", None) == harness.write_report(fresh, "json", None)
+
+
+@pytest.mark.parametrize("as_array", [False, True], ids=["list", "ndarray"])
+def test_editing_the_callers_matrix_leaves_the_report(as_array):
+    rows = [[1.0, 0.2], [0.1, 0.9]]
+    matrix = np.array(rows) if as_array else [list(r) for r in rows]
+    cfg = harness.ExperimentConfig.from_dict(
+        _base_cfg(channel_source={"kind": "inline", "matrix": matrix}, trials=64))
+    matrix[0][0] = 2.0
+    rep = harness.run_experiment(cfg)
+    fresh = harness.run_experiment(harness.ExperimentConfig.from_dict(
+        _base_cfg(channel_source={"kind": "inline", "matrix": rows}, trials=64)))
+    assert harness.write_report(rep, "json", None) == harness.write_report(fresh, "json", None)
+
+
 def test_replace_checks_the_config():
     cfg = harness.ExperimentConfig.from_dict(_base_cfg())
     with pytest.raises(ConfigError):
@@ -425,6 +459,17 @@ def test_every_build_parses_the_fields(how):
     # the config holds copies: changing the caller's dicts cannot change it
     assert cfg.precoder == precoder and cfg.precoder is not precoder
     assert cfg.channel_source == source and cfg.channel_source is not source
+    # nor can changing in place what they nest: a region, an inline matrix
+    rows = [[1.0, 0.5], [0.0, 1.0]]
+    for matrix in ([list(r) for r in rows], tuple(list(r) for r in rows), np.array(rows)):
+        region = {"kind": "ball", "radius": 1.0}
+        cfg = _build(how, precoder={"kind": "slm_random", "n": 4, "region": region},
+                     channel_source={"kind": "inline", "matrix": matrix})
+        region["radius"] = 2.0
+        matrix[0][0] = 9.0
+        assert cfg.precoder["region"] == {"kind": "ball", "radius": 1.0}
+        assert np.array_equal(cfg.channel_source["matrix"], rows)
+        assert type(cfg.channel_source["matrix"]) is type(matrix)
 
 
 @pytest.mark.parametrize(
@@ -807,6 +852,13 @@ def test_information_sigma2():
     assert harness.information_sigma2(cfg_ball) == pytest.approx(
         1.0 / (2 * math.e), rel=1e-12
     )
+    # a precoder changed through the config is read as it now is, as a report reads it
+    cfg_ball.precoder["region"]["radius"] = 2.0
+    ball = {"kind": "ball", "radius": 2.0}
+    fresh = harness.ExperimentConfig.from_dict(
+        _base_cfg(precoder={"kind": "slm_random", "n": 4, "region": ball}))
+    assert harness.information_sigma2(cfg_ball) == harness.information_sigma2(fresh)
+    assert harness.information_sigma2(cfg_ball) == pytest.approx(4.0 / (2 * math.e), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -66,6 +67,14 @@ def test_slm_random_single_candidate():
     res = precoders.slm_random(ch, np.array([[0.5, 0.5]]))
     assert res.candidate_index == 0
     assert res.gamma == pytest.approx(0.5)
+    # one M-vector is one candidate: the result is plain inversion's, bit for bit
+    ch = theory.build_channel(_rng().standard_normal((3, 3)))
+    u = np.array([0.3, -0.7, 0.1])
+    one, plain = precoders.slm_random(ch, u), precoders.invert_precode(ch, u)
+    assert (one.candidate_index, one.n_candidates) == (0, 1)
+    assert one.gamma == plain.gamma
+    assert one.u_chosen.tobytes() == plain.u_chosen.tobytes()
+    assert one.s.tobytes() == plain.s.tobytes()
 
 
 def test_slm_random_picks_minimum():
@@ -139,6 +148,8 @@ def test_fold_interval_values():
     # half-open convention: the upper edge maps to the lower edge
     assert precoders.fold_interval(1.0, 2.0) == pytest.approx(-1.0)
     assert precoders.fold_interval(-1.0, 2.0) == pytest.approx(-1.0)
+    # just below the upper edge stays there, although x / tau + 0.5 rounds to 1
+    assert precoders.fold_interval(1.4999999999999998, 3.0) == 1.4999999999999998
 
 
 def test_fold_interval_idempotent_and_periodic():
@@ -150,6 +161,25 @@ def test_fold_interval_idempotent_and_periodic():
     assert np.all(f < tau / 2)
     assert np.allclose(precoders.fold_interval(f, tau), f, atol=1e-12)
     assert np.allclose(precoders.fold_interval(x + 3 * tau, tau), f, atol=1e-9)
+
+
+@pytest.mark.parametrize("tau", [3.0, 2.0, 1.7, 0.1, 1 / 3, 1e-3])
+def test_fold_interval_stays_inside_next_to_an_edge(tau):
+    # floor(x / tau + 0.5) can round up by one just below an upper edge, which
+    # sent 1.4999999999999998 (tau 3) to -1.5000000000000002
+    edges = tau / 2 + tau * np.arange(-1000.0, 1000.0)
+    x = np.concatenate([np.nextafter(edges, -np.inf), edges, np.nextafter(edges, np.inf),
+                        np.nextafter(-edges, -np.inf), np.nextafter(-edges, np.inf)])
+    f = precoders.fold_interval(x, tau)
+    assert np.all(f >= -tau / 2) and np.all(f < tau / 2)
+    # a result the floor formula already puts inside keeps its bits
+    rounded = x - tau * np.floor(x / tau + 0.5)
+    inside = (rounded >= -tau / 2) & (rounded < tau / 2)
+    assert f[inside].tobytes() == rounded[inside].tobytes()
+    # one that it puts outside is replaced by x less an exact multiple of tau
+    for xi, fi in zip(x[~inside], f[~inside]):
+        assert ((Fraction(xi) - Fraction(fi)) / Fraction(tau)).denominator == 1
+    assert precoders.fold_interval(f, tau).tobytes() == f.tobytes()
 
 
 # ---------------------------------------------------------------------------
