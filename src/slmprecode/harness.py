@@ -14,23 +14,17 @@ any report runs, whose trial serial and pooled chunks run. ``trials`` is at
 most ``precoders.SEARCH_BUDGET`` (2^20); a process pool gets no more
 processes than the largest config has chunks or than there are usable CPUs.
 
-A chunk runs its trials a group at a time. Each trial re-keys the stream
-and draws its own variates into its row of the group's array; then the
-array work runs once for the group: the hypercube map, the PAM map of the
-trellis payloads (the one behind ``shaping.payload_to_coset``), the nested
-users' coset representatives, and, for vector perturbation and nested, the
-fold, the candidates and one ``ChannelMatrix.energies`` call over every
-candidate row of the group with an argmin per trial, the private row kernel
-behind ``precoders.vector_perturb``. The trellis payloads' zero-codeword
-points go to ``shaping.shape_rows``, which scans a small code tree the same
-way, every codeword of the group in one call, and searches a larger one
-once per trial.
-A group holds at most ``theory.ENERGY_BLOCK`` candidate rows, and a trial
-with more is a group of its own. The energies whose bits would change if
-batched stay per trial: gamma = ||H^-1 u||^2 of the chosen vector and the
-energy with no selection. The ``slm_random`` selection runs once per trial.
-A vector-perturbation chunk builds its offset grid once and frees it when
-it ends.
+A chunk draws every trial's data row at once: each trial re-keys the stream
+and draws its own variates into its row of the chunk's array (at most
+256 x M values; a trellis chunk's payload is 256 x M x bits-per-symbol
+int64 bits, 4 MiB at M = 1024 with PAM 4), and the hypercube map, the PAM
+map behind ``shaping.payload_to_coset`` and the nested users' coset
+representatives run once on it. The kernel that selects,
+``precoders._perturb_rows`` for vector perturbation and nested or
+``shaping.shape_rows`` for trellis, takes the whole array and sizes its
+own groups of trials. The energies whose bits would change if batched stay
+per trial: gamma = ||H^-1 u||^2 of the chosen vector and the energy with
+no selection. The ``slm_random`` selection runs once per trial.
 
 Config files are JSON mirroring ExperimentConfig field names::
 
@@ -180,8 +174,8 @@ def _channel_kind(src) -> Tuple[str, Optional[np.ndarray]]:
             h = np.asarray(src["matrix"])
         except (TypeError, ValueError):  # ragged, or nested past numpy's dimension limit
             h = np.asarray(None)  # an object array, refused below
-        # the dtype finds strings and booleans; the row scan, a boolean cast to a number
-        rows = src["matrix"] if h.ndim == 2 else ()
+        # the dtype finds strings and booleans; a list's row scan, a boolean cast to a number
+        rows = src["matrix"] if h.ndim == 2 and isinstance(src["matrix"], (list, tuple)) else ()
         if h.dtype.kind not in "iuf" or any({bool, np.bool_} & set(map(type, r)) for r in rows):
             raise ParseError("channel_source.matrix must be a matrix of numbers")
     return kind, h
@@ -225,7 +219,7 @@ class ExperimentConfig:
         _within_budget(self.trials, 1, f"trials = {reprlib.repr(self.trials)}")
         if self.condition_limit <= 1:
             raise ConfigError("condition_limit must exceed 1")
-        _channel_kind(self.channel_source)
+        h = _channel_kind(self.channel_source)[1]
         try:
             sigma2 = self._built_scheme[1]
         except OverflowError:
@@ -235,6 +229,9 @@ class ExperimentConfig:
             ) from None
         if sigma2 == 0.0:
             raise ConfigError("tau or region size is too small: the source power underflows")
+        src = self.channel_source  # an array or other buffer matrix is held as an equal list
+        if h is not None and type(src["matrix"]) not in (list, tuple):
+            object.__setattr__(self, "channel_source", {**src, "matrix": h.tolist()})
         for name in ("channel_source", "precoder"):  # own copies; only a matrix nests rows
             own = {k: type(v)(map(copy.copy, v)) if type(v) in (list, tuple) else copy.copy(v)
                    for k, v in getattr(self, name).items()}
@@ -337,18 +334,6 @@ def load_channel(
 # selection) for each trial t of the range, drawn from streams.at(t)
 _Trial = Callable[[ChannelMatrix, regions.Streams, range], Iterator[Tuple[float, float]]]
 
-# Candidate rows whose energies one group of trials evaluates together: one
-# energy block, so a group's arrays stay as small as that block's product; a
-# trial with more candidates than that is a group of its own.
-_GROUP_ROWS = theory.ENERGY_BLOCK
-
-
-def _groups(trials: range, rows: int) -> Iterator[range]:
-    """``trials`` in consecutive groups of trials with at most _GROUP_ROWS rows, one at least."""
-    size = max(1, _GROUP_ROWS // rows)
-    return (trials[i:i + size] for i in range(0, len(trials), size))
-
-
 def _integer_rows(streams: regions.Streams, trials: range, high: int, size: int) -> np.ndarray:
     """Row i: the ``size`` integers in [0, high) that trial ``trials[i]`` draws from its stream."""
     out = np.empty((len(trials), size), dtype=np.int64)
@@ -364,10 +349,9 @@ def _nested_rows(part, k_users, streams, trials) -> np.ndarray:
 
 
 def _plain_chunk(cube, ch, streams, trials):
-    for group in _groups(trials, 1):
-        for u in regions.draw_rows(cube, streams, group):
-            g = precoders._transmit(ch, u)[1]
-            yield g, g
+    for u in regions.draw_rows(cube, streams, trials):
+        g = precoders._transmit(ch, u)[1]
+        yield g, g
 
 
 def _slm_random_chunk(region, n, ch, streams, trials):
@@ -378,23 +362,16 @@ def _slm_random_chunk(region, n, ch, streams, trials):
         yield gammas
 
 
-def _perturb_chunk(draw_rows, tau, b, ch, streams, trials):
-    """Vector perturbation (period tau, b offsets per coordinate) of the rows ``draw_rows`` gives."""
-    scaled = tau * precoders._offset_grid(b, ch.m)
-    for group in _groups(trials, len(scaled)):
-        u = draw_rows(streams, group)
-        chosen, _ = precoders._perturb_rows(ch, u, scaled, tau)
-        for row, u_row in zip(chosen, u):
-            yield precoders._transmit(ch, row)[1], ch.energy(u_row)
+def _trellis_rows(cons, m, streams, trials) -> np.ndarray:
+    """Row i: the zero-codeword point of the payload bits trial ``trials[i]`` draws."""
+    return shaping._pam_map(_integer_rows(streams, trials, 2, m * cons.bits_per_symbol), cons)
 
 
-def _trellis_chunk(code, cons, ch, streams, trials):
-    """Trellis shaping, a group of trials at a time; ``shaping.shape_rows`` scans or searches."""
-    for group in _groups(trials, code.codeword_count(ch.m // code.n_s)):
-        payload = _integer_rows(streams, group, 2, ch.m * cons.bits_per_symbol)
-        u0_rows = shaping._pam_map(payload, cons)
-        for row, u0 in zip(shaping.shape_rows(ch, u0_rows, code), u0_rows):
-            yield precoders._transmit(ch, row)[1], ch.energy(u0)
+def _select_chunk(draw_rows, select, ch, streams, trials):
+    """The rows ``select`` chooses for every trial's row that ``draw_rows`` draws at once."""
+    u = draw_rows(streams, trials)
+    for row, u_row in zip(select(ch, u), u):
+        yield precoders._transmit(ch, row)[1], ch.energy(u_row)
 
 
 def _scheme(cfg: ExperimentConfig) -> Tuple[int, float, _Trial]:
@@ -402,8 +379,8 @@ def _scheme(cfg: ExperimentConfig) -> Tuple[int, float, _Trial]:
 
     Returns (candidate count, sigma^2 of the information source, trial),
     the trial (``_Trial``) being one of the ``_*_chunk`` functions with its
-    constants bound, so it pickles to pool workers. ``nested`` runs the
-    vector perturbation chunk on the rows of its users' representatives.
+    constants bound, so it pickles to pool workers. ``_select_chunk`` binds
+    a draw and a select: ``nested`` perturbs its users' representatives.
     This is the only code that branches on the precoder kind.
     """
     p = cfg.precoder
@@ -438,7 +415,8 @@ def _scheme(cfg: ExperimentConfig) -> Tuple[int, float, _Trial]:
             raise ConfigError("vector_perturb requires b >= 1")
         count = _within_budget(b, m, f"b^m = {reprlib.repr(b)}^{m}")
         draw_rows = functools.partial(regions.draw_rows, regions.hypercube(tau, m))
-        return count, sigma2, functools.partial(_perturb_chunk, draw_rows, tau, b)
+        select = functools.partial(precoders._perturb_rows, tau=tau, b=b)
+        return count, sigma2, functools.partial(_select_chunk, draw_rows, select)
     if kind == "trellis":
         if _int(p.get("k_s", 1), "precoder.k_s") != 1:
             raise ConfigError("trellis shaping codes have rate 1/n_s: k_s must be 1")
@@ -448,7 +426,9 @@ def _scheme(cfg: ExperimentConfig) -> Tuple[int, float, _Trial]:
         # the PAM size is checked before tau / pam can overflow or divide by 0
         levels = shaping.pam_levels(_int(p.get("pam", 4), "precoder.pam"), "precoder.pam")
         cons = shaping.pam_constellation(levels, spacing=tau / levels)
-        trial = functools.partial(_trellis_chunk, code, cons)
+        draw_rows = functools.partial(_trellis_rows, cons, m)
+        select = functools.partial(shaping.shape_rows, code=code)
+        trial = functools.partial(_select_chunk, draw_rows, select)
         return code.codeword_count(m // code.n_s), sigma2, trial
     # nested
     k_users = _int(p.get("k", 0), "precoder.k")
@@ -463,7 +443,8 @@ def _scheme(cfg: ExperimentConfig) -> Tuple[int, float, _Trial]:
     count = _within_budget(q, m, f"q^(2 n_u K) = {reprlib.repr(q)}^{m}")
     part = shaping.lattice_partition(n_u, q, spacing=tau / q)
     draw_rows = functools.partial(_nested_rows, part, k_users)
-    return count, sigma2, functools.partial(_perturb_chunk, draw_rows, part.modulo_period, q)
+    select = functools.partial(precoders._perturb_rows, tau=part.modulo_period, b=q)
+    return count, sigma2, functools.partial(_select_chunk, draw_rows, select)
 
 
 def _run_chunk(

@@ -18,7 +18,7 @@ data exactly (the independency condition).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Tuple
+from typing import Any, Dict, Iterator, Tuple
 
 import numpy as np
 
@@ -28,9 +28,14 @@ from .errors import (
     EmptyCandidateSetError,
     SearchBudgetExceededError,
 )
-from .theory import ChannelMatrix
+from .theory import ENERGY_BLOCK, ChannelMatrix
 
 SEARCH_BUDGET = 2**20
+
+# Candidate rows whose energies one group of data rows evaluates together:
+# one energy block, so a group's arrays stay as small as that block's
+# product; a row with more candidates than that is a group of its own.
+_GROUP_ROWS = ENERGY_BLOCK
 
 
 @dataclass(frozen=True)
@@ -125,27 +130,35 @@ def lex_digits(idx, base: int, width: int) -> np.ndarray:
 def _offset_grid(b: int, m: int) -> np.ndarray:
     """The b^m offset vectors as float rows, the first coordinate varying slowest.
 
-    A grid may be as large as SEARCH_BUDGET rows, so it is built for one
-    search, or one chunk of trials, and not kept.
+    A grid may be as large as SEARCH_BUDGET rows, so ``_perturb_rows`` builds
+    it once per call, for one search or one chunk of trials, and keeps none.
     """
     return lex_digits(np.arange(b**m), b, m) + float(offset_range(b)[0])
 
 
-def _perturb_rows(ch: ChannelMatrix, u: np.ndarray, scaled: np.ndarray,
-                  tau: float) -> Tuple[np.ndarray, np.ndarray]:
-    """Vector perturbation of each row of ``u``: the chosen rows and their candidate indices.
+def _groups(n_rows: int, candidates: int) -> Iterator[slice]:
+    """Slices of ``n_rows`` rows with at most _GROUP_ROWS candidate rows each, one row at least."""
+    size = max(1, _GROUP_ROWS // candidates)
+    return (slice(i, i + size) for i in range(0, n_rows, size))
 
-    ``scaled`` is tau times the offset grid. Row i's candidates are its fold
-    into [-tau/2, tau/2) plus each row of ``scaled``; the energies of every
-    candidate of every row come from one ``ch.energies`` call, whose rows
-    keep their bits whatever rows share the call, and ties go to the lowest
-    index.
+
+def _perturb_rows(ch: ChannelMatrix, u: np.ndarray, tau: float, b: int) -> np.ndarray:
+    """The vector perturbation (period tau, b offsets per coordinate) chosen for each row of ``u``.
+
+    Row i's candidates are its fold into [-tau/2, tau/2) plus tau times each
+    row of the offset grid. The rows run in ``_groups``; the energies of
+    every candidate of a group come from one ``ch.energies`` call, whose
+    rows keep their bits whatever rows share the call, and ties go to the
+    lowest index.
     """
+    scaled = tau * _offset_grid(b, ch.m)
     base = fold_interval(u, tau)
-    candidates = scaled + base[:, None, :]
-    energies = ch.energies(candidates.reshape(-1, ch.m)).reshape(len(u), -1)
-    best = energies.argmin(axis=1)
-    return candidates[np.arange(len(u)), best], best
+    chosen = np.empty(base.shape)
+    for rows in _groups(len(u), len(scaled)):
+        candidates = scaled + base[rows, None, :]
+        energies = ch.energies(candidates.reshape(-1, ch.m)).reshape(len(candidates), -1)
+        chosen[rows] = candidates[np.arange(len(candidates)), energies.argmin(axis=1)]
+    return chosen
 
 
 def vector_perturb(
@@ -177,10 +190,12 @@ def vector_perturb(
         raise SearchBudgetExceededError(
             f"b^M = {b}^{m} = {n} exceeds the exhaustive-search budget {SEARCH_BUDGET}"
         )
-    chosen, best = _perturb_rows(ch, u[None], tau * _offset_grid(b, m), tau)
-    u_chosen = chosen[0]
+    (u_chosen,) = _perturb_rows(ch, u[None], tau, b)
     l_total = np.rint((u_chosen - u) / tau).astype(np.int64)
-    return precode_result(ch, u_chosen, int(best[0]), n, offset=l_total, tau=float(tau), b=b)
+    # the chosen grid row's index: its digits, counted from the fold, most significant first
+    digits = np.rint((u_chosen - fold_interval(u, tau)) / tau) - offset_range(b)[0]
+    index = int(digits.astype(np.int64) @ b ** np.arange(m - 1, -1, -1))
+    return precode_result(ch, u_chosen, index, n, offset=l_total, tau=float(tau), b=b)
 
 
 def fold_interval(x, tau: float):

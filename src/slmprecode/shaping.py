@@ -24,8 +24,9 @@ stack that expands a batch of nodes per array operation, bounded by
 each row of a (T, M) array of zero-codeword points, and is the one place
 that picks how: a code tree whose 2^F codewords fit one search batch
 (2^F <= 256, e.g. (7,5) up to M = 20) is scanned whole, every codeword of
-every row in one ``ChannelMatrix.energies`` call; a larger tree is
-searched one row at a time.
+a group of rows in one ``ChannelMatrix.energies`` call, grouped as vector
+perturbation groups its rows; a larger tree is searched one row at a
+time.
 
 Like the precoders, both searches take the data vector: ``trellis_shape``
 the zero-codeword point u0, ``nested_select`` the M-vector of the users'
@@ -66,6 +67,7 @@ from .errors import (
 from .precoders import (
     SEARCH_BUDGET,
     PrecodeResult,
+    _groups,
     check_dim,
     lex_digits,
     precode_result,
@@ -300,8 +302,9 @@ def shape_rows(ch: ChannelMatrix, u0_rows: np.ndarray, code: ShapingCode) -> np.
     Row i of the result is ``trellis_shape(ch, u0_rows[i], code).u_chosen``;
     the rows are not checked. A code tree of at most ``_BATCH`` codewords is
     scanned: row i's candidates are u0_rows[i] * (1 - 2c) for every codeword
-    c, in input-index order, and their metrics come from one
-    ``ch.energies`` call over every candidate of every row. The leaves
+    c, in input-index order. The rows run in ``precoders._groups`` of at
+    most ``_GROUP_ROWS`` candidate rows, and the metrics of every candidate
+    of a group come from one ``ch.energies`` call. The leaves
     within 1e-9 * (1 + low) of their row's lowest metric are near; where
     more than one is, they are rescored with ``ch.energy`` and the winner
     has the smallest (gamma, codeword, input index), as in the search. A
@@ -311,21 +314,23 @@ def shape_rows(ch: ChannelMatrix, u0_rows: np.ndarray, code: ShapingCode) -> np.
     if code.codeword_count(n_steps) > _BATCH:
         return np.array([trellis_shape(ch, u0, code).u_chosen for u0 in u0_rows])
     signs = _leaf_signs(code, n_steps)
-    n_rows, leaves = len(u0_rows), len(signs)
-    # each row repeated, then flipped in place: a long multiply, not one per candidate
-    candidates = u0_rows.repeat(leaves, axis=0).reshape(n_rows, leaves, ch.m)
-    candidates *= signs
-    metric = ch.energies(candidates.reshape(-1, ch.m)).reshape(n_rows, leaves)
-    low = metric.min(axis=1, keepdims=True)
-    near = metric <= low + 1e-9 * (1.0 + np.abs(low))
-    best = near.argmax(axis=1)  # the first near leaf, the winner where it is the only one
-    for i in np.flatnonzero(near.sum(axis=1) > 1):
-        # a codeword's bits are its sign flips
-        best[i] = min(
-            (ch.energy(candidates[i, k]), (signs[k] < 0).tolist(), k)
-            for k in np.flatnonzero(near[i])
-        )[2]
-    return candidates[np.arange(n_rows), best]
+    chosen = np.empty(u0_rows.shape)
+    for rows in _groups(len(u0_rows), len(signs)):
+        # each row repeated, then flipped in place: a long multiply, not one per candidate
+        candidates = u0_rows[rows].repeat(len(signs), axis=0).reshape(-1, len(signs), ch.m)
+        candidates *= signs
+        metric = ch.energies(candidates.reshape(-1, ch.m)).reshape(len(candidates), -1)
+        low = metric.min(axis=1, keepdims=True)
+        near = metric <= low + 1e-9 * (1.0 + np.abs(low))
+        best = near.argmax(axis=1)  # the first near leaf, the winner where it is the only one
+        for i in np.flatnonzero(near.sum(axis=1) > 1):
+            # a codeword's bits are its sign flips
+            best[i] = min(
+                (ch.energy(candidates[i, k]), (signs[k] < 0).tolist(), k)
+                for k in np.flatnonzero(near[i])
+            )[2]
+        chosen[rows] = candidates[np.arange(len(candidates)), best]
+    return chosen
 
 
 def trellis_shape(ch: ChannelMatrix, u0, code: ShapingCode) -> PrecodeResult:

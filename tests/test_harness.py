@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from slmprecode import harness, regions, shaping, theory
+from slmprecode import harness, precoders, regions, shaping, theory
 from slmprecode.errors import ConfigError, ParseError, PrecodingError, ReportIOError
 
 from oracles import exhaustive_shape, precoder_trial
@@ -42,6 +42,13 @@ def test_config_roundtrip():
     assert again == cfg
     # a built config pickles with its scheme, whose trial is a partial of a module function
     assert pickle.loads(pickle.dumps(cfg)) == cfg
+    # an ndarray or tuple inline matrix compares, and its config dumps to JSON
+    for matrix in (np.eye(2), ((1.0, 0.0), (0.0, 1.0))):
+        cfg = harness.ExperimentConfig.from_dict(
+            _base_cfg(channel_source={"kind": "inline", "matrix": matrix}))
+        assert harness.ExperimentConfig.from_dict(cfg.to_dict()) == cfg
+        dumped = json.loads(json.dumps(cfg.to_dict()))
+        assert dumped["channel_source"]["matrix"] == np.eye(2).tolist()
 
 
 def test_config_requires_all_keys():
@@ -104,6 +111,12 @@ def test_config_channel_source_validation():
     for matrix in ([[1, 0.5], [0, 1]], np.eye(2), np.eye(2, dtype=np.int32)):
         harness.ExperimentConfig.from_dict(
             _base_cfg(channel_source={"kind": "inline", "matrix": matrix}))
+    # a 2-D memoryview, which numpy reads as float64, is the matrix it views
+    reports = [harness.run_experiment(harness.ExperimentConfig.from_dict(
+        _base_cfg(channel_source={"kind": "inline", "matrix": matrix}, trials=8)))
+        for matrix in (memoryview(np.eye(2)), np.eye(2))]
+    assert harness.write_report(reports[0], "json", None) == harness.write_report(
+        reports[1], "json", None)
 
 
 def test_config_precoder_validation():
@@ -468,8 +481,9 @@ def test_every_build_parses_the_fields(how):
         region["radius"] = 2.0
         matrix[0][0] = 9.0
         assert cfg.precoder["region"] == {"kind": "ball", "radius": 1.0}
-        assert np.array_equal(cfg.channel_source["matrix"], rows)
-        assert type(cfg.channel_source["matrix"]) is type(matrix)
+        # a list or tuple keeps its type; an ndarray is held as an equal list
+        assert cfg.channel_source["matrix"] == (rows if isinstance(matrix, np.ndarray)
+                                                else type(matrix)(rows))
 
 
 @pytest.mark.parametrize(
@@ -636,24 +650,35 @@ def test_run_experiment_trellis_smoke():
 
 
 def test_trellis_trial_maps_payload_once(monkeypatch):
-    # each trial's payload is mapped to its zero-codeword point once, by the
-    # PAM map behind payload_to_coset run on its group of trials, and the
-    # row kernel that shapes the group does not map it again
+    # a chunk draws its trials' rows, and maps trellis payloads to their
+    # zero-codeword points by the PAM map behind payload_to_coset, once for
+    # every trial of the chunk; the kernel that selects, scanning (M = 8) or
+    # searching (M = 24) a code tree or perturbing (50 trials a group at
+    # b = 3, M = 4), splits the rows into groups and does not map them again
     rows = []
-    real = shaping._pam_map
 
-    def counting(bits, cons):
-        out = real(bits, cons)
-        rows.append(len(out))
-        return out
+    def counting(real):
+        def wrapper(*args):
+            out = real(*args)
+            rows.append(len(out))
+            return out
+        return wrapper
 
-    monkeypatch.setattr(shaping, "_pam_map", counting)
-    cfg = harness.ExperimentConfig.from_dict(
-        _base_cfg(m=8, channel_source={"kind": "random", "seed": 3}, trials=5,
-                  precoder={"kind": "trellis", "generators": "7,5", "pam": 4})
-    )
-    harness.run_experiment(cfg)
-    assert rows == [5]
+    monkeypatch.setattr(shaping, "_pam_map", counting(shaping._pam_map))
+    monkeypatch.setattr(regions, "draw_rows", counting(regions.draw_rows))
+    trellis = {"kind": "trellis", "generators": "7,5", "pam": 4}
+    for m, seed, trials, precoder, want in (
+        (8, 3, 5, trellis, [5]),
+        (24, 23, 16, trellis, [16]),
+        (4, 3, 512, {"kind": "vector_perturb", "b": 3}, [256, 256]),
+    ):
+        rows.clear()
+        cfg = harness.ExperimentConfig.from_dict(
+            _base_cfg(m=m, channel_source={"kind": "random", "seed": seed}, trials=trials,
+                      precoder=precoder)
+        )
+        harness.run_experiment(cfg)
+        assert rows == want, (m, precoder["kind"])
 
 
 def test_trellis_group_stays_within_group_rows(monkeypatch):
@@ -672,7 +697,7 @@ def test_trellis_group_stays_within_group_rows(monkeypatch):
                   precoder={"kind": "trellis", "generators": "7,5", "pam": 4})
     )
     harness.run_experiment(cfg)
-    assert harness._GROUP_ROWS == 16 * 2**8
+    assert precoders._GROUP_ROWS == 16 * 2**8
     assert calls == [16 * 2**8, 16 * 2**8, 8 * 2**8]
 
 
@@ -703,7 +728,7 @@ def _chunk_cases():
                     (9, "7,7,5"), (12, "17,15"), (8, "0,0"), (8, "1,1")):
         cases.append((m, {"kind": "trellis", "generators": gens, "k_s": 1, "pam": 4},
                       range(7, 60)))
-    cases = [(m, precoder, trials, harness._GROUP_ROWS, None) for m, precoder, trials in cases]
+    cases = [(m, precoder, trials, precoders._GROUP_ROWS, None) for m, precoder, trials in cases]
     # with groups of up to 4 energy blocks, one group of 2731 trials of 3
     # candidates: 8193 rows, so energies folds a 1-row tail into its last block
     cases.append((1, {"kind": "vector_perturb", "b": 3}, range(2731), 4 * theory.ENERGY_BLOCK,
@@ -712,7 +737,7 @@ def _chunk_cases():
     # H = I: every leaf ties, so every trial rescores its whole near set, in
     # the scan against the search's leaves at 2^2, 2^6 and 2^8 codewords
     for m in (8, 16, 20):
-        cases.append((m, trellis, range(7, 60), harness._GROUP_ROWS, "identity"))
+        cases.append((m, trellis, range(7, 60), precoders._GROUP_ROWS, "identity"))
     # groups of 16 rows: 4 trials of 4 codewords, so a chunk is many groups
     cases.append((8, trellis, range(7, 60), 16, None))
     return [
@@ -733,7 +758,7 @@ def _id_values(spec):
 def test_chunk_matches_per_trial_oracle(m, precoder, trials, group_rows, channel, monkeypatch):
     # a chunk's (gamma, plain gamma) of each trial equals, bit for bit, what
     # the public precoders give on that trial's re-keyed stream
-    monkeypatch.setattr(harness, "_GROUP_ROWS", group_rows)
+    monkeypatch.setattr(precoders, "_GROUP_ROWS", group_rows)
     tau = 3.0
     source = {"kind": "random", "seed": 20 + m}
     if channel == "identity":
@@ -807,8 +832,8 @@ def test_nested_report_memory_at_budget_corner():
 
 
 def test_vector_perturb_report_frees_its_offset_grid():
-    # a chunk builds its scaled offset grid, 2^16 rows of 16 (8 MiB) here,
-    # and frees it when the chunk ends: nothing of that size outlives the report
+    # the kernel builds its scaled offset grid, 2^16 rows of 16 (8 MiB) here,
+    # once per chunk and frees it: nothing of that size outlives the report
     cfg = harness.ExperimentConfig.from_dict(
         _base_cfg(m=16, channel_source={"kind": "random", "seed": 3}, trials=1,
                   precoder={"kind": "vector_perturb", "b": 2})
