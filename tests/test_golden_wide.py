@@ -2,9 +2,12 @@
 
 (7,5) PAM 4 trellis reports on random channels at M = 16 and 20, whose
 whole code trees of 2^6 and 2^8 codewords are scanned a group of trials at
-a time, and at M = 26, whose 2^11 codewords are searched; vector
-perturbation at b = 2, M = 12 (2^12 candidates a trial) and b = 3, M = 10
-(3^10, a group of its own); and nested K = 3, n_u = 2, q = 2 at M = 12.
+a time, and at M = 26 and 32, whose 2^11 and 2^14 codewords are searched;
+vector perturbation at b = 2, M = 12 (2^12 candidates a trial) and b = 3,
+M = 10 (3^10, a group of its own); nested K = 3, n_u = 2, q = 2 at M = 12;
+and ``slm_random`` on the expanded hypercube at M = 20, N = 4096 and at
+M = 64, N = 1024, whose candidate energies are one product a trial of more
+than 10^6 multiply-adds when the entries were captured.
 Each report runs 300 trials, two 256-trial chunks, so a run at
 ``workers=2`` starts a pool. Every report is checked three ways: serially,
 at ``workers=2``, and in a child process whose own environment sets
@@ -41,6 +44,9 @@ CONFIGS = {
     "vector_perturb_b2_m12": (12, 12, {"kind": "vector_perturb", "b": 2}),
     "vector_perturb_b3_m10": (10, 10, {"kind": "vector_perturb", "b": 3}),
     "nested_k3_m12": (12, 13, {"kind": "nested", "k": 3, "n_u": 2, "q": 2}),
+    "trellis_m32": (32, 32, _TRELLIS),
+    "slm_random_m20_n4096": (20, 20, {"kind": "slm_random", "n": 4096}),
+    "slm_random_m64_n1024": (64, 64, {"kind": "slm_random", "n": 1024}),
 }
 
 
