@@ -15,11 +15,10 @@ most ``precoders.SEARCH_BUDGET`` (2^20); a process pool gets no more
 processes than the largest config has chunks or than there are usable CPUs.
 
 A chunk draws every trial's data row at once: each trial re-keys the stream
-and draws its own variates into its row of the chunk's array (at most
-256 x M values; a trellis chunk's payload is 256 x M x bits-per-symbol
-int64 bits, 4 MiB at M = 1024 with PAM 4), and the hypercube map, the PAM
-map behind ``shaping.payload_to_coset`` and the nested users' coset
-representatives run once on it. The kernel that selects,
+and draws its own variates (trellis payload bits as uint8) into its row of
+the chunk's array, and the hypercube map, the PAM map behind
+``shaping.payload_to_coset`` and the nested users' coset representatives
+run once on it. The kernel that selects,
 ``precoders._perturb_rows`` for vector perturbation and nested or
 ``shaping.shape_rows`` for trellis, takes the whole array and sizes its
 own groups of trials. The energies whose bits would change if batched stay
@@ -334,9 +333,9 @@ def load_channel(
 # selection) for each trial t of the range, drawn from streams.at(t)
 _Trial = Callable[[ChannelMatrix, regions.Streams, range], Iterator[Tuple[float, float]]]
 
-def _integer_rows(streams: regions.Streams, trials: range, high: int, size: int) -> np.ndarray:
-    """Row i: the ``size`` integers in [0, high) that trial ``trials[i]`` draws from its stream."""
-    out = np.empty((len(trials), size), dtype=np.int64)
+def _integer_rows(streams, trials, high: int, size: int, dtype) -> np.ndarray:
+    """Row i: the ``size`` integers in [0, high) that trial ``trials[i]`` draws, as ``dtype``."""
+    out = np.empty((len(trials), size), dtype=dtype)
     for row, t in zip(out, trials):
         row[:] = streams.at(t).integers(0, high, size=size)
     return out
@@ -344,7 +343,8 @@ def _integer_rows(streams: regions.Streams, trials: range, high: int, size: int)
 
 def _nested_rows(part, k_users, streams, trials) -> np.ndarray:
     """Row i: the K users' stacked coset representatives of trial ``trials[i]``."""
-    idx = _integer_rows(streams, trials, part.coset_count, k_users)
+    # signed: representatives subtracts q // 2 from the digits
+    idx = _integer_rows(streams, trials, part.coset_count, k_users, np.int64)
     return part.representatives(idx).reshape(len(trials), -1)
 
 
@@ -363,8 +363,9 @@ def _slm_random_chunk(region, n, ch, streams, trials):
 
 
 def _trellis_rows(cons, m, streams, trials) -> np.ndarray:
-    """Row i: the zero-codeword point of the payload bits trial ``trials[i]`` draws."""
-    return shaping._pam_map(_integer_rows(streams, trials, 2, m * cons.bits_per_symbol), cons)
+    """Row i: the zero-codeword point of the uint8 payload bits trial ``trials[i]`` draws."""
+    bits = _integer_rows(streams, trials, 2, m * cons.bits_per_symbol, np.uint8)
+    return shaping._pam_map(bits, cons)
 
 
 def _select_chunk(draw_rows, select, ch, streams, trials):

@@ -28,14 +28,9 @@ from .errors import (
     EmptyCandidateSetError,
     SearchBudgetExceededError,
 )
-from .theory import ENERGY_BLOCK, ChannelMatrix
+from .theory import ChannelMatrix, energy_block
 
 SEARCH_BUDGET = 2**20
-
-# Candidate rows whose energies one group of data rows evaluates together:
-# one energy block, so a group's arrays stay as small as that block's
-# product; a row with more candidates than that is a group of its own.
-_GROUP_ROWS = ENERGY_BLOCK
 
 
 @dataclass(frozen=True)
@@ -136,9 +131,9 @@ def _offset_grid(b: int, m: int) -> np.ndarray:
     return lex_digits(np.arange(b**m), b, m) + float(offset_range(b)[0])
 
 
-def _groups(n_rows: int, candidates: int) -> Iterator[slice]:
-    """Slices of ``n_rows`` rows with at most _GROUP_ROWS candidate rows each, one row at least."""
-    size = max(1, _GROUP_ROWS // candidates)
+def _groups(n_rows: int, candidates: int, m: int) -> Iterator[slice]:
+    """Slices of ``n_rows`` rows whose candidates fit an energy block at M = m, one row at least."""
+    size = max(1, energy_block(m) // candidates)
     return (slice(i, i + size) for i in range(0, n_rows, size))
 
 
@@ -154,7 +149,7 @@ def _perturb_rows(ch: ChannelMatrix, u: np.ndarray, tau: float, b: int) -> np.nd
     scaled = tau * _offset_grid(b, ch.m)
     base = fold_interval(u, tau)
     chosen = np.empty(base.shape)
-    for rows in _groups(len(u), len(scaled)):
+    for rows in _groups(len(u), len(scaled), ch.m):
         candidates = scaled + base[rows, None, :]
         energies = ch.energies(candidates.reshape(-1, ch.m)).reshape(len(candidates), -1)
         chosen[rows] = candidates[np.arange(len(candidates)), energies.argmin(axis=1)]

@@ -22,11 +22,10 @@ additive metric increments (a depth-first branch-and-bound on an explicit
 stack that expands a batch of nodes per array operation, bounded by
 ``SEARCH_BUDGET`` nodes). ``shape_rows`` gives the same chosen vectors for
 each row of a (T, M) array of zero-codeword points, and is the one place
-that picks how: a code tree whose 2^F codewords fit one search batch
-(2^F <= 256, e.g. (7,5) up to M = 20) is scanned whole, every codeword of
-a group of rows in one ``ChannelMatrix.energies`` call, grouped as vector
-perturbation groups its rows; a larger tree is searched one row at a
-time.
+that picks how: a code tree of at most ``_SCAN_LIMIT`` = 2^14 codewords
+((7,5) up to M = 32) is scanned whole, every codeword of a group of rows in
+one ``ChannelMatrix.energies`` call, grouped as vector perturbation groups
+its rows; a larger tree is searched one row at a time.
 
 Like the precoders, both searches take the data vector: ``trellis_shape``
 the zero-codeword point u0, ``nested_select`` the M-vector of the users'
@@ -79,6 +78,10 @@ from .theory import ChannelMatrix
 # measurement, and at most _BATCH_ENTRIES stored components of G u.
 _BATCH = 256
 _BATCH_ENTRIES = 2**13
+# The most codewords of a tree shape_rows scans, not searches. (7,5) PAM 4, 32-trial reports,
+# 2-core Xeon VM, ms per trial, search vs scan: 0.48 vs 0.14 at 2^10 codewords (M = 24),
+# 1.46 vs 0.78 at 2^12, 5.45 vs 2.77 at 2^14 (M = 32; a 4 MiB sign table), 4.76 vs 6.14 at 2^15.
+_SCAN_LIMIT = 2**14
 # The sign of a symbol whose codeword bit is 0 or 1.
 _SIGN = np.array([1.0, -1.0])
 
@@ -229,10 +232,12 @@ def payload_to_coset(payload_bits, cons: PartitionedConstellation) -> np.ndarray
 
 
 def _pam_map(bits: np.ndarray, cons: PartitionedConstellation) -> np.ndarray:
-    """``payload_to_coset`` of each row of int64 0/1 bits, unchecked: (..., M * bps) -> (..., M)."""
+    """Unchecked ``payload_to_coset`` of rows of uint8 or int64 bits: (..., M*bps) -> (..., M)."""
     bps = cons.bits_per_symbol
     bits = bits.reshape(bits.shape[:-1] + (-1, bps))
-    k = bits[..., 1:] @ (1 << np.arange(bps - 2, -1, -1))
+    k = np.zeros(bits.shape[:-1], dtype=np.int64)
+    for j in range(1, bps):  # a bit at a time: no int64 copy of uint8 bits
+        k = k << 1 | bits[..., j]
     return (1.0 - 2.0 * bits[..., 0]) * cons.spacing * (k + 0.5)
 
 
@@ -288,7 +293,7 @@ def _leaf_signs(code: ShapingCode, n_steps: int) -> np.ndarray:
     """The signs 1 - 2c of every codeword c of a code tree, a row each in input-index order.
 
     Read-only, built once per (code, n_steps); only ``shape_rows`` asks for
-    it, for a tree it scans, so it has at most ``_BATCH`` rows.
+    it, for a tree it scans, so it has at most ``_SCAN_LIMIT`` rows.
     """
     free = max(0, n_steps - code.memory)
     signs = _SIGN[lex_digits(np.arange(1 << free), 2, free) @ _generator_matrix(code, n_steps) & 1]
@@ -300,22 +305,21 @@ def shape_rows(ch: ChannelMatrix, u0_rows: np.ndarray, code: ShapingCode) -> np.
     """The minimum-energy coset member of each row of ``u0_rows``, a (T, M) array of u0 rows.
 
     Row i of the result is ``trellis_shape(ch, u0_rows[i], code).u_chosen``;
-    the rows are not checked. A code tree of at most ``_BATCH`` codewords is
+    the rows are not checked. A tree of at most ``_SCAN_LIMIT`` codewords is
     scanned: row i's candidates are u0_rows[i] * (1 - 2c) for every codeword
-    c, in input-index order. The rows run in ``precoders._groups`` of at
-    most ``_GROUP_ROWS`` candidate rows, and the metrics of every candidate
-    of a group come from one ``ch.energies`` call. The leaves
-    within 1e-9 * (1 + low) of their row's lowest metric are near; where
-    more than one is, they are rescored with ``ch.energy`` and the winner
-    has the smallest (gamma, codeword, input index), as in the search. A
-    larger tree is searched, one ``trellis_shape`` call per row.
+    c, in input-index order. The rows run in ``precoders._groups``, and the
+    metrics of every candidate of a group come from one ``ch.energies``
+    call. The leaves within 1e-9 * (1 + low) of their row's lowest metric
+    are near; where more than one is, they are rescored with ``ch.energy``
+    and the winner has the smallest (gamma, codeword, input index), as in
+    the search. A larger tree is searched, one ``trellis_shape`` call per row.
     """
     n_steps = ch.m // code.n_s
-    if code.codeword_count(n_steps) > _BATCH:
+    if code.codeword_count(n_steps) > _SCAN_LIMIT:
         return np.array([trellis_shape(ch, u0, code).u_chosen for u0 in u0_rows])
     signs = _leaf_signs(code, n_steps)
     chosen = np.empty(u0_rows.shape)
-    for rows in _groups(len(u0_rows), len(signs)):
+    for rows in _groups(len(u0_rows), len(signs), ch.m):
         # each row repeated, then flipped in place: a long multiply, not one per candidate
         candidates = u0_rows[rows].repeat(len(signs), axis=0).reshape(-1, len(signs), ch.m)
         candidates *= signs

@@ -38,9 +38,6 @@ from .linalg import EigenSystem
 
 TWO_PI_E = 2.0 * math.pi * math.e
 
-# Rows per matrix product in ChannelMatrix.energies; see the comment there.
-ENERGY_BLOCK = 4096
-
 # Default bound on the eigenvalue spread of Q, i.e. on cond_2(H)^2.
 CONDITION_LIMIT = 1e8
 
@@ -85,17 +82,9 @@ class ChannelMatrix:
         """Transmit energies of data vectors stacked as rows."""
         u_rows = np.asarray(u_rows, dtype=np.float64)
         n = u_rows.shape[0]
-        # Blocks of ENERGY_BLOCK rows keep each (rows, M) @ (M, M) product
-        # under OpenBLAS's multithreading threshold (about 2^18 for m*n*k)
-        # for M < 8; at M = 8 a block sits on the threshold. One large
-        # product wakes BLAS threads: that costs time in a serial run and,
-        # in forked pool workers, oversubscribes the cores, so that
-        # --workers runs slower than serial. Every row still goes through
-        # the same GEMM kernel, so the bits do not depend on the blocking.
-        # A 1-row tail is folded into the block before it, because numpy
-        # sends a (1, M) @ (M, M) product to GEMV, which sums in another
-        # order.
-        stops = list(range(ENERGY_BLOCK, n - 1, ENERGY_BLOCK)) + [n]
+        # a 1-row tail joins the block before it: numpy sends 1 row to GEMV, which sums otherwise
+        block = energy_block(self.m)
+        stops = list(range(block, n - 1, block)) + [n]
         out = np.empty(n)
         start = 0
         for stop in stops:
@@ -103,6 +92,17 @@ class ChannelMatrix:
             out[start:stop] = np.einsum("ij,ij->i", w, w)
             start = stop
         return out
+
+
+def energy_block(m: int) -> int:
+    """Rows per (rows, M) @ (M, M) product in ``ChannelMatrix.energies``, and per group, at M = m.
+
+    OpenBLAS 0.3.31 (scipy-openblas, Haswell, 2 cores) changes GEMM path once
+    m*n*k exceeds 10^6: a row's bits first differ from a 2-row product's at
+    2501 rows for M = 20 (0.23 ms a product, 2500 rows 0.06 ms), 1480 for
+    M = 26 and 278 for M = 60. A block stays below, a folded 1-row tail too.
+    """
+    return max(2, min(4096, 10**6 // (m * m) - 1))
 
 
 def build_channel(h, condition_limit: float = CONDITION_LIMIT) -> ChannelMatrix:

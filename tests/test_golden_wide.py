@@ -1,13 +1,14 @@
 """Golden report bytes above M = 8, at the sizes where group products grow.
 
-(7,5) PAM 4 trellis reports on random channels at M = 16 and 20, whose
-whole code trees of 2^6 and 2^8 codewords are scanned a group of trials at
-a time, and at M = 26 and 32, whose 2^11 and 2^14 codewords are searched;
-vector perturbation at b = 2, M = 12 (2^12 candidates a trial) and b = 3,
-M = 10 (3^10, a group of its own); nested K = 3, n_u = 2, q = 2 at M = 12;
-and ``slm_random`` on the expanded hypercube at M = 20, N = 4096 and at
-M = 64, N = 1024, whose candidate energies are one product a trial of more
-than 10^6 multiply-adds when the entries were captured.
+(7,5) PAM 4 trellis reports on random channels at M = 16, 20, 26 and 32,
+whose whole code trees of 2^6 to 2^14 codewords are scanned a group of
+trials at a time (the trees at M = 26 and 32 were searched when their
+entries were captured); vector perturbation at b = 2, M = 12 (2^12
+candidates a trial) and b = 3, M = 10 (3^10, a group of its own); nested
+K = 3, n_u = 2, q = 2 at M = 12; and ``slm_random`` on the expanded
+hypercube at M = 20, N = 4096 and at M = 64, N = 1024, whose candidates
+make products past OpenBLAS's GEMM path switch (10^6 multiply-adds) unless
+``ChannelMatrix.energies`` blocks them (one product a trial when captured).
 Each report runs 300 trials, two 256-trial chunks, so a run at
 ``workers=2`` starts a pool. Every report is checked three ways: serially,
 at ``workers=2``, and in a child process whose own environment sets

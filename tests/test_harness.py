@@ -539,8 +539,8 @@ def test_benchmark_trace_hooks_install(monkeypatch):
     }
     counts = {}
     runs = [(kind, 8, precoder) for kind, precoder in precoders_by_kind.items()]
-    # M = 24, as in the benchmark's trellis_deep: 2^10 codewords, one search per trial
-    runs.append(("trellis_search", 24, precoders_by_kind["trellis"]))
+    # M = 40: 2^18 codewords, more than shape_rows scans, so one search per trial
+    runs.append(("trellis_search", 40, precoders_by_kind["trellis"]))
     for kind, m, precoder in runs:
         cfg = harness.ExperimentConfig.from_dict(
             _base_cfg(m=m, channel_source={"kind": "random", "seed": 3}, trials=3,
@@ -578,7 +578,7 @@ def test_benchmark_trace_hooks_install(monkeypatch):
     # perfbench's shaping.leaves_per_trial reads these two counters, which a
     # code tree too large for the row kernel still sets through trellis_shape
     search = counts["trellis_search"]
-    assert search["codewords"] == 3 * shaping.default_code().codeword_count(12)
+    assert search["codewords"] == 3 * shaping.default_code().codeword_count(20)
     assert search["rows.shaping.trellis_shape"] >= 3
 
 
@@ -652,9 +652,10 @@ def test_run_experiment_trellis_smoke():
 def test_trellis_trial_maps_payload_once(monkeypatch):
     # a chunk draws its trials' rows, and maps trellis payloads to their
     # zero-codeword points by the PAM map behind payload_to_coset, once for
-    # every trial of the chunk; the kernel that selects, scanning (M = 8) or
-    # searching (M = 24) a code tree or perturbing (50 trials a group at
-    # b = 3, M = 4), splits the rows into groups and does not map them again
+    # every trial of the chunk; the kernel that selects, scanning (M = 8, and
+    # M = 24 a trial a group) or searching (M = 40) a code tree or perturbing
+    # (50 trials a group at b = 3, M = 4), splits the rows into groups and
+    # does not map them again
     rows = []
 
     def counting(real):
@@ -670,6 +671,7 @@ def test_trellis_trial_maps_payload_once(monkeypatch):
     for m, seed, trials, precoder, want in (
         (8, 3, 5, trellis, [5]),
         (24, 23, 16, trellis, [16]),
+        (40, 23, 3, trellis, [3]),
         (4, 3, 512, {"kind": "vector_perturb", "b": 3}, [256, 256]),
     ):
         rows.clear()
@@ -682,8 +684,9 @@ def test_trellis_trial_maps_payload_once(monkeypatch):
 
 
 def test_trellis_group_stays_within_group_rows(monkeypatch):
-    # at M = 20 (7,5) has 2^8 codewords, so a group is 16 trials whose
-    # candidates fill one _GROUP_ROWS energies call; 40 trials are 16 + 16 + 8
+    # at M = 20 (7,5) has 2^8 codewords and an energy block is 2499 rows, so
+    # a group is 9 trials whose candidates fit one energies call and one
+    # product; 40 trials are 9 + 9 + 9 + 9 + 4
     calls = []
     real = theory.ChannelMatrix.energies
 
@@ -697,8 +700,8 @@ def test_trellis_group_stays_within_group_rows(monkeypatch):
                   precoder={"kind": "trellis", "generators": "7,5", "pam": 4})
     )
     harness.run_experiment(cfg)
-    assert precoders._GROUP_ROWS == 16 * 2**8
-    assert calls == [16 * 2**8, 16 * 2**8, 8 * 2**8]
+    assert theory.energy_block(20) == 2499
+    assert calls == [9 * 2**8] * 4 + [4 * 2**8]
 
 
 def _chunk_cases():
@@ -721,28 +724,30 @@ def _chunk_cases():
                            {"kind": "ball", "radius": 1.5}):
                 cases.append((m, {"kind": "slm_random", "n": n, "region": region},
                               range(260, 300)))
-    # trellis: shaping.shape_rows scans code trees of 2^2 to 2^8 codewords
-    # (M = 20) a group of trials at a time and searches 2^9 (M = 22) per
+    # trellis: shaping.shape_rows scans code trees of 2^2 to 2^9 codewords
+    # (M = 22) a group of trials at a time and searches 2^15 (M = 34) per
     # trial; the oracle's trellis_shape always searches
     for m, gens in ((4, "7,5"), (8, "7,5"), (16, "7,5"), (20, "7,5"), (22, "7,5"),
-                    (9, "7,7,5"), (12, "17,15"), (8, "0,0"), (8, "1,1")):
+                    (34, "7,5"), (9, "7,7,5"), (12, "17,15"), (8, "0,0"), (8, "1,1")):
         cases.append((m, {"kind": "trellis", "generators": gens, "k_s": 1, "pam": 4},
                       range(7, 60)))
-    cases = [(m, precoder, trials, precoders._GROUP_ROWS, None) for m, precoder, trials in cases]
+    # group rows None: the groups energy_block sizes, at most energy_block(1) = 4096 rows
+    cases = [(m, precoder, trials, None, None) for m, precoder, trials in cases]
     # with groups of up to 4 energy blocks, one group of 2731 trials of 3
     # candidates: 8193 rows, so energies folds a 1-row tail into its last block
-    cases.append((1, {"kind": "vector_perturb", "b": 3}, range(2731), 4 * theory.ENERGY_BLOCK,
+    cases.append((1, {"kind": "vector_perturb", "b": 3}, range(2731), 4 * theory.energy_block(1),
                   None))
     trellis = {"kind": "trellis", "generators": "7,5", "k_s": 1, "pam": 4}
     # H = I: every leaf ties, so every trial rescores its whole near set, in
     # the scan against the search's leaves at 2^2, 2^6 and 2^8 codewords
     for m in (8, 16, 20):
-        cases.append((m, trellis, range(7, 60), precoders._GROUP_ROWS, "identity"))
+        cases.append((m, trellis, range(7, 60), None, "identity"))
     # groups of 16 rows: 4 trials of 4 codewords, so a chunk is many groups
     cases.append((8, trellis, range(7, 60), 16, None))
     return [
         pytest.param(m, precoder, trials, rows, channel, id="-".join(
-            [f"m{m}", *_id_values(precoder), f"{len(trials)}trials-{rows}rows",
+            [f"m{m}", *_id_values(precoder),
+             f"{len(trials)}trials-{rows or theory.energy_block(1)}rows",
              *([channel] if channel else [])]))
         for m, precoder, trials, rows, channel in cases
     ]
@@ -758,7 +763,9 @@ def _id_values(spec):
 def test_chunk_matches_per_trial_oracle(m, precoder, trials, group_rows, channel, monkeypatch):
     # a chunk's (gamma, plain gamma) of each trial equals, bit for bit, what
     # the public precoders give on that trial's re-keyed stream
-    monkeypatch.setattr(precoders, "_GROUP_ROWS", group_rows)
+    if group_rows:
+        # the groups alone: ChannelMatrix.energies keeps its own blocks
+        monkeypatch.setattr(precoders, "energy_block", lambda m: group_rows)
     tau = 3.0
     source = {"kind": "random", "seed": 20 + m}
     if channel == "identity":
@@ -775,9 +782,9 @@ def test_chunk_matches_per_trial_oracle(m, precoder, trials, group_rows, channel
     if precoder["kind"] != "trellis":
         return
     code = shaping.code_from_octal(precoder["generators"])
-    if code.codeword_count(m // code.n_s) > shaping._BATCH:
+    if code.codeword_count(m // code.n_s) > 2**8:
         return
-    # where the chunk scans, its gammas are also checked against a scan that
+    # up to 2^8 codewords, its gammas are also checked against a scan that
     # shares no code with shaping (too slow in Python for larger trees)
     cons = shaping.pam_constellation(4, spacing=tau / 4)
     for t, (gamma, _) in zip(trials, got):
@@ -829,6 +836,42 @@ def test_nested_report_memory_at_budget_corner():
         tracemalloc.stop()
     assert rep.n_candidates == 2**20
     assert peak < 400 * 2**20
+
+
+def test_trellis_report_memory_at_scan_limit():
+    # (7,5) at M = 32 has 2^14 codewords, the largest tree shape_rows scans:
+    # one trial holds the 4 MiB sign table and its group's 4 MiB of
+    # candidates, and nothing else of that size
+    shaping._leaf_signs.cache_clear()
+    cfg = harness.ExperimentConfig.from_dict(
+        _base_cfg(m=32, channel_source={"kind": "random", "seed": 3}, trials=1,
+                  precoder={"kind": "trellis", "generators": "7,5", "pam": 4})
+    )
+    assert shaping.default_code().codeword_count(16) == shaping._SCAN_LIMIT
+    tracemalloc.start()
+    try:
+        harness.run_experiment(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2**20
+
+
+def test_trellis_payload_bits_take_a_byte_each():
+    # a chunk's payload bits are uint8: 64 trials at M = 256 with PAM 2^53
+    # draw 64 * 256 * 53 bits, 0.8 MiB, where int64 bits would take 6.6 MiB
+    cons = shaping.pam_constellation(2**53, spacing=1.0)
+    tracemalloc.start()
+    try:
+        u = harness._trellis_rows(cons, 256, regions.Streams(7), range(64))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2**20
+    streams = regions.Streams(7)
+    for t in (0, 63):
+        bits = streams.at(t).integers(0, 2, size=256 * cons.bits_per_symbol)
+        assert np.array_equal(u[t], shaping.payload_to_coset(bits, cons))
 
 
 def test_vector_perturb_report_frees_its_offset_grid():

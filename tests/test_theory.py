@@ -87,7 +87,7 @@ def test_channel_energy_matches_quadratic_form():
 
 @pytest.mark.parametrize("m", [4, 8])
 def test_energies_blocked_bit_identical(m):
-    # more than ENERGY_BLOCK rows run in blocks; 4097 and 8193 end in a
+    # more than energy_block(m) = 4096 rows run in blocks; 4097 and 8193 end in a
     # 1-row tail, which must not go through numpy's GEMV path
     rng = _rng()
     ch = theory.build_channel(rng.standard_normal((m, m)))
@@ -95,6 +95,21 @@ def test_energies_blocked_bit_identical(m):
         x = rng.standard_normal((n, m))
         w = x @ ch.chol
         assert np.array_equal(ch.energies(x), np.einsum("ij,ij->i", w, w)), n
+
+
+@pytest.mark.parametrize("m", [4, 8, 12, 20, 24, 26, 64])
+def test_energies_rows_match_two_row_calls(m):
+    # every product stays under the size at which OpenBLAS changes GEMM
+    # path, so a row's bits do not depend on the rows that share its call;
+    # energy_block(m) + 1 rows are one block with its 1-row tail folded in
+    rng = _rng()
+    ch = theory.build_channel(rng.standard_normal((m, m)))
+    for n in (2, 4096, 4097, 8193, theory.energy_block(m) + 1):
+        x = rng.standard_normal((n, m))
+        # rows in pairs; with n odd, the last row paired with the one before it
+        pairs = [ch.energies(x[i:i + 2]) for i in range(0, n - 1, 2)]
+        pairs += [ch.energies(x[-2:])[1:]] if n % 2 else []
+        assert np.array_equal(ch.energies(x), np.concatenate(pairs)), n
 
 
 # ---------------------------------------------------------------------------
