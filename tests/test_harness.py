@@ -765,7 +765,7 @@ def test_chunk_matches_per_trial_oracle(m, precoder, trials, group_rows, channel
     # the public precoders give on that trial's re-keyed stream
     if group_rows:
         # the groups alone: ChannelMatrix.energies keeps its own blocks
-        monkeypatch.setattr(precoders, "energy_block", lambda m: group_rows)
+        monkeypatch.setattr(precoders, "energy_block", lambda _m: group_rows)
     tau = 3.0
     source = {"kind": "random", "seed": 20 + m}
     if channel == "identity":
