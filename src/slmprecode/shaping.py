@@ -78,9 +78,9 @@ from .theory import ChannelMatrix
 # measurement, and at most _BATCH_ENTRIES stored components of G u.
 _BATCH = 256
 _BATCH_ENTRIES = 2**13
-# The most codewords of a tree shape_rows scans, not searches. (7,5) PAM 4, 32-trial reports,
-# 2-core Xeon VM, ms per trial, search vs scan: 0.48 vs 0.14 at 2^10 codewords (M = 24),
-# 1.46 vs 0.78 at 2^12, 5.45 vs 2.77 at 2^14 (M = 32; a 4 MiB sign table), 4.76 vs 6.14 at 2^15.
+# shape_rows scans a tree of at most this many codewords, else searches. (7,5) PAM 4, 32-trial
+# reports, 2-core Xeon VM, ms per trial, search vs scan: 0.48 vs 0.14 at 2^10 codewords (M = 24),
+# 1.46 vs 0.78 at 2^12, 5.45 vs 2.77 at 2^14 (M = 32, 4 MiB of signs), 4.76 vs 6.14 at 2^15.
 _SCAN_LIMIT = 2**14
 # The sign of a symbol whose codeword bit is 0 or 1.
 _SIGN = np.array([1.0, -1.0])
