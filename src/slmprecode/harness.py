@@ -18,12 +18,12 @@ A chunk draws every trial's data row at once: each trial re-keys the stream
 and draws its own variates (trellis payload bits as uint8) into its row of
 the chunk's array, and the hypercube map, the PAM map behind
 ``shaping.payload_to_coset`` and the nested users' coset representatives
-run once on it. The kernel that selects,
-``precoders._perturb_rows`` for vector perturbation and nested or
-``shaping.shape_rows`` for trellis, takes the whole array and sizes its
-own groups of trials. The energies whose bits would change if batched stay
-per trial: gamma = ||H^-1 u||^2 of the chosen vector and the energy with
-no selection. The ``slm_random`` selection runs once per trial.
+run once on it. The kernel that selects, ``precoders._perturb_rows`` for
+vector perturbation and nested or ``shaping.shape_rows`` for trellis,
+takes the whole array and sizes its own groups of trials; ``slm_random``
+selects once per trial. A trial returns the rows it sends and would send
+with no selection, and ``_energies`` computes the energies of a chunk's
+rows in one stacked matmul per array, with the bits of the per-row calls.
 
 Config files are JSON mirroring ExperimentConfig field names::
 
@@ -72,7 +72,7 @@ import reprlib
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -329,9 +329,9 @@ def load_channel(
 # ---------------------------------------------------------------------------
 
 
-# trial(ch, streams, trials) yields (gamma of the precoder, gamma with no
-# selection) for each trial t of the range, drawn from streams.at(t)
-_Trial = Callable[[ChannelMatrix, regions.Streams, range], Iterator[Tuple[float, float]]]
+# trial(ch, streams, trials) returns two (T, M) arrays: row i is what trial trials[i] sends
+# and would send with no selection (one array if nothing is selected), from streams.at(trials[i])
+_Trial = Callable[[ChannelMatrix, regions.Streams, range], Tuple[np.ndarray, np.ndarray]]
 
 def _integer_rows(streams, trials, high: int, size: int, dtype) -> np.ndarray:
     """Row i: the ``size`` integers in [0, high) that trial ``trials[i]`` draws, as ``dtype``."""
@@ -348,18 +348,13 @@ def _nested_rows(part, k_users, streams, trials) -> np.ndarray:
     return part.representatives(idx).reshape(len(trials), -1)
 
 
-def _plain_chunk(cube, ch, streams, trials):
-    for u in regions.draw_rows(cube, streams, trials):
-        g = precoders._transmit(ch, u)[1]
-        yield g, g
-
-
 def _slm_random_chunk(region, n, ch, streams, trials):
-    for t in trials:
+    chosen, unselected = np.empty((2, len(trials), ch.m))
+    for i, t in enumerate(trials):
         candidates = regions.draw(region, streams.at(t), n)
-        gammas = precoders.slm_random(ch, candidates).gamma, ch.energy(candidates[0])
-        del candidates  # freed before the yield, not kept while the next trial draws
-        yield gammas
+        chosen[i], unselected[i] = precoders.slm_random(ch, candidates).u_chosen, candidates[0]
+        del candidates  # freed before the next trial draws
+    return chosen, unselected
 
 
 def _trellis_rows(cons, m, streams, trials) -> np.ndarray:
@@ -371,17 +366,31 @@ def _trellis_rows(cons, m, streams, trials) -> np.ndarray:
 def _select_chunk(draw_rows, select, ch, streams, trials):
     """The rows ``select`` chooses for every trial's row that ``draw_rows`` draws at once."""
     u = draw_rows(streams, trials)
-    for row, u_row in zip(select(ch, u), u):
-        yield precoders._transmit(ch, row)[1], ch.energy(u_row)
+    return select(ch, u), u
+
+
+def _as_drawn(ch, u):
+    return u
+
+
+def _energies(ch: ChannelMatrix, chosen: np.ndarray, unselected: np.ndarray):
+    """gamma = ||H^-1 u||^2 of each chosen row and ``ch.energy(u)`` of each unselected row,
+    with their per-row bits: a stacked matmul makes each row's own GEMV and dot call."""
+    def norms(a, rows):
+        w = a @ rows[:, :, None]
+        return (w.transpose(0, 2, 1) @ w).ravel()
+
+    gammas = norms(ch.h_inv, chosen)
+    return gammas, gammas if unselected is chosen else norms(ch.chol.T, unselected)
 
 
 def _scheme(cfg: ExperimentConfig) -> Tuple[int, float, _Trial]:
     """Validate the precoder and build its per-report constants once.
 
     Returns (candidate count, sigma^2 of the information source, trial),
-    the trial (``_Trial``) being one of the ``_*_chunk`` functions with its
-    constants bound, so it pickles to pool workers. ``_select_chunk`` binds
-    a draw and a select: ``nested`` perturbs its users' representatives.
+    the trial (``_Trial``) being ``_slm_random_chunk`` or ``_select_chunk``
+    with its constants bound, so it pickles to pool workers. The latter binds
+    a draw and a select: ``plain`` sends its rows as drawn (``_as_drawn``).
     This is the only code that branches on the precoder kind.
     """
     p = cfg.precoder
@@ -389,7 +398,8 @@ def _scheme(cfg: ExperimentConfig) -> Tuple[int, float, _Trial]:
     m, tau = cfg.m, cfg.tau
     sigma2 = theory.sigma_from_entropy(math.log2(tau))
     if kind == "plain":
-        return 1, sigma2, functools.partial(_plain_chunk, regions.hypercube(tau, m))
+        draw_rows = functools.partial(regions.draw_rows, regions.hypercube(tau, m))
+        return 1, sigma2, functools.partial(_select_chunk, draw_rows, _as_drawn)
     if kind == "slm_random":
         n = _int(p.get("n", 0), "precoder.n")
         if n < 1:
@@ -455,19 +465,20 @@ def _run_chunk(
 
     The chunk owns one stream, which the trial re-keys to (seed, t) before
     trial t draws, so it draws what ``regions.make_stream(seed, t)`` would.
-    The trial's values are summed in trial order. An energy that overflows
-    a float sums to inf, which ``_run`` refuses, so numpy's overflow warning
-    is not raised here.
+    ``_energies`` of the trial's rows are summed in trial order. An energy
+    that overflows a float sums to inf, which ``_run`` refuses, so numpy's
+    overflow warning is not raised here.
     """
+    with np.errstate(over="ignore"):
+        gammas, plain = _energies(ch, *trial(ch, regions.Streams(seed), trials))
     sum_g = 0.0
     sum_g2 = 0.0
     sum_plain = 0.0
-    with np.errstate(over="ignore"):
-        for g, g_plain in trial(ch, regions.Streams(seed), trials):
-            g = math.ldexp(g, -k)
-            sum_g += g
-            sum_g2 += g * g
-            sum_plain += math.ldexp(g_plain, -k)
+    for g, g_plain in zip(gammas.tolist(), plain.tolist()):
+        g = math.ldexp(g, -k)
+        sum_g += g
+        sum_g2 += g * g
+        sum_plain += math.ldexp(g_plain, -k)
     return sum_g, sum_g2, sum_plain
 
 

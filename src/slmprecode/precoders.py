@@ -18,7 +18,7 @@ data exactly (the independency condition).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, Tuple
+from typing import Any, Dict, Iterator
 
 import numpy as np
 
@@ -54,20 +54,14 @@ class PrecodeResult:
     meta: Dict[str, Any] = field(default_factory=dict)
 
 
-def _transmit(ch: ChannelMatrix, u: np.ndarray) -> Tuple[np.ndarray, float]:
-    """s = H^-1 u and gamma = ||s||^2 of one data vector: a GEMV and a dot product."""
-    s = ch.h_inv @ u
-    return s, float(s @ s)
-
-
 def precode_result(ch: ChannelMatrix, u: np.ndarray, index: int, count: int,
                    **meta: Any) -> PrecodeResult:
     """The result of transmitting ``u``: s = H^-1 u and gamma = ||s||^2."""
-    s, gamma = _transmit(ch, u)
+    s = ch.h_inv @ u
     return PrecodeResult(
         u_chosen=u,
         s=s,
-        gamma=gamma,
+        gamma=float(s @ s),
         candidate_index=index,
         n_candidates=count,
         meta=meta,
@@ -103,6 +97,8 @@ def slm_random(ch: ChannelMatrix, candidates) -> PrecodeResult:
         raise DimensionMismatchError(
             f"candidates have dimension {rows.shape[1]} but channel is {ch.m}x{ch.m}"
         )
+    if not np.all(np.isfinite(rows)):
+        raise ValueError("candidates contains non-finite entries")
     energies = ch.energies(rows)
     best = int(np.argmin(energies))
     return precode_result(ch, rows[best].copy(), best, rows.shape[0])

@@ -262,6 +262,21 @@ def test_run_experiment_plain_identity():
     assert rep.precoder == "plain"
     assert rep.n_candidates == 1
     assert rep.trials == 4096
+    # plain selects nothing, so every trial's gamma is its energy with no
+    # selection, bit for bit, also off the identity channel, where
+    # ||H^-1 u||^2 and ||chol^T u||^2 differ in the last bits of most rows
+    # (though their sums over a report often agree)
+    random3 = {"kind": "random", "seed": 3}
+    for m in (4, 8):
+        cfg = harness.ExperimentConfig.from_dict(
+            _base_cfg(m=m, channel_source=random3, trials=4096))
+        rep = harness.run_experiment(cfg)
+        assert rep.mean_plain == rep.mean_gamma, m
+        assert rep.gain_vs_plain_db == 0.0, m
+        ch = harness.load_channel(random3, m)
+        rows = cfg._built_scheme[2](ch, regions.Streams(cfg.master_seed), range(512))
+        gammas, plain = harness._energies(ch, *rows)
+        assert np.array_equal(gammas, plain), m
 
 
 def test_run_experiment_deterministic_rerun():
@@ -511,6 +526,22 @@ def test_report_scales_exactly_with_tau(precoder):
         assert rep.gain_vs_plain_db == base.gain_vs_plain_db
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 8, 16, 17, 33, 64, 128, 256, 512, 1024])
+def test_stacked_energies_match_per_row_calls(m):
+    # numpy's stacked matmul makes each row's own GEMV and dot call, so the
+    # energies a chunk sums equal, bit for bit, those of the per-row forms,
+    # whatever rows share the call; a numpy or BLAS change that breaks this
+    # fails here, not in a golden report
+    for seed in (3, 7, 21):
+        ch = harness.load_channel({"kind": "random", "seed": seed}, m, condition_limit=1e300)
+        rows = np.random.default_rng(seed).standard_normal((256, m))
+        for n in (1, 2, 256):
+            gammas, plain = harness._energies(ch, rows[:n], rows[:n].copy())
+            s_rows = [ch.h_inv @ u for u in rows[:n]]
+            assert gammas.tolist() == [float(s @ s) for s in s_rows], (seed, n)
+            assert plain.tolist() == [ch.energy(u) for u in rows[:n]], (seed, n)
+
+
 def test_run_experiment_energy_overflow_is_an_error():
     # tau^2 fits a float, but the inverse of a channel of gain 1e-3 scales
     # every energy by 1e6 past the float range
@@ -567,13 +598,13 @@ def test_benchmark_trace_hooks_install(monkeypatch):
     assert tr.counts["harness.channel_loads"] == 2
     # a nested trial's 2^8 candidate rows reach ChannelMatrix.energies once,
     # in the energies call of its group of trials; the harness calls no
-    # traced span around it, so they count under "rows.", next to one
-    # ChannelMatrix.energy row per trial for the gamma with no selection
-    assert counts["nested"]["rows."] == 3 * 2**8 + 3
+    # traced span around it, so they count under "rows."; the harness's own
+    # energies of the chosen and unselected rows go through no traced call
+    assert counts["nested"]["rows."] == 3 * 2**8
     # the M = 8 trellis trials' 4 codewords each reach ChannelMatrix.energies
-    # in one call for the group, outside any traced span, next to the plain
-    # energy of each trial; no near set holds two leaves, so none is rescored
-    assert counts["trellis"]["rows."] == 3 * 4 + 3
+    # in one call for the group, outside any traced span; no near set holds
+    # two leaves, so none is rescored
+    assert counts["trellis"]["rows."] == 3 * 4
     assert "codewords" not in counts["trellis"]
     # perfbench's shaping.leaves_per_trial reads these two counters, which a
     # code tree too large for the row kernel still sets through trellis_shape
@@ -775,7 +806,8 @@ def test_chunk_matches_per_trial_oracle(m, precoder, trials, group_rows, channel
     )
     ch = harness.load_channel(cfg.channel_source, m)
     trial = cfg._built_scheme[2]
-    got = list(trial(ch, regions.Streams(cfg.master_seed), trials))
+    gammas, plain = harness._energies(ch, *trial(ch, regions.Streams(cfg.master_seed), trials))
+    got = list(zip(gammas.tolist(), plain.tolist()))
     streams = regions.Streams(cfg.master_seed)
     want = [precoder_trial(precoder, ch, tau, streams.at(t)) for t in trials]
     assert got == want
@@ -848,6 +880,22 @@ def test_trellis_report_memory_at_scan_limit():
                   precoder={"kind": "trellis", "generators": "7,5", "pam": 4})
     )
     assert shaping.default_code().codeword_count(16) == shaping._SCAN_LIMIT
+    tracemalloc.start()
+    try:
+        harness.run_experiment(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2**20
+
+
+def test_slm_random_report_holds_one_candidate_array():
+    # n * m = 2^20, the budget: each trial's candidates take 8 MiB, and a
+    # trial frees them before the next one draws
+    cfg = harness.ExperimentConfig.from_dict(
+        _base_cfg(m=64, channel_source={"kind": "random", "seed": 3}, trials=4,
+                  precoder={"kind": "slm_random", "n": 2**14})
+    )
     tracemalloc.start()
     try:
         harness.run_experiment(cfg)

@@ -135,6 +135,16 @@ def test_slm_random_shape_check():
         precoders.slm_random(ch, np.zeros((4, 3)))
 
 
+@pytest.mark.parametrize("cands", [[[np.nan, 0.0], [1.0, 1.0]], [[1.0, 1.0], [np.inf, 0.0]],
+                                   [-np.inf, 0.0]], ids=["nan_first", "inf_second", "one_row"])
+def test_slm_random_rejects_non_finite_candidates(cands):
+    # a nan or inf entry gives a nan energy, which argmin would pick; refused
+    # as invert_precode refuses it
+    ch = theory.build_channel(np.eye(2))
+    with pytest.raises(ValueError, match="non-finite"):
+        precoders.slm_random(ch, cands)
+
+
 # ---------------------------------------------------------------------------
 # interval folding
 # ---------------------------------------------------------------------------
