@@ -22,8 +22,8 @@ run once on it. The kernel that selects, ``precoders._perturb_rows`` for
 vector perturbation and nested or ``shaping.shape_rows`` for trellis,
 takes the whole array and sizes its own groups of trials; ``slm_random``
 selects once per trial. A trial returns the rows it sends and would send
-with no selection, and ``_energies`` computes the energies of a chunk's
-rows in one stacked matmul per array, with the bits of the per-row calls.
+with no selection, and ``ChannelMatrix.gamma`` and ``energy`` give their
+energies, one call per array for a chunk's rows (see ``theory``).
 
 Config files are JSON mirroring ExperimentConfig field names::
 
@@ -373,17 +373,6 @@ def _as_drawn(ch, u):
     return u
 
 
-def _energies(ch: ChannelMatrix, chosen: np.ndarray, unselected: np.ndarray):
-    """gamma = ||H^-1 u||^2 of each chosen row and ``ch.energy(u)`` of each unselected row,
-    with their per-row bits: a stacked matmul makes each row's own GEMV and dot call."""
-    def norms(a, rows):
-        w = a @ rows[:, :, None]
-        return (w.transpose(0, 2, 1) @ w).ravel()
-
-    gammas = norms(ch.h_inv, chosen)
-    return gammas, gammas if unselected is chosen else norms(ch.chol.T, unselected)
-
-
 def _scheme(cfg: ExperimentConfig) -> Tuple[int, float, _Trial]:
     """Validate the precoder and build its per-report constants once.
 
@@ -465,12 +454,14 @@ def _run_chunk(
 
     The chunk owns one stream, which the trial re-keys to (seed, t) before
     trial t draws, so it draws what ``regions.make_stream(seed, t)`` would.
-    ``_energies`` of the trial's rows are summed in trial order. An energy
-    that overflows a float sums to inf, which ``_run`` refuses, so numpy's
-    overflow warning is not raised here.
+    Gammas of the chosen rows and energies of the unselected rows are summed
+    in trial order. An energy that overflows a float sums to inf, which
+    ``_run`` refuses, so numpy's overflow warning is not raised here.
     """
     with np.errstate(over="ignore"):
-        gammas, plain = _energies(ch, *trial(ch, regions.Streams(seed), trials))
+        chosen, unselected = trial(ch, regions.Streams(seed), trials)
+        gammas = ch.gamma(chosen)
+        plain = gammas if unselected is chosen else ch.energy(unselected)  # plain: 0 dB
     sum_g = 0.0
     sum_g2 = 0.0
     sum_plain = 0.0

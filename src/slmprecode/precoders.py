@@ -56,16 +56,8 @@ class PrecodeResult:
 
 def precode_result(ch: ChannelMatrix, u: np.ndarray, index: int, count: int,
                    **meta: Any) -> PrecodeResult:
-    """The result of transmitting ``u``: s = H^-1 u and gamma = ||s||^2."""
-    s = ch.h_inv @ u
-    return PrecodeResult(
-        u_chosen=u,
-        s=s,
-        gamma=float(s @ s),
-        candidate_index=index,
-        n_candidates=count,
-        meta=meta,
-    )
+    """The result of transmitting ``u``: s = H^-1 u and gamma = ``ch.gamma(u)`` = ||s||^2."""
+    return PrecodeResult(u, ch.h_inv @ u, ch.gamma(u), index, count, meta)
 
 
 def check_dim(ch: ChannelMatrix, u: np.ndarray, name: str = "u") -> np.ndarray:

@@ -310,9 +310,9 @@ def shape_rows(ch: ChannelMatrix, u0_rows: np.ndarray, code: ShapingCode) -> np.
     c, in input-index order. The rows run in ``precoders._groups``, and the
     metrics of every candidate of a group come from one ``ch.energies``
     call. The leaves within 1e-9 * (1 + low) of their row's lowest metric
-    are near; where more than one is, they are rescored with ``ch.energy``
-    and the winner has the smallest (gamma, codeword, input index), as in
-    the search. A larger tree is searched, one ``trellis_shape`` call per row.
+    are near; where more than one is, they are rescored in one ``ch.energy``
+    call and the winner has the smallest (gamma, codeword, input index), as
+    in the search. A larger tree is searched, one ``trellis_shape`` call per row.
     """
     n_steps = ch.m // code.n_s
     if code.codeword_count(n_steps) > _SCAN_LIMIT:
@@ -328,11 +328,9 @@ def shape_rows(ch: ChannelMatrix, u0_rows: np.ndarray, code: ShapingCode) -> np.
         near = metric <= low + 1e-9 * (1.0 + np.abs(low))
         best = near.argmax(axis=1)  # the first near leaf, the winner where it is the only one
         for i in np.flatnonzero(near.sum(axis=1) > 1):
-            # a codeword's bits are its sign flips
-            best[i] = min(
-                (ch.energy(candidates[i, k]), (signs[k] < 0).tolist(), k)
-                for k in np.flatnonzero(near[i])
-            )[2]
+            k = np.flatnonzero(near[i])
+            # a codeword's bits are its sign flips; a leaf's key is (gamma, codeword, index)
+            best[i] = min(zip(ch.energy(candidates[i, k]).tolist(), (signs[k] < 0).tolist(), k))[2]
         chosen[rows] = candidates[np.arange(len(candidates)), best]
     return chosen
 
@@ -360,7 +358,7 @@ def trellis_shape(ch: ChannelMatrix, u0, code: ShapingCode) -> PrecodeResult:
     children go back on the stack sorted by partial metric, the best batch
     on top. Once its free inputs are set a node is a leaf, and its forced
     steps are scored in one step; the leaves within the slack of their
-    batch's best are scored with ``ch.energy``. ``meta["nodes"]`` counts
+    batch's best are scored in one ``ch.energy`` call. ``meta["nodes"]`` counts
     the unpruned nodes, the root and the forced ones included, at every
     tree size.
 
@@ -416,9 +414,10 @@ def trellis_shape(ch: ChannelMatrix, u0, code: ShapingCode) -> PrecodeResult:
         if leaf:
             low = metric.min()
             near = np.flatnonzero(metric <= min(bound, low + 1e-9 * (1.0 + abs(low))))
-            for k, x, codeword in zip(near, bits[near], bits[near] @ gen & 1):
-                u = u0 * _SIGN[codeword]
-                gamma = ch.energy(u)
+            codewords = bits[near] @ gen & 1
+            us = u0 * _SIGN[codewords]
+            for k, x, codeword, u, gamma in zip(near, bits[near], codewords, us,
+                                                ch.energy(us).tolist()):
                 if gamma <= best_gamma:
                     key = (gamma, codeword.tolist(), x.tolist() + [0] * (n_steps - free))
                     if best_key is None or key < best_key:

@@ -274,9 +274,16 @@ def test_run_experiment_plain_identity():
         assert rep.mean_plain == rep.mean_gamma, m
         assert rep.gain_vs_plain_db == 0.0, m
         ch = harness.load_channel(random3, m)
-        rows = cfg._built_scheme[2](ch, regions.Streams(cfg.master_seed), range(512))
-        gammas, plain = harness._energies(ch, *rows)
+        trial = cfg._built_scheme[2]
+        chosen, unselected = trial(ch, regions.Streams(cfg.master_seed), range(512))
+        gammas = ch.gamma(chosen)
+        plain = gammas if unselected is chosen else ch.energy(unselected)
         assert np.array_equal(gammas, plain), m
+        assert not np.array_equal(gammas, ch.energy(chosen)), m
+        # each trial's sums, as the chunk makes them (k = 0: not scaled)
+        for t in range(64):
+            g, _, g_plain = harness._run_chunk(trial, cfg.master_seed, ch, 0, range(t, t + 1))
+            assert g == g_plain, (m, t)
 
 
 def test_run_experiment_deterministic_rerun():
@@ -526,22 +533,6 @@ def test_report_scales_exactly_with_tau(precoder):
         assert rep.gain_vs_plain_db == base.gain_vs_plain_db
 
 
-@pytest.mark.parametrize("m", [1, 2, 3, 4, 8, 16, 17, 33, 64, 128, 256, 512, 1024])
-def test_stacked_energies_match_per_row_calls(m):
-    # numpy's stacked matmul makes each row's own GEMV and dot call, so the
-    # energies a chunk sums equal, bit for bit, those of the per-row forms,
-    # whatever rows share the call; a numpy or BLAS change that breaks this
-    # fails here, not in a golden report
-    for seed in (3, 7, 21):
-        ch = harness.load_channel({"kind": "random", "seed": seed}, m, condition_limit=1e300)
-        rows = np.random.default_rng(seed).standard_normal((256, m))
-        for n in (1, 2, 256):
-            gammas, plain = harness._energies(ch, rows[:n], rows[:n].copy())
-            s_rows = [ch.h_inv @ u for u in rows[:n]]
-            assert gammas.tolist() == [float(s @ s) for s in s_rows], (seed, n)
-            assert plain.tolist() == [ch.energy(u) for u in rows[:n]], (seed, n)
-
-
 def test_run_experiment_energy_overflow_is_an_error():
     # tau^2 fits a float, but the inverse of a channel of gain 1e-3 scales
     # every energy by 1e6 past the float range
@@ -597,14 +588,15 @@ def test_benchmark_trace_hooks_install(monkeypatch):
     assert tr.counts["harness.config_validations"] == 2
     assert tr.counts["harness.channel_loads"] == 2
     # a nested trial's 2^8 candidate rows reach ChannelMatrix.energies once,
-    # in the energies call of its group of trials; the harness calls no
-    # traced span around it, so they count under "rows."; the harness's own
-    # energies of the chosen and unselected rows go through no traced call
-    assert counts["nested"]["rows."] == 3 * 2**8
+    # in the energies call of its group of trials, and its unselected row
+    # reaches ChannelMatrix.energy once, in the harness's call for the chunk;
+    # the harness calls no traced span around either, so they count under
+    # "rows." (the chosen rows' ChannelMatrix.gamma is not traced)
+    assert counts["nested"]["rows."] == 3 * 2**8 + 3
     # the M = 8 trellis trials' 4 codewords each reach ChannelMatrix.energies
-    # in one call for the group, outside any traced span; no near set holds
-    # two leaves, so none is rescored
-    assert counts["trellis"]["rows."] == 3 * 4
+    # in one call for the group, and each unselected row ChannelMatrix.energy,
+    # outside any traced span; no near set holds two leaves, so none is rescored
+    assert counts["trellis"]["rows."] == 3 * 4 + 3
     assert "codewords" not in counts["trellis"]
     # perfbench's shaping.leaves_per_trial reads these two counters, which a
     # code tree too large for the row kernel still sets through trellis_shape
@@ -806,7 +798,9 @@ def test_chunk_matches_per_trial_oracle(m, precoder, trials, group_rows, channel
     )
     ch = harness.load_channel(cfg.channel_source, m)
     trial = cfg._built_scheme[2]
-    gammas, plain = harness._energies(ch, *trial(ch, regions.Streams(cfg.master_seed), trials))
+    chosen, unselected = trial(ch, regions.Streams(cfg.master_seed), trials)
+    gammas = ch.gamma(chosen)
+    plain = gammas if unselected is chosen else ch.energy(unselected)
     got = list(zip(gammas.tolist(), plain.tolist()))
     streams = regions.Streams(cfg.master_seed)
     want = [precoder_trial(precoder, ch, tau, streams.at(t)) for t in trials]

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from oracles import slm_limit_linear
-from slmprecode import theory
+from slmprecode import harness, theory
 from slmprecode.errors import (
     DimensionMismatchError,
     IllConditionedError,
@@ -110,6 +110,41 @@ def test_energies_rows_match_two_row_calls(m):
         pairs = [ch.energies(x[i:i + 2]) for i in range(0, n - 1, 2)]
         pairs += [ch.energies(x[-2:])[1:]] if n % 2 else []
         assert np.array_equal(ch.energies(x), np.concatenate(pairs)), n
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 8, 16, 17, 33, 64, 128, 256, 512, 1024])
+def test_stacked_energies_match_per_row_calls(m):
+    # energy and gamma give each row of a stack the bits of its own GEMV and
+    # dot call, whatever rows share the call, and a single vector those bits
+    # too; a numpy or BLAS change that breaks this fails here, not in a
+    # golden report
+    def gemv_norm(a, u):
+        w = a @ u
+        return float(w @ w)
+
+    for seed in (3, 7, 21):
+        ch = harness.load_channel({"kind": "random", "seed": seed}, m, condition_limit=1e300)
+        rows = np.random.default_rng(seed).standard_normal((256, m))
+        for n in (1, 2, 256):
+            energy = [gemv_norm(ch.chol.T, u) for u in rows[:n]]
+            gamma = [gemv_norm(ch.h_inv, u) for u in rows[:n]]
+            assert ch.energy(rows[:n]).tolist() == energy, (seed, n)
+            assert ch.gamma(rows[:n]).tolist() == gamma, (seed, n)
+            assert [ch.energy(u) for u in rows[:n]] == energy, (seed, n)
+            assert [ch.gamma(u) for u in rows[:n]] == gamma, (seed, n)
+        assert type(ch.energy(rows[0])) is float and type(ch.gamma(rows[0])) is float
+
+
+def test_energy_block_past_the_gemm_switch():
+    # from M = 708 even a 2-row product is past the 10^6 switch, so blocks
+    # would protect no row's bits: energies takes up to 4096 rows as one product
+    assert [theory.energy_block(m) for m in (577, 707, 708, 1024)] == [2, 2, 4096, 4096]
+    rng = _rng()
+    ch = theory.build_channel(rng.standard_normal((708, 708)), condition_limit=1e300)
+    for n in (2, 3, 4095, 4096):
+        x = rng.standard_normal((n, 708))
+        w = x @ ch.chol
+        assert np.array_equal(ch.energies(x), np.einsum("ij,ij->i", w, w)), n
 
 
 # ---------------------------------------------------------------------------
