@@ -5,25 +5,25 @@ independent trials (trial t draws everything it needs from the counter
 stream keyed by (master_seed, t)), and aggregates the empirical transmit
 energy against the closed-form references. Trials are chunked into
 fixed-size blocks reduced in block order, so reports are byte-identical
-for any worker count and across reruns. A chunk owns one stream,
-``regions.Streams(master_seed)``, and re-keys it to (master_seed, t) before
-trial t, so no trial builds a generator. A config is checked when it is
+for any worker count and across reruns. A config is checked when it is
 built, an inline matrix's entries too, and holds its own copy of its two
 dicts and the matrix's rows; a report runs one snapshot of it, built before
 any report runs, whose trial serial and pooled chunks run. ``trials`` is at
 most ``precoders.SEARCH_BUDGET`` (2^20); a process pool gets no more
 processes than the largest config has chunks or than there are usable CPUs.
 
-A chunk draws every trial's data row at once: each trial re-keys the stream
-and draws its own variates (trellis payload bits as uint8) into its row of
-the chunk's array, and the hypercube map, the PAM map behind
+A chunk draws every trial's data row at once, in one vectorized Philox pass
+with numpy's bits (``regions.draw_rows``, ``regions.integer_rows``), so no
+trial builds a generator: row i holds what trial ``trials[i]`` draws
+(trellis payload bits as uint8). The hypercube map, the PAM map behind
 ``shaping.payload_to_coset`` and the nested users' coset representatives
 run once on it. The kernel that selects, ``precoders._perturb_rows`` for
 vector perturbation and nested or ``shaping.shape_rows`` for trellis,
-takes the whole array and sizes its own groups of trials; ``slm_random``
-selects once per trial. A trial returns the rows it sends and would send
-with no selection, and ``ChannelMatrix.gamma`` and ``energy`` give their
-energies, one call per array for a chunk's rows (see ``theory``).
+takes the whole array and sizes its own groups of trials. ``slm_random``
+draws one large block a trial from ``regions.make_stream(master_seed, t)``
+and selects once per trial. A trial returns the rows it sends and would
+send with no selection, and ``ChannelMatrix.gamma`` and ``energy`` give
+their energies, one call per array for a chunk's rows (see ``theory``).
 
 Config files are JSON mirroring ExperimentConfig field names::
 
@@ -329,43 +329,36 @@ def load_channel(
 # ---------------------------------------------------------------------------
 
 
-# trial(ch, streams, trials) returns two (T, M) arrays: row i is what trial trials[i] sends
-# and would send with no selection (one array if nothing is selected), from streams.at(trials[i])
-_Trial = Callable[[ChannelMatrix, regions.Streams, range], Tuple[np.ndarray, np.ndarray]]
-
-def _integer_rows(streams, trials, high: int, size: int, dtype) -> np.ndarray:
-    """Row i: the ``size`` integers in [0, high) that trial ``trials[i]`` draws, as ``dtype``."""
-    out = np.empty((len(trials), size), dtype=dtype)
-    for row, t in zip(out, trials):
-        row[:] = streams.at(t).integers(0, high, size=size)
-    return out
+# trial(ch, seed, trials) returns two (T, M) arrays: row i is what trial trials[i] sends and
+# would send with no selection (one array if nothing is selected), from make_stream(seed, t)
+_Trial = Callable[[ChannelMatrix, int, range], Tuple[np.ndarray, np.ndarray]]
 
 
-def _nested_rows(part, k_users, streams, trials) -> np.ndarray:
+def _nested_rows(part, k_users, seed, trials) -> np.ndarray:
     """Row i: the K users' stacked coset representatives of trial ``trials[i]``."""
     # signed: representatives subtracts q // 2 from the digits
-    idx = _integer_rows(streams, trials, part.coset_count, k_users, np.int64)
+    idx = regions.integer_rows(seed, trials, part.coset_count, k_users, np.int64)
     return part.representatives(idx).reshape(len(trials), -1)
 
 
-def _slm_random_chunk(region, n, ch, streams, trials):
+def _slm_random_chunk(region, n, ch, seed, trials):
     chosen, unselected = np.empty((2, len(trials), ch.m))
     for i, t in enumerate(trials):
-        candidates = regions.draw(region, streams.at(t), n)
+        candidates = regions.draw(region, regions.make_stream(seed, t), n)
         chosen[i], unselected[i] = precoders.slm_random(ch, candidates).u_chosen, candidates[0]
         del candidates  # freed before the next trial draws
     return chosen, unselected
 
 
-def _trellis_rows(cons, m, streams, trials) -> np.ndarray:
+def _trellis_rows(cons, m, seed, trials) -> np.ndarray:
     """Row i: the zero-codeword point of the uint8 payload bits trial ``trials[i]`` draws."""
-    bits = _integer_rows(streams, trials, 2, m * cons.bits_per_symbol, np.uint8)
+    bits = regions.integer_rows(seed, trials, 2, m * cons.bits_per_symbol, np.uint8)
     return shaping._pam_map(bits, cons)
 
 
-def _select_chunk(draw_rows, select, ch, streams, trials):
+def _select_chunk(draw_rows, select, ch, seed, trials):
     """The rows ``select`` chooses for every trial's row that ``draw_rows`` draws at once."""
-    u = draw_rows(streams, trials)
+    u = draw_rows(seed, trials)
     return select(ch, u), u
 
 
@@ -452,14 +445,15 @@ def _run_chunk(
 ) -> Tuple[float, float, float]:
     """Worker entry point: sums of gamma / 2^k, its square and plain gamma / 2^k over trials.
 
-    The chunk owns one stream, which the trial re-keys to (seed, t) before
-    trial t draws, so it draws what ``regions.make_stream(seed, t)`` would.
+    Trial t draws what ``regions.make_stream(seed, t)`` would: the small
+    draws of every trial in one vectorized Philox pass (``regions.draw_rows``,
+    ``regions.integer_rows``), ``slm_random``'s large one from that stream.
     Gammas of the chosen rows and energies of the unselected rows are summed
     in trial order. An energy that overflows a float sums to inf, which
     ``_run`` refuses, so numpy's overflow warning is not raised here.
     """
     with np.errstate(over="ignore"):
-        chosen, unselected = trial(ch, regions.Streams(seed), trials)
+        chosen, unselected = trial(ch, seed, trials)
         gammas = ch.gamma(chosen)
         plain = gammas if unselected is chosen else ch.energy(unselected)  # plain: 0 dB
     sum_g = 0.0

@@ -10,17 +10,22 @@ Lebesgue volume is derived on read.
 Randomness is counter-based: every stream is a numpy Philox generator keyed
 by a pair of 64-bit words (``stream_key``), so parallel trials derive
 independent, scheduling-independent streams from (master_seed, trial_index)
-without any coordination. ``make_stream`` builds one such stream. A chunk of
-trials owns one ``Streams(master_seed)``, which re-keys a single generator to
-each trial's (master_seed, t) under the same key law, so it draws the bits
-that ``make_stream(master_seed, t)`` would without building a generator per
-trial. ``draw`` is the one sampling law of a region, used by ``Sampler`` and
-by the trials; ``draw_rows`` stacks one hypercube draw per stream of a
-``Streams``.
+without any coordination. ``make_stream`` builds one such stream. ``draw``
+is the one sampling law of a region, used by ``Sampler`` and by
+``slm_random``'s trials on ``make_stream(master_seed, t)``.
+
+A chunk's small draws skip the generators: ``draw_rows`` (hypercube rows)
+and ``integer_rows`` (bounded integers) run Philox4x64-10 in numpy uint64
+arrays over every trial of the chunk at once, keyed by ``stream_key`` from
+counter 1 as numpy's Philox is, and map its words by numpy's own laws for
+doubles and for 32-bit bounded integers. Row i is then what
+``make_stream(master_seed, trials[i])`` would draw, bit for bit; the rare
+row that numpy's integer rejection would redraw is drawn from that stream.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -45,30 +50,6 @@ def stream_key(seed: int, index: int) -> np.ndarray:
 def make_stream(seed: int, index: int) -> np.random.Generator:
     """Independent Philox stream keyed by (seed, index)."""
     return np.random.Generator(np.random.Philox(key=stream_key(seed, index)))
-
-
-class Streams:
-    """The streams (seed, index) of one seed, through one generator that ``at`` re-keys.
-
-    After ``at(index)`` the generator draws exactly the bits of
-    ``make_stream(seed, index)``. Re-keying assigns a state built once (key
-    word set to the index, counter zeroed, nothing buffered), which costs a
-    fraction of building a generator. Every call returns the same generator,
-    re-keyed, so a stream is read to its end before the next ``at``.
-    """
-
-    __slots__ = ("_bits", "_gen", "_state", "_key")
-
-    def __init__(self, seed: int) -> None:
-        self._bits = np.random.Philox(key=stream_key(seed, 0))
-        self._gen = np.random.Generator(self._bits)
-        self._state = self._bits.state  # a copy: the start of stream (seed, 0)
-        self._key = self._state["state"]["key"]
-
-    def at(self, index: int) -> np.random.Generator:
-        self._key[1] = index
-        self._bits.state = self._state
-        return self._gen
 
 
 def channel_stream(seed: int) -> np.random.Generator:
@@ -213,18 +194,86 @@ def _cube(region: Region, uniform: np.ndarray) -> np.ndarray:
     return uniform
 
 
-def draw_rows(region: Region, streams: Streams, indices: range) -> np.ndarray:
-    """Row i is ``draw(region, streams.at(indices[i]))``, for a hypercube region.
+# Philox4x64-10 as numpy runs it: its multipliers, whole and in 32-bit halves, and key bumps
+_M32, _S32 = np.uint64(0xFFFF_FFFF), np.uint64(32)
+_MUL = np.array([0xD2E7_470E_E14C_6C93, 0xCA5A_8263_9512_1157], dtype=np.uint64)[:, None, None]
+_MUL_LO, _MUL_HI = _MUL & _M32, _MUL >> _S32
+_BUMPS = np.arange(10, dtype=np.uint64)[:, None, None, None] * np.array(
+    [0x9E37_79B9_7F4A_7C15, 0xBB67_AE85_84CA_A73B], dtype=np.uint64)[:, None, None]
+_PASS_BLOCKS = 2048  # blocks a pass holds, so its temporaries do not grow with the row width
 
-    Each stream fills its own row of uniforms, and the map to the cube runs
-    once on the whole array; it is elementwise, so every row keeps its bits.
+
+def _philox(key: np.ndarray, first: int, n: int) -> np.ndarray:
+    """Row i: the words of blocks first + 1 to first + n of the Philox stream keyed key[:, i].
+
+    Words 0 and 2 (``a``) and words 1 and 3 (``b``) are (2, rows, n) arrays,
+    so one ufunc serves both lanes. A round maps them to ``hi(M a)`` and
+    ``lo(M a)``, lanes swapped, the first XOR ``b`` and the round's key; the
+    128-bit product's high word is summed from 32-bit halves.
+    """
+    a, b = np.zeros((2, 2, key.shape[1], n), dtype=np.uint64)
+    a[0] = np.arange(first + 1, first + 1 + n)
+    for k in key[:, :, None] + _BUMPS:
+        low, high = a & _M32, a >> _S32
+        mid = high * _MUL_LO + (low * _MUL_LO >> _S32)
+        hi = high * _MUL_HI + (mid >> _S32) + (low * _MUL_HI + (mid & _M32) >> _S32)
+        a, b = hi[::-1] ^ b ^ k, (a * _MUL)[::-1]
+    return np.stack((a, b), axis=-1).transpose(1, 2, 0, 3).reshape(key.shape[1], 4 * n)
+
+
+def _values(seed: int, trials: range, width: int, halves: bool):
+    """Yield (rows, columns, values) of the first ``width`` values of ``make_stream(seed, t)``.
+
+    A value is a word, or with ``halves`` a word's low and then high 32 bits.
+    The values come in passes of at most ``_PASS_BLOCKS`` blocks.
+    """
+    per_block = 8 if halves else 4
+    blocks = -(-width // per_block)
+    cols = max(1, min(blocks, _PASS_BLOCKS))
+    step = _PASS_BLOCKS // cols
+    t = np.arange(trials.start, trials.stop, trials.step, dtype=np.uint64)
+    key = np.stack([np.full_like(t, stream_key(seed, 0)[0]), t])
+    for r, first in itertools.product(range(0, len(t), step), range(0, blocks, cols)):
+        words = _philox(key[:, r:r + step], first, min(cols, blocks - first))
+        col = first * per_block
+        values = (words.astype("<u8", copy=False).view("<u4") if halves else words)[:, :width - col]
+        yield slice(r, r + step), slice(col, col + values.shape[1]), values
+
+
+def draw_rows(region: Region, seed: int, trials: range) -> np.ndarray:
+    """Row i is ``draw(region, make_stream(seed, trials[i]))``, for a hypercube region.
+
+    numpy's double is ``(word >> 11) * 2^-53``, and the cube map is
+    elementwise, so it runs once on the whole array.
     """
     if region.kind != "hypercube":
         raise ValueError(f"draw_rows draws from a hypercube, got {region.kind}")
-    uniform = np.empty((len(indices), region.dim))
-    for row, index in zip(uniform, indices):
-        streams.at(index).random(out=row)
+    uniform = np.empty((len(trials), region.dim))
+    for rows, cols, words in _values(seed, trials, region.dim, False):
+        np.multiply(words >> np.uint64(11), 2.0**-53, out=uniform[rows, cols])
     return _cube(region, uniform)
+
+
+def integer_rows(seed: int, trials: range, high: int, size: int, dtype) -> np.ndarray:
+    """Row i: ``make_stream(seed, trials[i]).integers(0, high, size)`` as ``dtype``; high <= 2^32.
+
+    numpy maps each 32-bit value by Lemire's rule ``(u32 * high) >> 32``, and
+    draws again where the product's low half is under ``(2^32 - high) %
+    high`` (never for a power of two), which shifts the rest of the row: such
+    a row is drawn from its stream.
+    """
+    if not 1 <= high <= 2**32:
+        raise ValueError(f"integer_rows draws below at most 2^32, got {high}")
+    out = np.empty((len(trials), size), dtype=dtype)
+    threshold = (2**32 - high) % high
+    redraw = np.zeros(len(trials), dtype=bool)
+    for rows, cols, u32 in _values(seed, trials, size, True):
+        product = u32 * np.uint64(high)
+        out[rows, cols] = product >> _S32
+        redraw[rows] |= ((product & _M32) < threshold).any(axis=1)
+    for i in np.flatnonzero(redraw):
+        out[i] = make_stream(seed, trials[i]).integers(0, high, size=size)
+    return out
 
 
 def expanded_region(base: Region, n_candidates: int) -> Region:

@@ -1,7 +1,9 @@
 """Tests for experiment configs, the Monte Carlo runner, and reports."""
 
 import dataclasses
+import functools
 import importlib
+import itertools
 import json
 import math
 import os
@@ -275,7 +277,7 @@ def test_run_experiment_plain_identity():
         assert rep.gain_vs_plain_db == 0.0, m
         ch = harness.load_channel(random3, m)
         trial = cfg._built_scheme[2]
-        chosen, unselected = trial(ch, regions.Streams(cfg.master_seed), range(512))
+        chosen, unselected = trial(ch, cfg.master_seed, range(512))
         gammas = ch.gamma(chosen)
         plain = gammas if unselected is chosen else ch.energy(unselected)
         assert np.array_equal(gammas, plain), m
@@ -785,7 +787,7 @@ def _id_values(spec):
 @pytest.mark.parametrize("m,precoder,trials,group_rows,channel", _chunk_cases())
 def test_chunk_matches_per_trial_oracle(m, precoder, trials, group_rows, channel, monkeypatch):
     # a chunk's (gamma, plain gamma) of each trial equals, bit for bit, what
-    # the public precoders give on that trial's re-keyed stream
+    # the public precoders give on that trial's stream
     if group_rows:
         # the groups alone: ChannelMatrix.energies keeps its own blocks
         monkeypatch.setattr(precoders, "energy_block", lambda _m: group_rows)
@@ -798,12 +800,12 @@ def test_chunk_matches_per_trial_oracle(m, precoder, trials, group_rows, channel
     )
     ch = harness.load_channel(cfg.channel_source, m)
     trial = cfg._built_scheme[2]
-    chosen, unselected = trial(ch, regions.Streams(cfg.master_seed), trials)
+    chosen, unselected = trial(ch, cfg.master_seed, trials)
     gammas = ch.gamma(chosen)
     plain = gammas if unselected is chosen else ch.energy(unselected)
     got = list(zip(gammas.tolist(), plain.tolist()))
-    streams = regions.Streams(cfg.master_seed)
-    want = [precoder_trial(precoder, ch, tau, streams.at(t)) for t in trials]
+    stream = functools.partial(regions.make_stream, cfg.master_seed)
+    want = [precoder_trial(precoder, ch, tau, stream(t)) for t in trials]
     assert got == want
     if precoder["kind"] != "trellis":
         return
@@ -814,9 +816,46 @@ def test_chunk_matches_per_trial_oracle(m, precoder, trials, group_rows, channel
     # shares no code with shaping (too slow in Python for larger trees)
     cons = shaping.pam_constellation(4, spacing=tau / 4)
     for t, (gamma, _) in zip(trials, got):
-        payload = streams.at(t).integers(0, 2, size=m * cons.bits_per_symbol)
+        payload = stream(t).integers(0, 2, size=m * cons.bits_per_symbol)
         u0 = shaping.payload_to_coset(payload, cons)
         assert gamma == exhaustive_shape(ch, u0, code).gamma, t
+
+
+def test_nested_rows_redrawn_after_a_lemire_rejection(monkeypatch):
+    # q = 3, n_u = 6, K = 1 draws one index below 3^12 a trial, which numpy's
+    # Lemire rule rejects about once in 8000 draws (a leftover under
+    # (2^32 - 3^12) % 3^12) and draws again; regions.integer_rows draws such a
+    # row from its own stream. Trials 4 to 7 of seeds 1, 2, ... are searched
+    # for one, 1024 seeds a Philox pass.
+    high, threshold = 3**12, (2**32 - 3**12) % 3**12
+    for start in itertools.count(1, 1024):
+        key = np.stack([a.ravel() for a in np.meshgrid(
+            np.arange(start, start + 1024), np.arange(4, 8), indexing="ij")]).astype(np.uint64)
+        first = regions._philox(key, 0, 1)[:, 0] % 2**32
+        hits = np.flatnonzero(first * np.uint64(high) % 2**32 < threshold)
+        if hits.size:
+            break
+    seed, t = (int(k) for k in key[:, hits[0]])
+    first = int(np.random.Philox(key=regions.stream_key(seed, t)).random_raw(1)[0]) % 2**32
+    assert first * high % 2**32 < threshold  # numpy rejects the first value
+    real, redrawn = regions.make_stream, []
+    monkeypatch.setattr(regions, "make_stream", lambda s, i: redrawn.append((s, i)) or real(s, i))
+    row = regions.integer_rows(seed, range(t, t + 1), high, 1, np.int64)[0]
+    monkeypatch.setattr(regions, "make_stream", real)
+    assert redrawn == [(seed, t)]
+    assert np.array_equal(row, real(seed, t).integers(0, high, size=1))
+    # the config's whole chunk of rows, against a reference drawn a trial at a time
+    cfg = harness.ExperimentConfig.from_dict(_base_cfg(
+        m=12, channel_source={"kind": "random", "seed": 3}, tau=3.0, trials=8, master_seed=seed,
+        precoder={"kind": "nested", "k": 1, "n_u": 6, "q": 3}))
+    part = shaping.lattice_partition(6, 3, spacing=1.0)
+    want = [part.representatives(real(seed, s).integers(0, high, size=1)).ravel() for s in range(8)]
+    assert np.array_equal(cfg._built_scheme[2].args[0](seed, range(8)), want)
+    # in 4-trial chunks the row's chunk runs in a worker at workers=2
+    monkeypatch.setattr(harness, "TRIAL_CHUNK", 4)
+    serial, pooled = (harness.write_report(harness.run_experiment(cfg, workers=w), "json", None)
+                      for w in (1, 2))
+    assert serial == pooled
 
 
 def test_run_experiment_nested_smoke():
@@ -905,15 +944,31 @@ def test_trellis_payload_bits_take_a_byte_each():
     cons = shaping.pam_constellation(2**53, spacing=1.0)
     tracemalloc.start()
     try:
-        u = harness._trellis_rows(cons, 256, regions.Streams(7), range(64))
+        u = harness._trellis_rows(cons, 256, 7, range(64))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 3 * 2**20
-    streams = regions.Streams(7)
     for t in (0, 63):
-        bits = streams.at(t).integers(0, 2, size=256 * cons.bits_per_symbol)
+        bits = regions.make_stream(7, t).integers(0, 2, size=256 * cons.bits_per_symbol)
         assert np.array_equal(u[t], shaping.payload_to_coset(bits, cons))
+
+
+def test_plain_chunk_draw_holds_its_rows_and_a_bounded_pass():
+    # the Philox pass runs a bounded number of blocks at a time, so at M = 1024
+    # a 256-trial chunk's draw holds its 2 MiB of rows and less than 0.75 MiB
+    # of temporaries (the whole chunk in one pass would take several MiB)
+    cfg = harness.ExperimentConfig.from_dict(_base_cfg(
+        m=1024, channel_source={"kind": "random", "seed": 3}, trials=256))
+    draw = cfg._built_scheme[2].args[0]
+    tracemalloc.start()
+    try:
+        u = draw(cfg.master_seed, range(256))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert u.nbytes == 2 * 2**20
+    assert peak < 2.75 * 2**20
 
 
 def test_vector_perturb_report_frees_its_offset_grid():

@@ -1,6 +1,7 @@
 """Tests for source regions, samplers, and reproducible streams."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -33,32 +34,61 @@ def test_channel_stream_distinct_from_trial_streams():
         assert not np.array_equal(ch, trial)
 
 
-def _draws(gen):
-    # odd counts of 32-bit draws leave a uint32 buffered in the bit generator,
-    # so a re-key that kept it would shift every later draw
-    return [
-        gen.integers(0, 7, size=3),
-        gen.random(5),
-        gen.integers(0, 2**40, size=1),
-        gen.standard_normal(3),
-        gen.random(3, dtype=np.float32),
-        gen.integers(0, 2, size=7, dtype=np.int32),
-        gen.standard_normal(1),
-    ]
+_SEEDS = [2024, -5, 2**63 + 5, 2**64 - 1, 2**70 + 3]  # keys take a seed's low 64 bits
 
 
-def _same(a, b):
-    return all(x.dtype == y.dtype and np.array_equal(x, y) for x, y in zip(a, b))
+@pytest.mark.parametrize("seed", _SEEDS)
+def test_chunk_draws_are_make_stream_draws(seed):
+    # row i of a chunk's one Philox pass is what make_stream(seed, trials[i])
+    # draws, for the whole chunk and for one-trial chunks: doubles across the
+    # 4-word block boundary, and integers with odd sizes, which leave a 32-bit
+    # half unused
+    for trials in (range(300), range(2**20 - 5, 2**20 + 3)):
+        singles = (0, 1, len(trials) - 1)  # rows drawn as one-trial chunks
+        for m in (1, 3, 4, 5, 8, 9, 17):
+            cube = regions.hypercube(2.0, m)
+            want = np.array([regions.draw(cube, regions.make_stream(seed, t)) for t in trials])
+            assert np.array_equal(regions.draw_rows(cube, seed, trials), want), m
+            for i in singles:
+                assert np.array_equal(regions.draw_rows(cube, seed, trials[i:i + 1])[0], want[i])
+        for high in (2, 4, 2**20, 2**32):
+            for size in (1, 2, 7, 16):
+                want = np.array(
+                    [regions.make_stream(seed, t).integers(0, high, size=size) for t in trials])
+                got = regions.integer_rows(seed, trials, high, size, np.int64)
+                assert got.dtype == np.int64 and np.array_equal(got, want), (high, size)
+                for i in singles:
+                    row = regions.integer_rows(seed, trials[i:i + 1], high, size, np.int64)[0]
+                    assert np.array_equal(row, want[i]), (high, size)
 
 
-@pytest.mark.parametrize("seed", [2024, -5, 2**70 + 3])
-def test_streams_rekey_to_make_stream(seed):
-    # the chunk stream re-keyed to t draws the bits of make_stream(seed, t),
-    # whatever the stream drew before, also when re-keyed back to an earlier t
-    streams = regions.Streams(seed)
-    order = list(range(300)) + [17, 0, 299, 17]
-    for t in order:
-        assert _same(_draws(streams.at(t)), _draws(regions.make_stream(seed, t))), t
+def test_chunk_draws_keep_their_bits_past_a_pass():
+    # rows wider than a pass of Philox blocks are drawn in several passes
+    cube = regions.hypercube(1.0, 4 * regions._PASS_BLOCKS + 3)
+    rows = regions.draw_rows(cube, 9, range(3))
+    for row, t in zip(rows, range(3)):
+        assert np.array_equal(row, regions.draw(cube, regions.make_stream(9, t)))
+    size = 8 * regions._PASS_BLOCKS + 5
+    bits = regions.integer_rows(9, range(2), 2, size, np.uint8)
+    for row, t in zip(bits, range(2)):
+        assert np.array_equal(row, regions.make_stream(9, t).integers(0, 2, size=size))
+
+
+def test_chunk_draws_at_the_largest_seed_raise_no_warning():
+    # the wrapping uint64 products and sums run on arrays, where numpy does
+    # not warn; tier-1 makes any warning an error, and this makes sure of it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = regions.draw_rows(regions.hypercube(2.0, 5), 2**64 - 1, range(2**20 - 2, 2**20))
+        ints = regions.integer_rows(2**64 - 1, range(3), 3**12, 3, np.int64)
+    assert np.array_equal(rows[1], regions.draw(
+        regions.hypercube(2.0, 5), regions.make_stream(2**64 - 1, 2**20 - 1)))
+    assert np.array_equal(ints[2], regions.make_stream(2**64 - 1, 2).integers(0, 3**12, size=3))
+
+
+def test_integer_rows_refuse_a_range_past_32_bits():
+    with pytest.raises(ValueError):
+        regions.integer_rows(1, range(2), 2**32 + 1, 1, np.int64)
 
 
 @pytest.mark.parametrize(
@@ -68,10 +98,10 @@ def test_streams_rekey_to_make_stream(seed):
 )
 @pytest.mark.parametrize("n", [None, 5])
 def test_draw_on_a_rekeyed_stream_is_the_sampler_draw(region, n):
-    # trials draw with regions.draw on the chunk stream; API users with a Sampler
-    streams = regions.Streams(31)
+    # slm_random's trials draw with regions.draw on make_stream(seed, t); API
+    # users with a Sampler
     for t in (4, 1, 4):
-        a = regions.draw(region, streams.at(t), n)
+        a = regions.draw(region, regions.make_stream(31, t), n)
         b = regions.Sampler(region, 31, t).draw(n)
         assert np.array_equal(a, b)
 
