@@ -449,22 +449,19 @@ def _run_chunk(
     draws of every trial in one vectorized Philox pass (``regions.draw_rows``,
     ``regions.integer_rows``), ``slm_random``'s large one from that stream.
     Gammas of the chosen rows and energies of the unselected rows are summed
-    in trial order. An energy that overflows a float sums to inf, which
-    ``_run`` refuses, so numpy's overflow warning is not raised here.
+    in trial order, one running sum each. An energy that overflows a float,
+    or its scaled square, sums to inf, which ``_run`` refuses, so numpy's
+    overflow warning is not raised here.
     """
     with np.errstate(over="ignore"):
         chosen, unselected = trial(ch, seed, trials)
         gammas = ch.gamma(chosen)
         plain = gammas if unselected is chosen else ch.energy(unselected)  # plain: 0 dB
-    sum_g = 0.0
-    sum_g2 = 0.0
-    sum_plain = 0.0
-    for g, g_plain in zip(gammas.tolist(), plain.tolist()):
-        g = math.ldexp(g, -k)
-        sum_g += g
-        sum_g2 += g * g
-        sum_plain += math.ldexp(g_plain, -k)
-    return sum_g, sum_g2, sum_plain
+        g = np.ldexp(gammas, -k)
+        terms = np.zeros((3, len(g) + 1))
+        terms[:, 1:] = g, g * g, np.ldexp(plain, -k)
+        # a running sum adds in order: from a leading 0.0 it is 0.0 + x_1 + ... + x_T, bit for bit
+        return tuple(np.cumsum(terms, axis=1)[:, -1].tolist())
 
 
 @dataclass(frozen=True)

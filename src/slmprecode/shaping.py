@@ -23,9 +23,10 @@ stack that expands a batch of nodes per array operation, bounded by
 ``SEARCH_BUDGET`` nodes). ``shape_rows`` gives the same chosen vectors for
 each row of a (T, M) array of zero-codeword points, and is the one place
 that picks how: a code tree of at most ``_SCAN_LIMIT`` = 2^14 codewords
-((7,5) up to M = 32) is scanned whole, every codeword of a group of rows in
-one ``ChannelMatrix.energies`` call, grouped as vector perturbation groups
-its rows; a larger tree is searched one row at a time.
+((7,5) up to M = 32) is scanned whole: a codeword's metric adds two halves
+that meet in the middle on the encoder state, and only prunes, within a
+rounding bound, so the winners are those of scoring every candidate with
+``ChannelMatrix.energies``; a larger tree is searched one row at a time.
 
 Like the precoders, both searches take the data vector: ``trellis_shape``
 the zero-codeword point u0, ``nested_select`` the M-vector of the users'
@@ -66,7 +67,6 @@ from .errors import (
 from .precoders import (
     SEARCH_BUDGET,
     PrecodeResult,
-    _groups,
     check_dim,
     lex_digits,
     precode_result,
@@ -74,13 +74,13 @@ from .precoders import (
 )
 from .theory import ChannelMatrix
 
-# Batches of the trellis search: at most _BATCH nodes, chosen by
-# measurement, and at most _BATCH_ENTRIES stored components of G u.
+# Batches of the trellis search: at most _BATCH nodes, chosen by measurement, and at most
+# _BATCH_ENTRIES stored components of G u; a group of the scan, at most _BATCH_ENTRIES leaves.
 _BATCH = 256
 _BATCH_ENTRIES = 2**13
-# shape_rows scans a tree of at most this many codewords, else searches. (7,5) PAM 4, 32-trial
-# reports, 2-core Xeon VM, ms per trial, search vs scan: 0.48 vs 0.14 at 2^10 codewords (M = 24),
-# 1.46 vs 0.78 at 2^12, 5.45 vs 2.77 at 2^14 (M = 32, 4 MiB of signs), 4.76 vs 6.14 at 2^15.
+# shape_rows scans a tree of at most this many codewords, else searches. (7,5) PAM 4, 2-core Xeon
+# VM, ms a trial, scan vs search: 0.04 vs 0.80 at 2^10 codewords (M = 24), 0.17 vs 6.1 at 2^14,
+# 0.74 vs 6.1 at 2^16, 2.4 vs 22 at 2^18 (M = 40): no crossover, but only M > 32 would move.
 _SCAN_LIMIT = 2**14
 # The sign of a symbol whose codeword bit is 0 or 1.
 _SIGN = np.array([1.0, -1.0])
@@ -289,16 +289,21 @@ def _generator_matrix(code: ShapingCode, n_steps: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=1)
-def _leaf_signs(code: ShapingCode, n_steps: int) -> np.ndarray:
-    """The signs 1 - 2c of every codeword c of a code tree, a row each in input-index order.
+def _half_signs(code: ShapingCode, n_steps: int) -> Tuple[np.ndarray, np.ndarray, int]:
+    """Signs 1 - 2c of a tree's symbols before and from step n_steps // 2, and the state bits.
 
-    Read-only, built once per (code, n_steps); only ``shape_rows`` asks for
-    it, for a tree it scans, so it has at most ``_SCAN_LIMIT`` rows.
+    The low table has a row per setting of x_0..x_{b-1}, the high table per
+    setting of x_a..x_{F-1} (a = max(0, split - memory), b = min(split, F));
+    the b - a inputs both read are the state. Leaf v has low row v >> (F - b)
+    and high row v mod 2^(F - a). Read-only, built once per (code, n_steps).
     """
-    free = max(0, n_steps - code.memory)
-    signs = _SIGN[lex_digits(np.arange(1 << free), 2, free) @ _generator_matrix(code, n_steps) & 1]
-    signs.flags.writeable = False
-    return signs
+    gen = _generator_matrix(code, n_steps)
+    free, split = len(gen), n_steps // 2
+    a, b = max(0, min(split - code.memory, free)), min(split, free)
+    low, high = (_SIGN[lex_digits(np.arange(1 << bits), 2, bits) @ taps & 1] for bits, taps in
+                 ((b, gen[:b, :split * code.n_s]), (free - a, gen[a:, split * code.n_s:])))
+    low.flags.writeable = high.flags.writeable = False
+    return low, high, b - a
 
 
 def shape_rows(ch: ChannelMatrix, u0_rows: np.ndarray, code: ShapingCode) -> np.ndarray:
@@ -306,32 +311,61 @@ def shape_rows(ch: ChannelMatrix, u0_rows: np.ndarray, code: ShapingCode) -> np.
 
     Row i of the result is ``trellis_shape(ch, u0_rows[i], code).u_chosen``;
     the rows are not checked. A tree of at most ``_SCAN_LIMIT`` codewords is
-    scanned: row i's candidates are u0_rows[i] * (1 - 2c) for every codeword
-    c, in input-index order. The rows run in ``precoders._groups``, and the
-    metrics of every candidate of a group come from one ``ch.energies``
-    call. The leaves within 1e-9 * (1 + low) of their row's lowest metric
-    are near; where more than one is, they are rescored in one ``ch.energy``
-    call and the winner has the smallest (gamma, codeword, input index), as
+    scanned, in groups of at most ``_BATCH_ENTRIES`` leaves (one row at
+    least), meet in the middle on the state S of ``_half_signs``: leaf
+    (P, S, R) sends w = (u0 * s) L = w_low(P, S) + w_high(S, R), so its
+    metric ||w_low||^2 + ||w_high||^2 + 2 w_low . w_high takes one product
+    per half and one per state, 2^F * M multiply-adds a row, not 2^F * M^2.
+
+    The metric only prunes. A row keeps the leaves within 2e-9 * (1 + low)
+    of its lowest plus 32 M 2^-53 || |u0| |L| ||^2, which bounds the rounding
+    of this metric and of ``ch.energies``, so it keeps every leaf that
+    ``ch.energies`` of all candidates puts within 1e-9 * (1 + low) of their
+    lowest; a row that keeps one sends it. The kept leaves of other rows are
+    scored with ``ch.energies``, whose rows keep their bits in any call of
+    two rows or more below M = 708, and the near ones rescored in one
+    ``ch.energy`` call: the smallest (gamma, codeword, input index) wins, as
     in the search. A larger tree is searched, one ``trellis_shape`` call per row.
     """
     n_steps = ch.m // code.n_s
-    if code.codeword_count(n_steps) > _SCAN_LIMIT:
+    leaves = code.codeword_count(n_steps)
+    if leaves > _SCAN_LIMIT:
         return np.array([trellis_shape(ch, u0, code).u_chosen for u0 in u0_rows])
-    signs = _leaf_signs(code, n_steps)
+    low, high, state_bits = _half_signs(code, n_steps)
+    t, n_low, n_high = low.shape[1], len(low) >> state_bits, len(high) >> state_bits
+    def signs(v):  # the signs of the leaves of input indices v
+        return np.hstack([low[v // n_high], high[v % len(high)]])
+    # the rounding bound 32 M 2^-53 ||a||^2, a = |u0| |L|: inf (every leaf kept) where 2 ||a||^2
+    # overflows, as a leaf's metric then could
+    a = np.abs(u0_rows) @ np.abs(ch.chol)
+    bound = 16 * ch.m * 2.0**-53 * np.einsum("ij,ij->i", 2.0 * a, a)[:, None]
     chosen = np.empty(u0_rows.shape)
-    for rows in _groups(len(u0_rows), len(signs), ch.m):
-        # each row repeated, then flipped in place: a long multiply, not one per candidate
-        candidates = u0_rows[rows].repeat(len(signs), axis=0).reshape(-1, len(signs), ch.m)
-        candidates *= signs
-        metric = ch.energies(candidates.reshape(-1, ch.m)).reshape(len(candidates), -1)
-        low = metric.min(axis=1, keepdims=True)
-        near = metric <= low + 1e-9 * (1.0 + np.abs(low))
-        best = near.argmax(axis=1)  # the first near leaf, the winner where it is the only one
-        for i in np.flatnonzero(near.sum(axis=1) > 1):
-            k = np.flatnonzero(near[i])
-            # a codeword's bits are its sign flips; a leaf's key is (gamma, codeword, index)
-            best[i] = min(zip(ch.energy(candidates[i, k]).tolist(), (signs[k] < 0).tolist(), k))[2]
-        chosen[rows] = candidates[np.arange(len(candidates)), best]
+    size = max(1, _BATCH_ENTRIES // leaves)
+    for start in range(0, len(u0_rows), size):
+        u0 = u0_rows[start:start + size]
+        scaled = u0[:, :, None] * ch.chol
+        w_low = (low @ scaled[:, :t, :t]).reshape(len(u0), n_low, 1 << state_bits, t)
+        w_high = (high @ scaled[:, t:]).reshape(len(u0), 1 << state_bits, n_high, ch.m)
+        # (rows, P, S, R): the cross term one product per state, the squares broadcast
+        metric = (2.0 * w_low.swapaxes(1, 2) @ w_high[..., :t].swapaxes(2, 3)).swapaxes(1, 2)
+        metric += np.einsum("gpsi,gpsi->gps", w_low, w_low)[..., None]
+        metric += np.einsum("gsri,gsri->gsr", w_high, w_high)[:, None]
+        metric = metric.reshape(len(u0), leaves)
+        lowest = metric.min(axis=1, keepdims=True)
+        keep = ~(metric > lowest + 2e-9 * (1.0 + np.abs(lowest)) + bound[start:start + size])
+        best = keep.argmax(axis=1)  # a row's one kept leaf is its winner
+        ties = np.flatnonzero(np.count_nonzero(keep, axis=1) > 1)
+        if ties.size:  # the kept leaves of the group's other rows, in one energies call
+            row, leaf = np.nonzero(keep[ties])
+            flips = signs(leaf)
+            energies = ch.energies(u0[ties[row]] * flips)
+            for j, i in enumerate(ties):
+                k = np.flatnonzero(row == j)
+                k = k[energies[k] <= energies[k].min() + 1e-9 * (1.0 + abs(energies[k].min()))]
+                # a codeword's bits are its sign flips; a leaf's key is (gamma, codeword, index)
+                best[i] = min(zip(ch.energy(u0[i] * flips[k]).tolist(), (flips[k] < 0).tolist(),
+                                  leaf[k].tolist()))[2]
+        chosen[start:start + size] = u0 * signs(best)
     return chosen
 
 

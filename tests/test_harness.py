@@ -9,6 +9,7 @@ import math
 import os
 import pickle
 import tracemalloc
+import types
 from pathlib import Path
 
 import numpy as np
@@ -286,6 +287,37 @@ def test_run_experiment_plain_identity():
         for t in range(64):
             g, _, g_plain = harness._run_chunk(trial, cfg.master_seed, ch, 0, range(t, t + 1))
             assert g == g_plain, (m, t)
+
+
+def _ldexp(x, e):
+    """math.ldexp, inf where it overflows, as numpy's ldexp gives."""
+    try:
+        return math.ldexp(x, e)
+    except OverflowError:
+        return math.copysign(math.inf, x)
+
+
+def test_chunk_sums_are_the_trial_order_loop():
+    # _run_chunk's running sums equal, bit for bit, the loop that adds each
+    # trial's gamma / 2^k, its square and plain gamma / 2^k to 0.0 in trial
+    # order: over magnitudes from subnormal to overflow, and an empty chunk
+    rng = np.random.default_rng(11)
+    for case in range(300):
+        n = int(rng.integers(0, 300))
+        gammas = rng.exponential(10.0 ** rng.uniform(-320, 300), n)
+        plain = rng.exponential(10.0 ** rng.uniform(-320, 300), n)
+        if n and case % 5 == 0:
+            gammas[rng.integers(n)] = [np.inf, 5e-324, 0.0, 1e308, 2.0**-1022][case // 5 % 5]
+        k = int(rng.integers(-60, 1100))
+        # the trial's rows only select the energies that the stub channel returns
+        ch = types.SimpleNamespace(gamma=lambda _u, g=gammas: g, energy=lambda _u, p=plain: p)
+        rows = np.zeros((n, 1)), np.ones((n, 1))
+        got = harness._run_chunk(lambda *_args, r=rows: r, 0, ch, k, range(n))
+        want = [0.0, 0.0, 0.0]
+        for g, g_plain in zip(gammas.tolist(), plain.tolist()):
+            g = _ldexp(g, -k)
+            want = [want[0] + g, want[1] + g * g, want[2] + _ldexp(g_plain, -k)]
+        assert [x.hex() for x in got] == [x.hex() for x in want], case
 
 
 def test_run_experiment_deterministic_rerun():
@@ -595,10 +627,10 @@ def test_benchmark_trace_hooks_install(monkeypatch):
     # the harness calls no traced span around either, so they count under
     # "rows." (the chosen rows' ChannelMatrix.gamma is not traced)
     assert counts["nested"]["rows."] == 3 * 2**8 + 3
-    # the M = 8 trellis trials' 4 codewords each reach ChannelMatrix.energies
-    # in one call for the group, and each unselected row ChannelMatrix.energy,
-    # outside any traced span; no near set holds two leaves, so none is rescored
-    assert counts["trellis"]["rows."] == 3 * 4 + 3
+    # the M = 8 trellis trials' 4 leaves are scored by the scan's own metric,
+    # and no trial keeps two of them, so none reaches ChannelMatrix.energies;
+    # each unselected row reaches ChannelMatrix.energy, outside any traced span
+    assert counts["trellis"]["rows."] == 3
     assert "codewords" not in counts["trellis"]
     # perfbench's shaping.leaves_per_trial reads these two counters, which a
     # code tree too large for the row kernel still sets through trellis_shape
@@ -709,9 +741,10 @@ def test_trellis_trial_maps_payload_once(monkeypatch):
 
 
 def test_trellis_group_stays_within_group_rows(monkeypatch):
-    # at M = 20 (7,5) has 2^8 codewords and an energy block is 2499 rows, so
-    # a group is 9 trials whose candidates fit one energies call and one
-    # product; 40 trials are 9 + 9 + 9 + 9 + 4
+    # a scan group holds at most shaping._BATCH_ENTRIES = 2^13 leaf metrics,
+    # one row at least. H = I ties every leaf, so each group scores all its
+    # rows' leaves in one energies call: (7,5) has 2^8 codewords at M = 20,
+    # so 40 trials are groups of 32 + 8, and 2^14 at M = 32, one trial a group
     calls = []
     real = theory.ChannelMatrix.energies
 
@@ -720,13 +753,15 @@ def test_trellis_group_stays_within_group_rows(monkeypatch):
         return real(self, u_rows)
 
     monkeypatch.setattr(theory.ChannelMatrix, "energies", counting)
-    cfg = harness.ExperimentConfig.from_dict(
-        _base_cfg(m=20, channel_source={"kind": "random", "seed": 3}, trials=40,
-                  precoder={"kind": "trellis", "generators": "7,5", "pam": 4})
-    )
-    harness.run_experiment(cfg)
-    assert theory.energy_block(20) == 2499
-    assert calls == [9 * 2**8] * 4 + [4 * 2**8]
+    assert shaping._BATCH_ENTRIES == 2**13
+    for m, trials, want in ((20, 40, [32 * 2**8, 8 * 2**8]), (32, 2, [2**14] * 2)):
+        calls.clear()
+        cfg = harness.ExperimentConfig.from_dict(
+            _base_cfg(m=m, channel_source={"kind": "inline", "matrix": np.eye(m).tolist()},
+                      trials=trials, precoder={"kind": "trellis", "generators": "7,5", "pam": 4})
+        )
+        harness.run_experiment(cfg)
+        assert calls == want, m
 
 
 def _chunk_cases():
@@ -767,7 +802,7 @@ def _chunk_cases():
     # the scan against the search's leaves at 2^2, 2^6 and 2^8 codewords
     for m in (8, 16, 20):
         cases.append((m, trellis, range(7, 60), None, "identity"))
-    # groups of 16 rows: 4 trials of 4 codewords, so a chunk is many groups
+    # groups of 16 leaves: 4 trials of 4 codewords, so a chunk is many groups
     cases.append((8, trellis, range(7, 60), 16, None))
     return [
         pytest.param(m, precoder, trials, rows, channel, id="-".join(
@@ -789,8 +824,10 @@ def test_chunk_matches_per_trial_oracle(m, precoder, trials, group_rows, channel
     # a chunk's (gamma, plain gamma) of each trial equals, bit for bit, what
     # the public precoders give on that trial's stream
     if group_rows:
-        # the groups alone: ChannelMatrix.energies keeps its own blocks
+        # the groups alone: ChannelMatrix.energies keeps its own blocks; the
+        # trellis scan's groups hold group_rows leaf metrics
         monkeypatch.setattr(precoders, "energy_block", lambda _m: group_rows)
+        monkeypatch.setattr(shaping, "_BATCH_ENTRIES", group_rows)
     tau = 3.0
     source = {"kind": "random", "seed": 20 + m}
     if channel == "identity":
@@ -905,9 +942,9 @@ def test_nested_report_memory_at_budget_corner():
 
 def test_trellis_report_memory_at_scan_limit():
     # (7,5) at M = 32 has 2^14 codewords, the largest tree shape_rows scans:
-    # one trial holds the 4 MiB sign table and its group's 4 MiB of
-    # candidates, and nothing else of that size
-    shaping._leaf_signs.cache_clear()
+    # one trial holds two 2^8-row half sign tables and one group's 2^14 leaf
+    # metrics, far under the bound
+    shaping._half_signs.cache_clear()
     cfg = harness.ExperimentConfig.from_dict(
         _base_cfg(m=32, channel_source={"kind": "random", "seed": 3}, trials=1,
                   precoder={"kind": "trellis", "generators": "7,5", "pam": 4})
@@ -920,6 +957,25 @@ def test_trellis_report_memory_at_scan_limit():
     finally:
         tracemalloc.stop()
     assert peak < 12 * 2**20
+
+
+def test_trellis_chunk_memory_at_scan_limit():
+    # a whole 256-trial chunk at M = 32 holds one group's leaf metrics at a
+    # time, besides the chunk's rows: 0.7 MiB measured, where a scan of every
+    # candidate row held 12 MiB
+    shaping._half_signs.cache_clear()
+    cfg = harness.ExperimentConfig.from_dict(
+        _base_cfg(m=32, channel_source={"kind": "random", "seed": 3}, trials=harness.TRIAL_CHUNK,
+                  precoder={"kind": "trellis", "generators": "7,5", "pam": 4})
+    )
+    tracemalloc.start()
+    try:
+        harness.run_experiment(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert harness.TRIAL_CHUNK == 256
+    assert peak < 2 * 2**20
 
 
 def test_slm_random_report_holds_one_candidate_array():

@@ -19,7 +19,14 @@ from slmprecode.errors import (
     SearchBudgetExceededError,
 )
 
-from oracles import coset_table, conv_encode, exhaustive_shape, lattice_offsets, offset_grid
+from oracles import (
+    coset_table,
+    conv_encode,
+    exhaustive_shape,
+    lattice_offsets,
+    offset_grid,
+    scan_rows_reference,
+)
 
 
 def _rng():
@@ -370,6 +377,126 @@ def test_trellis_shape_equals_oracle(spec, steps, pam, channel, seed):
     assert np.array_equal(fast.u_chosen, slow.u_chosen)
     assert fast.gamma == slow.gamma
     assert fast.candidate_index == slow.candidate_index
+    assert np.array_equal(shaping.shape_rows(ch, u0[None], code)[0], slow.u_chosen)
+
+
+# ---------------------------------------------------------------------------
+# whole-tree scan
+# ---------------------------------------------------------------------------
+
+
+def _scan_channel(rng, m, kind):
+    """A channel of the scan's exactness cases; every leaf ties on the last three."""
+    if kind == "random":
+        return _random_channel(rng, m)
+    if kind == "ill_conditioned":
+        # singular values over 5.5 decades: cond(Q) = 10^11, past the default limit
+        u, _, v = np.linalg.svd(rng.standard_normal((m, m)))
+        ch = theory.build_channel(u @ np.diag(np.logspace(0, -5.5, m)) @ v, condition_limit=1e14)
+        assert m == 1 or ch.eig.eigenvalues.max() / ch.eig.eigenvalues.min() >= 1e10
+        return ch
+    if kind == "identity":
+        return theory.build_channel(np.eye(m))
+    if kind == "signed_permutation":
+        return theory.build_channel(np.eye(m)[rng.permutation(m)] * rng.choice([-1.0, 1.0], m))
+    return theory.build_channel(np.diag(rng.choice([0.5, 2.0], m)))
+
+
+_TIE_CHANNELS = ("identity", "signed_permutation", "diagonal")
+
+
+@pytest.mark.parametrize("channel", ("random", "ill_conditioned") + _TIE_CHANNELS)
+@pytest.mark.parametrize(
+    "spec, symbols",
+    [
+        # F = 0 at M = 2 and 4, up to 2^10 codewords at M = 24
+        pytest.param("7,5", (2, 4, 6, 10, 16, 24), id="7,5"),
+        # memory 3: F < memory at M = 8
+        pytest.param("17,15", (2, 8, 12, 20), id="17,15"),
+        pytest.param("7,7,5", (3, 9, 15, 24), id="7,7,5"),
+        # memory 0: every input is free, and "0,0" gives only the zero codeword
+        pytest.param("1,1", (2, 8, 16), id="1,1"),
+        pytest.param("0,0", (2, 8, 16), id="0,0"),
+    ],
+)
+def test_shape_rows_equals_the_whole_tree_scan(spec, symbols, channel, monkeypatch):
+    # the meet-in-the-middle metric only prunes: row for row, shape_rows sends
+    # what the scan of every candidate row sent, and what the exhaustive
+    # oracle picks. A tie row keeps all its tied leaves and scores them in
+    # ch.energies; a clean row makes no energies call
+    calls = []
+    real = theory.ChannelMatrix.energies
+
+    def counting(self, u_rows):
+        calls.append(len(u_rows))
+        return real(self, u_rows)
+
+    rng = np.random.default_rng(97)
+    code = shaping.code_from_octal(spec)
+    for m in symbols:
+        ch = _scan_channel(rng, m, channel)
+        con = shaping.pam_constellation(int(rng.choice([2, 4, 8])), spacing=0.5)
+        u0_rows = shaping._pam_map(rng.integers(0, 2, size=(12, m * con.bits_per_symbol)), con)
+        want = scan_rows_reference(ch, u0_rows, code)
+        calls.clear()
+        monkeypatch.setattr(theory.ChannelMatrix, "energies", counting)
+        got = shaping.shape_rows(ch, u0_rows, code)
+        monkeypatch.undo()
+        assert got.tobytes() == want.tobytes(), m
+        for row, u0 in zip(got, u0_rows):
+            assert np.array_equal(row, exhaustive_shape(ch, u0, code).u_chosen), m
+        leaves = code.codeword_count(m // code.n_s)
+        if leaves == 1:
+            assert calls == [], m
+        elif channel in _TIE_CHANNELS or spec == "0,0":
+            assert sum(calls) == len(u0_rows) * leaves, m
+        elif spec == "1,1":
+            # the all-ones input flips every sign, and u and -u tie
+            assert sum(calls) == 2 * len(u0_rows), m
+        elif channel == "random":
+            assert calls == [], m
+
+
+@pytest.mark.parametrize("entries", [1, 4, 16, 100])
+def test_shape_rows_groups_cross_the_chunk(entries, monkeypatch):
+    # groups of at most `entries` leaf metrics (one row at least) give every
+    # row the scan's winner, tie rows among clean ones included
+    rng = np.random.default_rng(5)
+    code = shaping.default_code()
+    con = shaping.pam_constellation(4, spacing=0.5)
+    for m in (4, 8, 12, 16):
+        for ch in (_random_channel(rng, m), theory.build_channel(np.eye(m))):
+            u0_rows = shaping._pam_map(rng.integers(0, 2, size=(37, 2 * m)), con)
+            # equal magnitudes tie every leaf of these rows on any channel with H = I
+            u0_rows[::5] = 0.25 * np.sign(u0_rows[::5])
+            want = scan_rows_reference(ch, u0_rows, code)
+            monkeypatch.setattr(shaping, "_BATCH_ENTRIES", entries)
+            got = shaping.shape_rows(ch, u0_rows, code)
+            monkeypatch.undo()
+            assert got.tobytes() == want.tobytes(), (m, entries)
+
+
+def test_half_signs_compose_every_codeword():
+    # a leaf's signs are its low and high half-table rows: for every scanned
+    # tree size of these codes they are 1 - 2c of conv_encode's codeword, in
+    # input-index order, and the state bits are the inputs both halves read
+    for spec, symbols in (("7,5", range(2, 25, 2)), ("17,15", range(2, 21, 2)),
+                          ("7,7,5", range(3, 25, 3)), ("1,1", (2, 8)), ("0,0", (2, 8))):
+        code = shaping.code_from_octal(spec)
+        for m in symbols:
+            n_steps = m // code.n_s
+            free = max(0, n_steps - code.memory)
+            low, high, state_bits = shaping._half_signs(code, n_steps)
+            assert not low.flags.writeable and not high.flags.writeable
+            n_high = len(high) >> state_bits
+            assert len(low) * n_high == 1 << free
+            split = n_steps // 2
+            assert state_bits == min(split, free) - max(0, min(split - code.memory, free))
+            for v in range(1 << free):
+                bits = [(v >> (free - 1 - t)) & 1 for t in range(free)] + [0] * (n_steps - free)
+                want = 1 - 2 * conv_encode(code, bits)
+                got = np.hstack([low[v // n_high], high[v % len(high)]])
+                assert np.array_equal(got, want), (spec, m, v)
 
 
 def test_trellis_shape_m56():
