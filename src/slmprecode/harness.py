@@ -12,7 +12,7 @@ any report runs, whose trial serial and pooled chunks run. ``trials`` is at
 most ``precoders.SEARCH_BUDGET`` (2^20); a process pool gets no more
 processes than the largest config has chunks or than there are usable CPUs.
 
-A chunk draws every trial's data row at once, in one vectorized Philox pass
+A chunk draws every trial's data row at once, in vectorized Philox passes
 with numpy's bits (``regions.draw_rows``, ``regions.integer_rows``), so no
 trial builds a generator: row i holds what trial ``trials[i]`` draws
 (trellis payload bits as uint8). The hypercube map, the PAM map behind

@@ -8,7 +8,8 @@ Two realizations are implemented:
 * ``slm_random`` — the information is carried by any one of N i.i.d.
   candidate vectors (the random-coding picture behind the asymptotic laws);
 * ``vector_perturb`` — the candidates are u + tau * l for integer offset
-  vectors l in a centered box, undone at each receiver by a modulo-tau fold.
+  vectors l in a centered box, undone at each receiver by a modulo-tau fold,
+  searched in groups of a chunk's rows, at most ``theory.GROUP_ENTRIES`` candidates.
 
 Receivers act independently per coordinate; ``receiver_verify`` checks that
 noiseless reception followed by the per-user fold recovers the original
@@ -18,17 +19,17 @@ data exactly (the independency condition).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator
+from typing import Any, Dict
 
 import numpy as np
 
-from . import linalg
+from . import linalg, theory
 from .errors import (
     DimensionMismatchError,
     EmptyCandidateSetError,
     SearchBudgetExceededError,
 )
-from .theory import ChannelMatrix, energy_block
+from .theory import ChannelMatrix
 
 SEARCH_BUDGET = 2**20
 
@@ -119,28 +120,23 @@ def _offset_grid(b: int, m: int) -> np.ndarray:
     return lex_digits(np.arange(b**m), b, m) + float(offset_range(b)[0])
 
 
-def _groups(n_rows: int, candidates: int, m: int) -> Iterator[slice]:
-    """Slices of ``n_rows`` rows whose candidates fit an energy block at M = m, one row at least."""
-    size = max(1, energy_block(m) // candidates)
-    return (slice(i, i + size) for i in range(0, n_rows, size))
-
-
 def _perturb_rows(ch: ChannelMatrix, u: np.ndarray, tau: float, b: int) -> np.ndarray:
     """The vector perturbation (period tau, b offsets per coordinate) chosen for each row of ``u``.
 
     Row i's candidates are its fold into [-tau/2, tau/2) plus tau times each
-    row of the offset grid. The rows run in ``_groups``; the energies of
-    every candidate of a group come from one ``ch.energies`` call, whose
-    rows keep their bits whatever rows share the call, and ties go to the
-    lowest index.
+    row of the offset grid. The rows run in groups of at most
+    ``theory.GROUP_ENTRIES`` candidates, one row at least; the energies of a
+    group's candidates come from one ``ch.energies`` call, whose rows keep
+    their bits whatever rows share the call, and ties go to the lowest index.
     """
     scaled = tau * _offset_grid(b, ch.m)
     base = fold_interval(u, tau)
     chosen = np.empty(base.shape)
-    for rows in _groups(len(u), len(scaled), ch.m):
-        candidates = scaled + base[rows, None, :]
+    size = theory.group_rows(len(scaled))
+    for start in range(0, len(u), size):
+        candidates = scaled + base[start:start + size, None, :]
         energies = ch.energies(candidates.reshape(-1, ch.m)).reshape(len(candidates), -1)
-        chosen[rows] = candidates[np.arange(len(candidates)), energies.argmin(axis=1)]
+        chosen[start:start + size] = candidates[np.arange(len(candidates)), energies.argmin(axis=1)]
     return chosen
 
 

@@ -16,7 +16,8 @@ is the one sampling law of a region, used by ``Sampler`` and by
 
 A chunk's small draws skip the generators: ``draw_rows`` (hypercube rows)
 and ``integer_rows`` (bounded integers) run Philox4x64-10 in numpy uint64
-arrays over every trial of the chunk at once, keyed by ``stream_key`` from
+arrays over the chunk's trials in passes of whole rows, each at most
+``theory.GROUP_ENTRIES`` words (one row at least), keyed by ``stream_key`` from
 counter 1 as numpy's Philox is, and map its words by numpy's own laws for
 doubles and for 32-bit bounded integers. Row i is then what
 ``make_stream(master_seed, trials[i])`` would draw, bit for bit; the rare
@@ -25,7 +26,6 @@ row that numpy's integer rejection would redraw is drawn from that stream.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -200,11 +200,10 @@ _MUL = np.array([0xD2E7_470E_E14C_6C93, 0xCA5A_8263_9512_1157], dtype=np.uint64)
 _MUL_LO, _MUL_HI = _MUL & _M32, _MUL >> _S32
 _BUMPS = np.arange(10, dtype=np.uint64)[:, None, None, None] * np.array(
     [0x9E37_79B9_7F4A_7C15, 0xBB67_AE85_84CA_A73B], dtype=np.uint64)[:, None, None]
-_PASS_BLOCKS = 2048  # blocks a pass holds, so its temporaries do not grow with the row width
 
 
-def _philox(key: np.ndarray, first: int, n: int) -> np.ndarray:
-    """Row i: the words of blocks first + 1 to first + n of the Philox stream keyed key[:, i].
+def _philox(key: np.ndarray, n: int) -> np.ndarray:
+    """Row i: the words of blocks 1 to n of the Philox stream keyed key[:, i].
 
     Words 0 and 2 (``a``) and words 1 and 3 (``b``) are (2, rows, n) arrays,
     so one ufunc serves both lanes. A round maps them to ``hi(M a)`` and
@@ -212,7 +211,7 @@ def _philox(key: np.ndarray, first: int, n: int) -> np.ndarray:
     128-bit product's high word is summed from 32-bit halves.
     """
     a, b = np.zeros((2, 2, key.shape[1], n), dtype=np.uint64)
-    a[0] = np.arange(first + 1, first + 1 + n)
+    a[0] = np.arange(1, 1 + n)
     for k in key[:, :, None] + _BUMPS:
         low, high = a & _M32, a >> _S32
         mid = high * _MUL_LO + (low * _MUL_LO >> _S32)
@@ -222,22 +221,19 @@ def _philox(key: np.ndarray, first: int, n: int) -> np.ndarray:
 
 
 def _values(seed: int, trials: range, width: int, halves: bool):
-    """Yield (rows, columns, values) of the first ``width`` values of ``make_stream(seed, t)``.
+    """Yield (rows, values) of the first ``width`` values of ``make_stream(seed, t)``.
 
     A value is a word, or with ``halves`` a word's low and then high 32 bits.
-    The values come in passes of at most ``_PASS_BLOCKS`` blocks.
+    A pass is a run of whole rows, at most ``theory.GROUP_ENTRIES`` words or one row.
     """
-    per_block = 8 if halves else 4
-    blocks = -(-width // per_block)
-    cols = max(1, min(blocks, _PASS_BLOCKS))
-    step = _PASS_BLOCKS // cols
+    blocks = -(-width // (8 if halves else 4))
+    step = theory.group_rows(4 * blocks)
     t = np.arange(trials.start, trials.stop, trials.step, dtype=np.uint64)
     key = np.stack([np.full_like(t, stream_key(seed, 0)[0]), t])
-    for r, first in itertools.product(range(0, len(t), step), range(0, blocks, cols)):
-        words = _philox(key[:, r:r + step], first, min(cols, blocks - first))
-        col = first * per_block
-        values = (words.astype("<u8", copy=False).view("<u4") if halves else words)[:, :width - col]
-        yield slice(r, r + step), slice(col, col + values.shape[1]), values
+    for r in range(0, len(t), step):
+        words = _philox(key[:, r:r + step], blocks)
+        values = words.astype("<u8", copy=False).view("<u4") if halves else words
+        yield slice(r, r + step), values[:, :width]
 
 
 def draw_rows(region: Region, seed: int, trials: range) -> np.ndarray:
@@ -249,8 +245,8 @@ def draw_rows(region: Region, seed: int, trials: range) -> np.ndarray:
     if region.kind != "hypercube":
         raise ValueError(f"draw_rows draws from a hypercube, got {region.kind}")
     uniform = np.empty((len(trials), region.dim))
-    for rows, cols, words in _values(seed, trials, region.dim, False):
-        np.multiply(words >> np.uint64(11), 2.0**-53, out=uniform[rows, cols])
+    for rows, words in _values(seed, trials, region.dim, False):
+        np.multiply(words >> np.uint64(11), 2.0**-53, out=uniform[rows])
     return _cube(region, uniform)
 
 
@@ -267,9 +263,9 @@ def integer_rows(seed: int, trials: range, high: int, size: int, dtype) -> np.nd
     out = np.empty((len(trials), size), dtype=dtype)
     threshold = (2**32 - high) % high
     redraw = np.zeros(len(trials), dtype=bool)
-    for rows, cols, u32 in _values(seed, trials, size, True):
+    for rows, u32 in _values(seed, trials, size, True):
         product = u32 * np.uint64(high)
-        out[rows, cols] = product >> _S32
+        out[rows] = product >> _S32
         redraw[rows] |= ((product & _M32) < threshold).any(axis=1)
     for i in np.flatnonzero(redraw):
         out[i] = make_stream(seed, trials[i]).integers(0, high, size=size)

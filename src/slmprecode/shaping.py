@@ -27,6 +27,7 @@ that picks how: a code tree of at most ``_SCAN_LIMIT`` = 2^14 codewords
 that meet in the middle on the encoder state, and only prunes, within a
 rounding bound, so the winners are those of scoring every candidate with
 ``ChannelMatrix.energies``; a larger tree is searched one row at a time.
+Scan groups and search batches hold at most ``theory.GROUP_ENTRIES`` entries.
 
 Like the precoders, both searches take the data vector: ``trellis_shape``
 the zero-codeword point u0, ``nested_select`` the M-vector of the users'
@@ -57,7 +58,7 @@ from typing import Tuple
 
 import numpy as np
 
-from . import linalg
+from . import linalg, theory
 from .errors import (
     ConfigError,
     DimensionMismatchError,
@@ -74,10 +75,6 @@ from .precoders import (
 )
 from .theory import ChannelMatrix
 
-# Batches of the trellis search: at most _BATCH nodes, chosen by measurement, and at most
-# _BATCH_ENTRIES stored components of G u; a group of the scan, at most _BATCH_ENTRIES leaves.
-_BATCH = 256
-_BATCH_ENTRIES = 2**13
 # shape_rows scans a tree of at most this many codewords, else searches. (7,5) PAM 4, 2-core Xeon
 # VM, ms a trial, scan vs search: 0.04 vs 0.80 at 2^10 codewords (M = 24), 0.17 vs 6.1 at 2^14,
 # 0.74 vs 6.1 at 2^16, 2.4 vs 22 at 2^18 (M = 40): no crossover, but only M > 32 would move.
@@ -311,7 +308,7 @@ def shape_rows(ch: ChannelMatrix, u0_rows: np.ndarray, code: ShapingCode) -> np.
 
     Row i of the result is ``trellis_shape(ch, u0_rows[i], code).u_chosen``;
     the rows are not checked. A tree of at most ``_SCAN_LIMIT`` codewords is
-    scanned, in groups of at most ``_BATCH_ENTRIES`` leaves (one row at
+    scanned, in groups of at most ``theory.GROUP_ENTRIES`` leaves (one row at
     least), meet in the middle on the state S of ``_half_signs``: leaf
     (P, S, R) sends w = (u0 * s) L = w_low(P, S) + w_high(S, R), so its
     metric ||w_low||^2 + ||w_high||^2 + 2 w_low . w_high takes one product
@@ -340,7 +337,7 @@ def shape_rows(ch: ChannelMatrix, u0_rows: np.ndarray, code: ShapingCode) -> np.
     a = np.abs(u0_rows) @ np.abs(ch.chol)
     bound = 16 * ch.m * 2.0**-53 * np.einsum("ij,ij->i", 2.0 * a, a)[:, None]
     chosen = np.empty(u0_rows.shape)
-    size = max(1, _BATCH_ENTRIES // leaves)
+    size = theory.group_rows(leaves)
     for start in range(0, len(u0_rows), size):
         u0 = u0_rows[start:start + size]
         scaled = u0[:, :, None] * ch.chol
@@ -472,9 +469,8 @@ def trellis_shape(ch: ChannelMatrix, u0, code: ShapingCode) -> PrecodeResult:
         order = child_partial.argsort()
         child_partial = child_partial[order]
         n_live = child_partial.searchsorted(bound, "right")
-        # A batch is capped in nodes and in stored components, which bounds
-        # the stack of a deep search.
-        size = max(1, min(_BATCH, _BATCH_ENTRIES // max(1, lo)))
+        # At most theory.GROUP_ENTRIES stored components a batch bound a deep search's stack
+        size = theory.group_rows(lo)
         for start in range((n_live - 1) // size * size, -1, -size):
             rows = order[start:start + size]
             stack.append((s, child_partial[start:start + size], full[rows, :lo], kids[rows]))

@@ -111,7 +111,7 @@ def _norms(a: np.ndarray, u) -> float | np.ndarray:
 
 
 def energy_block(m: int) -> int:
-    """Rows per (rows, M) @ (M, M) product in ``ChannelMatrix.energies``, and per group, at M = m.
+    """Rows per (rows, M) @ (M, M) product in ``ChannelMatrix.energies`` at M = m.
 
     OpenBLAS 0.3.31 (scipy-openblas, Haswell, 2 cores) changes GEMM path once
     m*n*k exceeds 10^6: a row's bits first differ from a 2-row product's at
@@ -120,6 +120,17 @@ def energy_block(m: int) -> int:
     from M = 708 no 2-row product does, so blocks would only cost time.
     """
     return 4096 if 2 * m * m > 10**6 else max(2, min(4096, 10**6 // (m * m) - 1))
+
+
+# Entries a kernel holds at once: VP or nested candidates, scan leaves, search G u components,
+# Philox words. No search node cap: (7,5) PAM 4 at M = 36-52 (random channels 3, 7, 23, 2-core Xeon
+# VM) kept its winners, 3.4-328 ms median a trial (4.0-447 at 256 nodes a batch), nodes -20%/+136%.
+GROUP_ENTRIES = 2**13
+
+
+def group_rows(entries_per_row: int) -> int:
+    """The rows of ``entries_per_row`` entries each that fit ``GROUP_ENTRIES``, one at least."""
+    return max(1, GROUP_ENTRIES // max(1, entries_per_row))
 
 
 def build_channel(h, condition_limit: float = CONDITION_LIMIT) -> ChannelMatrix:

@@ -23,14 +23,13 @@ import math
 
 import numpy as np
 
-from slmprecode import regions, shaping
+from slmprecode import regions, shaping, theory
 from slmprecode.errors import (
     DimensionMismatchError,
     LengthMismatchError,
     SearchBudgetExceededError,
 )
 from slmprecode.precoders import (
-    _groups,
     check_dim,
     invert_precode,
     offset_range,
@@ -135,11 +134,12 @@ def exhaustive_shape(ch, u0, code):
 def scan_rows_reference(ch, u0_rows, code) -> np.ndarray:
     """``shaping.shape_rows`` of a tree it scans, from every codeword's candidate row.
 
-    The rows run in ``precoders._groups``; the candidates u0 * (1 - 2c) of a
-    group, in input-index order, are scored in one ``ch.energies`` call. The
-    leaves within 1e-9 * (1 + low) of a row's lowest are near; where more
-    than one is, the winner has the smallest (``ch.energy``, codeword, input
-    index). The codewords come from ``conv_encode``.
+    The rows run in groups of ``theory.energy_block(M) // 2^F`` rows, one at
+    least; the candidates u0 * (1 - 2c) of a group, in input-index order, are
+    scored in one ``ch.energies`` call. The leaves within 1e-9 * (1 + low) of
+    a row's lowest are near; where more than one is, the winner has the
+    smallest (``ch.energy``, codeword, input index). The codewords come from
+    ``conv_encode``.
     """
     n_steps = ch.m // code.n_s
     free = max(0, n_steps - code.memory)
@@ -149,7 +149,9 @@ def scan_rows_reference(ch, u0_rows, code) -> np.ndarray:
         for v in range(1 << free)
     ])
     chosen = np.empty(u0_rows.shape)
-    for rows in _groups(len(u0_rows), len(signs), ch.m):
+    size = max(1, theory.energy_block(ch.m) // len(signs))
+    for start in range(0, len(u0_rows), size):
+        rows = slice(start, start + size)
         candidates = u0_rows[rows][:, None, :] * signs
         metric = ch.energies(candidates.reshape(-1, ch.m)).reshape(len(candidates), -1)
         low = metric.min(axis=1, keepdims=True)

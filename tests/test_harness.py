@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from slmprecode import harness, precoders, regions, shaping, theory
+from slmprecode import harness, regions, shaping, theory
 from slmprecode.errors import ConfigError, ParseError, PrecodingError, ReportIOError
 
 from oracles import exhaustive_shape, precoder_trial
@@ -741,7 +741,7 @@ def test_trellis_trial_maps_payload_once(monkeypatch):
 
 
 def test_trellis_group_stays_within_group_rows(monkeypatch):
-    # a scan group holds at most shaping._BATCH_ENTRIES = 2^13 leaf metrics,
+    # a scan group holds at most theory.GROUP_ENTRIES = 2^13 leaf metrics,
     # one row at least. H = I ties every leaf, so each group scores all its
     # rows' leaves in one energies call: (7,5) has 2^8 codewords at M = 20,
     # so 40 trials are groups of 32 + 8, and 2^14 at M = 32, one trial a group
@@ -753,7 +753,7 @@ def test_trellis_group_stays_within_group_rows(monkeypatch):
         return real(self, u_rows)
 
     monkeypatch.setattr(theory.ChannelMatrix, "energies", counting)
-    assert shaping._BATCH_ENTRIES == 2**13
+    assert theory.GROUP_ENTRIES == 2**13
     for m, trials, want in ((20, 40, [32 * 2**8, 8 * 2**8]), (32, 2, [2**14] * 2)):
         calls.clear()
         cfg = harness.ExperimentConfig.from_dict(
@@ -764,6 +764,87 @@ def test_trellis_group_stays_within_group_rows(monkeypatch):
         assert calls == want, m
 
 
+class _SearchSpy:
+    """shaping's numpy, recording (entries, nodes) of each search batch the search sums.
+
+    A popped batch of n nodes storing c components sums its children's new
+    components over a view of their (2n, c) array, and at the leaves its
+    (n, c) completed tails, each with ``einsum("ij,ij->i")``.
+    """
+
+    def __init__(self, held):
+        self.held = held
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def einsum(self, spec, x, y):
+        rows = x if x.base is None else x.base
+        n = len(rows) // (1 if x.base is None else 2)
+        self.held.append((n * rows.shape[1], n))
+        return np.einsum(spec, x, y)
+
+
+def _held(kernel, monkeypatch):
+    """(entries, rows) of each group, batch or pass that ``kernel`` held, and a row's entries."""
+    held = []
+    if kernel == "philox":
+        real_philox = regions._philox
+
+        def passes(key, n):
+            held.append((key.shape[1] * 4 * n, key.shape[1]))
+            return real_philox(key, n)
+
+        monkeypatch.setattr(regions, "_philox", passes)
+        # one row wider than a pass, then passes of several rows and a tail
+        regions.draw_rows(regions.hypercube(1.0, theory.GROUP_ENTRIES + 3), 4, range(3))
+        regions.integer_rows(4, range(3000), 2, 1001, np.uint8)
+        regions.draw_rows(regions.hypercube(1.0, 5), 4, range(5000))
+        return held, 8
+    if kernel == "search":
+        monkeypatch.setattr(shaping, "np", _SearchSpy(held))
+        ch = harness.load_channel({"kind": "random", "seed": 3}, 40)
+        con = shaping.pam_constellation(4, spacing=0.5)
+        for t in range(3):
+            u0 = shaping.payload_to_coset(regions.make_stream(11, t).integers(0, 2, size=80), con)
+            shaping.trellis_shape(ch, u0, shaping.default_code())
+        return held, 2
+    random = {"kind": "random", "seed": 3}
+    m, precoder, per_row, source = {
+        "vector_perturb": (4, {"kind": "vector_perturb", "b": 3}, 3**4, random),
+        "nested": (8, {"kind": "nested", "k": 2, "n_u": 2, "q": 2}, 2**8, random),
+        # H = I ties every leaf, so each scan group scores all its rows' leaves
+        "scan": (20, {"kind": "trellis", "generators": "7,5", "pam": 4}, 2**8,
+                 {"kind": "inline", "matrix": np.eye(20).tolist()}),
+    }[kernel]
+    real = theory.ChannelMatrix.energies
+
+    def counting(self, u_rows):
+        held.append((len(u_rows), len(u_rows) // per_row))
+        return real(self, u_rows)
+
+    monkeypatch.setattr(theory.ChannelMatrix, "energies", counting)
+    harness.run_experiment(harness.ExperimentConfig.from_dict(
+        _base_cfg(m=m, channel_source=source, trials=300, precoder=precoder)))
+    return held, per_row
+
+
+@pytest.mark.parametrize("entries", [None, 1000, 50])
+@pytest.mark.parametrize("kernel", ["vector_perturb", "nested", "scan", "search", "philox"])
+def test_every_kernel_holds_at_most_group_entries(kernel, entries, monkeypatch):
+    # one law sizes every working set: a VP or nested group's candidates, a
+    # scan group's leaves, a search batch's stored components of G u and a
+    # Philox pass's words are at most theory.GROUP_ENTRIES, one row at least
+    if entries:
+        monkeypatch.setattr(theory, "GROUP_ENTRIES", entries)
+    held, per_row = _held(kernel, monkeypatch)
+    monkeypatch.undo()
+    limit = entries or theory.GROUP_ENTRIES
+    assert held and all(n <= limit or rows == 1 for n, rows in held), held
+    # the limit is reached: some group is as full as a row's entries allow
+    assert max(n for n, _ in held) > limit - per_row, held
+
+
 def _chunk_cases():
     # (m, precoder, trials, group rows): every kind that runs a group of
     # trials at once, on trial ranges that start past 0 and, where a group
@@ -771,7 +852,7 @@ def _chunk_cases():
     cases = [(m, {"kind": "plain"}, range(5, 300)) for m in (1, 3, 4, 8)]
     for m in (1, 3, 4, 8):
         for b in (1, 2, 3):
-            # groups of 4096 // b^m trials: 50 at b = 3, m = 4; b = 3, m = 8 runs alone
+            # groups of 8192 // b^m trials: 101 at b = 3, m = 4; b = 3, m = 8 runs alone
             cases.append((m, {"kind": "vector_perturb", "b": b}, range(250, 370)))
     for m, k, n_u in ((4, 2, 1), (8, 2, 2), (8, 4, 1)):
         for q in (2, 3):
@@ -791,10 +872,11 @@ def _chunk_cases():
                     (34, "7,5"), (9, "7,7,5"), (12, "17,15"), (8, "0,0"), (8, "1,1")):
         cases.append((m, {"kind": "trellis", "generators": gens, "k_s": 1, "pam": 4},
                       range(7, 60)))
-    # group rows None: the groups energy_block sizes, at most energy_block(1) = 4096 rows
+    # group entries None: groups of theory.GROUP_ENTRIES entries; the id then
+    # names energies' block of 4096 rows at M = 1
     cases = [(m, precoder, trials, None, None) for m, precoder, trials in cases]
-    # with groups of up to 4 energy blocks, one group of 2731 trials of 3
-    # candidates: 8193 rows, so energies folds a 1-row tail into its last block
+    # groups of 4 energy blocks: one group of 2731 trials of 3 candidates is
+    # 8193 rows, so energies folds a 1-row tail into its last block
     cases.append((1, {"kind": "vector_perturb", "b": 3}, range(2731), 4 * theory.energy_block(1),
                   None))
     trellis = {"kind": "trellis", "generators": "7,5", "k_s": 1, "pam": 4}
@@ -805,11 +887,11 @@ def _chunk_cases():
     # groups of 16 leaves: 4 trials of 4 codewords, so a chunk is many groups
     cases.append((8, trellis, range(7, 60), 16, None))
     return [
-        pytest.param(m, precoder, trials, rows, channel, id="-".join(
+        pytest.param(m, precoder, trials, entries, channel, id="-".join(
             [f"m{m}", *_id_values(precoder),
-             f"{len(trials)}trials-{rows or theory.energy_block(1)}rows",
+             f"{len(trials)}trials-{entries or theory.energy_block(1)}rows",
              *([channel] if channel else [])]))
-        for m, precoder, trials, rows, channel in cases
+        for m, precoder, trials, entries, channel in cases
     ]
 
 
@@ -819,15 +901,14 @@ def _id_values(spec):
         yield from _id_values(v) if isinstance(v, dict) else [str(v)]
 
 
-@pytest.mark.parametrize("m,precoder,trials,group_rows,channel", _chunk_cases())
-def test_chunk_matches_per_trial_oracle(m, precoder, trials, group_rows, channel, monkeypatch):
+@pytest.mark.parametrize("m,precoder,trials,entries,channel", _chunk_cases())
+def test_chunk_matches_per_trial_oracle(m, precoder, trials, entries, channel, monkeypatch):
     # a chunk's (gamma, plain gamma) of each trial equals, bit for bit, what
     # the public precoders give on that trial's stream
-    if group_rows:
-        # the groups alone: ChannelMatrix.energies keeps its own blocks; the
-        # trellis scan's groups hold group_rows leaf metrics
-        monkeypatch.setattr(precoders, "energy_block", lambda _m: group_rows)
-        monkeypatch.setattr(shaping, "_BATCH_ENTRIES", group_rows)
+    if entries:
+        # the groups, scan groups and Philox passes alone hold `entries`
+        # entries; ChannelMatrix.energies keeps its own blocks
+        monkeypatch.setattr(theory, "GROUP_ENTRIES", entries)
     tau = 3.0
     source = {"kind": "random", "seed": 20 + m}
     if channel == "identity":
@@ -868,7 +949,7 @@ def test_nested_rows_redrawn_after_a_lemire_rejection(monkeypatch):
     for start in itertools.count(1, 1024):
         key = np.stack([a.ravel() for a in np.meshgrid(
             np.arange(start, start + 1024), np.arange(4, 8), indexing="ij")]).astype(np.uint64)
-        first = regions._philox(key, 0, 1)[:, 0] % 2**32
+        first = regions._philox(key, 1)[:, 0] % 2**32
         hits = np.flatnonzero(first * np.uint64(high) % 2**32 < threshold)
         if hits.size:
             break

@@ -63,15 +63,26 @@ def test_chunk_draws_are_make_stream_draws(seed):
 
 
 def test_chunk_draws_keep_their_bits_past_a_pass():
-    # rows wider than a pass of Philox blocks are drawn in several passes
-    cube = regions.hypercube(1.0, 4 * regions._PASS_BLOCKS + 3)
-    rows = regions.draw_rows(cube, 9, range(3))
-    for row, t in zip(rows, range(3)):
-        assert np.array_equal(row, regions.draw(cube, regions.make_stream(9, t)))
-    size = 8 * regions._PASS_BLOCKS + 5
-    bits = regions.integer_rows(9, range(2), 2, size, np.uint8)
-    for row, t in zip(bits, range(2)):
-        assert np.array_equal(row, regions.make_stream(9, t).integers(0, 2, size=size))
+    # a pass is a run of whole rows of at most GROUP_ENTRIES Philox words, one
+    # row at least: a row one block wider than a pass is drawn alone, and
+    # narrower rows in passes of 8 (doubles) or 16 (integers) rows and a tail
+    entries = theory.GROUP_ENTRIES
+    for m, trials in ((entries + 3, range(3)), (1000, range(5, 40))):
+        cube = regions.hypercube(1.0, m)
+        rows = regions.draw_rows(cube, 9, trials)
+        for row, t in zip(rows, trials):
+            assert np.array_equal(row, regions.draw(cube, regions.make_stream(9, t))), m
+    for size, trials in ((2 * entries + 5, range(2)), (1001, range(5, 40))):
+        bits = regions.integer_rows(9, trials, 2, size, np.uint8)
+        for row, t in zip(bits, trials):
+            assert np.array_equal(row, regions.make_stream(9, t).integers(0, 2, size=size)), size
+
+
+def test_zero_width_integer_rows_are_empty_rows():
+    # no value to draw: a (T, 0) array, as numpy's integers(..., size=0) is
+    got = regions.integer_rows(3, range(4), 5, 0, np.int64)
+    assert got.shape == (4, 0) and got.dtype == np.int64
+    assert np.array_equal(got[2], regions.make_stream(3, 2).integers(0, 5, size=0))
 
 
 def test_chunk_draws_at_the_largest_seed_raise_no_warning():

@@ -470,10 +470,42 @@ def test_shape_rows_groups_cross_the_chunk(entries, monkeypatch):
             # equal magnitudes tie every leaf of these rows on any channel with H = I
             u0_rows[::5] = 0.25 * np.sign(u0_rows[::5])
             want = scan_rows_reference(ch, u0_rows, code)
-            monkeypatch.setattr(shaping, "_BATCH_ENTRIES", entries)
+            monkeypatch.setattr(theory, "GROUP_ENTRIES", entries)
             got = shaping.shape_rows(ch, u0_rows, code)
             monkeypatch.undo()
             assert got.tobytes() == want.tobytes(), (m, entries)
+
+
+def _rank_one_channel(seed, k_low, k_high, m=12):
+    """H^-1 = I + K e_j v^T, v in {-1, 1}^M and K in [k_low, k_high), and 64 rows of +-0.25.
+
+    A leaf u with v . u = 0 costs gamma = ||u||^2 = M / 16 exactly and any
+    other leaf at least K^2 / 4 more, so a row's sign-balanced leaves tie,
+    while its metrics carry rounding errors that grow as K^2.
+    """
+    rng = np.random.default_rng(seed)
+    k = rng.uniform(k_low, k_high)
+    h_inv = np.eye(m)
+    h_inv[rng.integers(m)] += k * rng.choice([-1.0, 1.0], m)
+    ch = theory.build_channel(np.linalg.inv(h_inv), condition_limit=1e16)
+    return ch, 0.25 * rng.choice([-1.0, 1.0], (64, m))
+
+
+@pytest.mark.parametrize("seed, k_low, k_high", [
+    # cond(Q) = 9.6e9: the scan's half metrics cancel to M / 16 with errors
+    # past 1e-9 (1 + low), so the tied winner is kept by the rounding bound alone
+    pytest.param(0, 5e3, 1e4, id="rounding_bound"),
+    # cond(Q) = 7.4e15: energies and energy round the tied leaves apart, and
+    # a row's winner is the lowest energy of energies' near set, not of every kept leaf
+    pytest.param(1235, 1e7, 5e7, id="energies_near_set"),
+])
+def test_shape_rows_keeps_the_tied_winner_where_rounding_decides(seed, k_low, k_high):
+    ch, u0_rows = _rank_one_channel(seed, k_low, k_high)
+    code = shaping.default_code()
+    got = shaping.shape_rows(ch, u0_rows, code)
+    assert got.tobytes() == scan_rows_reference(ch, u0_rows, code).tobytes()
+    for row, u0 in zip(got, u0_rows):
+        assert np.array_equal(row, shaping.trellis_shape(ch, u0, code).u_chosen)
 
 
 def test_half_signs_compose_every_codeword():
