@@ -8,9 +8,10 @@ fixed-size blocks reduced in block order, so reports are byte-identical
 for any worker count and across reruns. A config is checked when it is
 built, an inline matrix's entries too, and holds its own copy of its two
 dicts and the matrix's rows; a report runs one snapshot of it, built before
-any report runs, whose trial serial and pooled chunks run. ``trials`` is at
-most ``precoders.SEARCH_BUDGET`` (2^20); a process pool gets no more
-processes than the largest config has chunks or than there are usable CPUs.
+any report runs, whose trial serial and pooled chunks run, on the one read-only
+channel ``load_channel`` keeps. ``trials`` is at most ``precoders.SEARCH_BUDGET``
+(2^20); a process pool gets no more processes than the largest config has
+chunks or than there are usable CPUs.
 
 A chunk draws every trial's data row at once, in vectorized Philox passes
 with numpy's bits (``regions.draw_rows``, ``regions.integer_rows``), so no
@@ -70,6 +71,7 @@ import numbers
 import os
 import reprlib
 import sys
+import threading
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
@@ -302,6 +304,11 @@ def _parse_channel_csv(text: str, path: str) -> np.ndarray:
     return np.array(rows, dtype=np.float64)
 
 
+_channels: Dict[tuple, ChannelMatrix] = {}  # load_channel's, least recently used first
+_channel_entries = 0
+_channels_lock = threading.Lock()
+
+
 def load_channel(
     source: Dict, m: int, condition_limit: float = theory.CONDITION_LIMIT
 ) -> ChannelMatrix:
@@ -310,18 +317,34 @@ def load_channel(
     File format: plain CSV, M rows of M comma-separated decimals, no
     header. Random channels draw i.i.d. standard normal entries from a
     dedicated counter stream of the seed, so the same seed is bit-identical
-    across runs and platforms.
+    across runs and platforms. A process builds one read-only channel a key:
+    the file's text (read every call), the seed or the inline matrix's float64
+    bytes, with m and condition_limit. Refused ones are not kept; the least
+    recently used go while the kept hold over ``precoders.SEARCH_BUDGET`` entries.
     """
+    global _channel_entries
     kind, h = _channel_kind(source)
-    if kind == "file":
-        h = _parse_channel_csv(_read_text(source["path"], "channel file"), source["path"])
-    elif kind == "random":
-        h = regions.channel_stream(int(source["seed"])).standard_normal((m, m))
-    if not np.all(np.isfinite(h)):
-        raise ParseError("channel matrix has non-finite entries")
-    if h.shape != (m, m):
-        raise ConfigError(f"channel is {h.shape} but config says m = {m}")
-    return theory.build_channel(h, condition_limit=condition_limit)
+    text = _read_text(source["path"], "channel file") if kind == "file" else None
+    seed = int(source["seed"]) if kind == "random" else None
+    matrix = (h.shape, h.astype(np.float64).tobytes()) if kind == "inline" else None
+    key = (text, seed, matrix, m, condition_limit)
+    with _channels_lock:
+        ch = _channels.pop(key, None)  # put back last, as the most recently used
+        if ch is None:
+            if kind == "file":
+                h = _parse_channel_csv(text, source["path"])
+            elif kind == "random":
+                h = regions.channel_stream(seed).standard_normal((m, m))
+            if not np.all(np.isfinite(h)):
+                raise ParseError("channel matrix has non-finite entries")
+            if h.shape != (m, m):
+                raise ConfigError(f"channel is {h.shape} but config says m = {m}")
+            ch = theory.build_channel(h, condition_limit=condition_limit)
+            _channel_entries += ch.m ** 2
+        _channels[key] = ch
+        while _channel_entries > precoders.SEARCH_BUDGET:
+            _channel_entries -= _channels.pop(next(iter(_channels))).m ** 2
+    return ch
 
 
 # ---------------------------------------------------------------------------

@@ -64,7 +64,7 @@ def _require_symmetric(m: np.ndarray) -> None:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EigenSystem:
     """Symmetric eigendecomposition with eigenvalues sorted descending.
 

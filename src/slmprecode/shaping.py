@@ -306,13 +306,14 @@ def _half_signs(code: ShapingCode, n_steps: int) -> Tuple[np.ndarray, np.ndarray
 def shape_rows(ch: ChannelMatrix, u0_rows: np.ndarray, code: ShapingCode) -> np.ndarray:
     """The minimum-energy coset member of each row of ``u0_rows``, a (T, M) array of u0 rows.
 
-    Row i of the result is ``trellis_shape(ch, u0_rows[i], code).u_chosen``;
-    the rows are not checked. A tree of at most ``_SCAN_LIMIT`` codewords is
-    scanned, in groups of at most ``theory.GROUP_ENTRIES`` leaves (one row at
-    least), meet in the middle on the state S of ``_half_signs``: leaf
-    (P, S, R) sends w = (u0 * s) L = w_low(P, S) + w_high(S, R), so its
-    metric ||w_low||^2 + ||w_high||^2 + 2 w_low . w_high takes one product
-    per half and one per state, 2^F * M multiply-adds a row, not 2^F * M^2.
+    Row i of the result is ``trellis_shape(ch, u0_rows[i], code).u_chosen`` on every channel
+    tried within the default ``condition_limit``; at cond(Q) near 2e16 the two can pick
+    different winners until they share one near-set rule. The rows are not checked. A tree
+    of at most ``_SCAN_LIMIT`` codewords is scanned, in groups of at most
+    ``theory.GROUP_ENTRIES`` leaves (one row at least), meet in the middle on the state S of
+    ``_half_signs``: leaf (P, S, R) sends w = (u0 * s) L = w_low(P, S) + w_high(S, R), so
+    its metric ||w_low||^2 + ||w_high||^2 + 2 w_low . w_high takes one product per half and
+    one per state, 2^F * M multiply-adds a row, not 2^F * M^2.
 
     The metric only prunes. A row keeps the leaves within 2e-9 * (1 + low)
     of its lowest plus 32 M 2^-53 || |u0| |L| ||^2, which bounds the rounding

@@ -48,14 +48,14 @@ TWO_PI_E = 2.0 * math.pi * math.e
 CONDITION_LIMIT = 1e8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChannelMatrix:
-    """A square invertible channel with cached derived factors.
+    """A square invertible channel with cached derived factors, equal only to itself.
 
     Fields beyond ``h`` are consistent caches: ``h_inv`` its inverse,
     ``q = h_inv.T @ h_inv`` (symmetric positive definite), ``eig`` the
     eigensystem of q (descending), and ``chol`` the lower Cholesky factor
-    of q, so that u^T q u = ||chol.T @ u||^2.
+    of q, so that u^T q u = ||chol.T @ u||^2; ``build_channel`` makes them read-only.
     """
 
     h: np.ndarray
@@ -160,6 +160,8 @@ def build_channel(h, condition_limit: float = CONDITION_LIMIT) -> ChannelMatrix:
             f"eigenvalue spread {spread:.3e} exceeds limit {condition_limit:.1e}"
         )
     chol = linalg.cholesky(q)
+    for a in (h, h_inv, q, eig.eigenvalues, eig.eigenvectors, chol):
+        a.flags.writeable = False
     return ChannelMatrix(h=h, h_inv=h_inv, q=q, eig=eig, chol=chol)
 
 
@@ -291,13 +293,17 @@ class TheoryReport:
 
 
 def theory_report(ch: ChannelMatrix, sigma2: float) -> TheoryReport:
-    """Evaluate all closed-form references for one channel."""
+    """Evaluate all closed-form references for one channel, each with the bits of its function."""
+    if sigma2 <= 0.0:
+        raise ValueError("sigma2 must be positive")
+    gm = _geomean_eigenvalues(ch.eigenvalues)
+    r_eq2 = gm * sigma2
     return TheoryReport(
         m=ch.m,
         sigma2=float(sigma2),
-        e_opt=e_opt(ch, sigma2),
-        channel_gain=channel_gain(ch.eig),
-        r_eq2=equivalent_radius_sq(ch, sigma2),
-        e_slm_limit=e_slm(ch, sigma2),
+        e_opt=ch.m * r_eq2,
+        channel_gain=float(np.mean(ch.eigenvalues) / gm),
+        r_eq2=r_eq2,
+        e_slm_limit=math.gamma(1.0 + 2.0 / ch.m) * ch.m * r_eq2,
         eigenvalues=ch.eigenvalues.copy(),
     )

@@ -15,8 +15,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from slmprecode import harness, regions, shaping, theory
-from slmprecode.errors import ConfigError, ParseError, PrecodingError, ReportIOError
+from slmprecode import harness, precoders, regions, shaping, theory
+from slmprecode.errors import (
+    ConfigError,
+    IllConditionedError,
+    ParseError,
+    PrecodingError,
+    ReportIOError,
+    SingularMatrixError,
+)
 
 from oracles import exhaustive_shape, precoder_trial
 
@@ -237,6 +244,118 @@ def test_load_channel_checks_the_source_schema():
                    {"kind": "qr"}, [["file", "c.csv"]], "random"):
         with pytest.raises(ConfigError):
             harness.load_channel(source, 2)
+
+
+def _counting_builds(monkeypatch):
+    """What each theory.build_channel call from now on returns (None if it raised)."""
+    built = []
+    real = theory.build_channel
+
+    def counting(*args, **kwargs):
+        built.append(None)
+        built[-1] = real(*args, **kwargs)
+        return built[-1]
+
+    monkeypatch.setattr(theory, "build_channel", counting)
+    return built
+
+
+def test_sweep_builds_its_channel_once(monkeypatch):
+    built = _counting_builds(monkeypatch)
+    seen = []
+    real_report = theory.theory_report
+    monkeypatch.setattr(theory, "theory_report",
+                        lambda ch, sigma2: seen.append(ch) or real_report(ch, sigma2))
+    cfg = _base_cfg(m=4, channel_source={"kind": "random", "seed": 5}, trials=8,
+                    precoder={"kind": "slm_random", "n": 2})
+    harness.sweep_experiment(cfg, "n", [2, 4, 8])
+    assert len(built) == 1 and len(seen) == 3
+    assert all(ch is built[0] for ch in seen)
+    # a config built apart, from an equal source dict, reports on that channel too
+    harness.run_experiment(harness.ExperimentConfig.from_dict(cfg))
+    assert len(built) == 1 and seen[-1] is built[0]
+
+
+def test_load_channel_keys_on_what_determines_the_matrix(monkeypatch):
+    built = _counting_builds(monkeypatch)
+    random5 = harness.load_channel({"kind": "random", "seed": 5}, 4)
+    assert harness.load_channel({"kind": "random", "seed": 5.0}, 4) is random5
+    assert harness.load_channel({"kind": "random", "seed": 5}, 4, 1e9) is not random5
+    assert harness.load_channel({"kind": "random", "seed": 5}, 5).m == 5
+    inline = harness.load_channel({"kind": "inline", "matrix": [[2, 0], [0, 1]]}, 2)
+    assert harness.load_channel({"kind": "inline", "matrix": np.diag([2.0, 1.0])}, 2) is inline
+    # the same bytes in another shape are another matrix, refused at m = 2
+    with pytest.raises(ConfigError):
+        harness.load_channel({"kind": "inline", "matrix": [[2, 0, 0, 1]]}, 2)
+    assert len(built) == 4
+
+
+def test_load_channel_rereads_a_rewritten_file(tmp_path):
+    p = tmp_path / "chan.csv"
+    p.write_text("1.0, 0.0\n0.0, 1.0\n")
+    src = {"kind": "file", "path": str(p)}
+    first = harness.load_channel(src, 2)
+    assert harness.load_channel(src, 2) is first
+    p.write_text("2.0, 0.0\n0.0, 1.0\n")
+    assert np.array_equal(harness.load_channel(src, 2).h, np.diag([2.0, 1.0]))
+    p.write_text("1.0, 0.0\n0.0, 1.0\n")
+    assert harness.load_channel(src, 2) is first
+    p.unlink()
+    with pytest.raises(ReportIOError):
+        harness.load_channel(src, 2)
+
+
+def test_load_channel_keeps_no_refused_channel(monkeypatch, tmp_path):
+    built = _counting_builds(monkeypatch)
+    singular = {"kind": "inline", "matrix": [[1.0, 1.0], [1.0, 1.0]]}
+    spread_1e10 = {"kind": "inline", "matrix": [[1.0, 0.0], [0.0, 1e-5]]}
+    p = tmp_path / "chan.csv"
+    p.write_text("1.0, x\n0.0, 1.0\n")
+    for _ in range(2):
+        with pytest.raises(SingularMatrixError):
+            harness.load_channel(singular, 2)
+        with pytest.raises(IllConditionedError):
+            harness.load_channel(spread_1e10, 2)
+        with pytest.raises(ParseError):
+            harness.load_channel({"kind": "file", "path": str(p)}, 2)
+    # a looser limit accepts it; the stricter default, a different key, still refuses
+    assert harness.load_channel(spread_1e10, 2, 1e12).condition == pytest.approx(1e10)
+    with pytest.raises(IllConditionedError):
+        harness.load_channel(spread_1e10, 2)
+    assert built[-1] is None and len(built) == 6
+    assert list(harness._channels.values()) == [built[-2]]
+
+
+def test_loaded_channel_is_read_only():
+    ch = harness.load_channel({"kind": "random", "seed": 5}, 3)
+    for a in (ch.h, ch.h_inv, ch.q, ch.chol, ch.eig.eigenvalues, ch.eig.eigenvectors):
+        with pytest.raises(ValueError):
+            a[0] = 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ch.h = np.eye(3)
+    assert np.array_equal(ch.h, regions.channel_stream(5).standard_normal((3, 3)))
+    h = np.eye(3)
+    theory.build_channel(h)
+    h[0, 0] = 2.0  # the caller's array stays its own, and writeable
+
+
+def test_kept_channels_hold_at_most_the_budget(monkeypatch):
+    built = _counting_builds(monkeypatch)
+    monkeypatch.setattr(precoders, "SEARCH_BUDGET", 40)  # two 4 x 4 channels
+
+    def load(seed, m=4):
+        ch = harness.load_channel({"kind": "random", "seed": seed}, m)
+        kept = [c.m ** 2 for c in harness._channels.values()]
+        assert sum(kept) == harness._channel_entries <= 40
+        return ch
+
+    one, two = load(1), load(2)
+    assert load(1) is one  # now the most recently used
+    load(3)  # 48 entries: the least recently used, seed 2, goes
+    assert load(1) is one and len(built) == 3
+    assert load(2) is not two and len(built) == 4
+    load(4, m=7)  # 49 entries alone: used, but not kept
+    assert harness._channels == {} and len(built) == 5
 
 
 # ---------------------------------------------------------------------------

@@ -399,6 +399,30 @@ def test_e_slm_known_dimensions():
     assert theory.e_slm(ch4, sigma2=1.0) == pytest.approx(2 * math.sqrt(math.pi), rel=1e-12)
 
 
+def test_theory_report_fields_equal_their_functions():
+    # one geometric mean serves every field, with each function's bits
+    rng = _rng()
+    for m in (1, 3, 5, 7, 12, 24):  # sizes that are no power of 2 round differently
+        ch = theory.build_channel(rng.standard_normal((m, m)), condition_limit=1e300)
+        for sigma2 in (0.3, 0.7, 1.3, 2.0):
+            rep = theory.theory_report(ch, sigma2)
+            assert rep.e_opt == theory.e_opt(ch, sigma2)
+            assert rep.channel_gain == theory.channel_gain(ch.eig)
+            assert rep.r_eq2 == theory.equivalent_radius_sq(ch, sigma2)
+            assert rep.e_slm_limit == theory.e_slm(ch, sigma2)
+    with pytest.raises(ValueError, match="sigma2 must be positive"):
+        theory.theory_report(ch, 0.0)
+
+
+def test_channel_and_eigensystem_equal_only_themselves():
+    a = theory.build_channel(np.eye(2))
+    b = theory.build_channel(np.eye(2))
+    for x, y in ((a, b), (a.eig, b.eig)):
+        assert x == x and x != y
+        assert x in [y, x] and x not in [y]
+        assert len({x, y, x}) == 2 and hash(x) == hash(x)
+
+
 def test_theory_report_consistency():
     rng = _rng()
     h = rng.standard_normal((4, 4))
