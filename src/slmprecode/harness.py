@@ -319,8 +319,8 @@ def load_channel(
     dedicated counter stream of the seed, so the same seed is bit-identical
     across runs and platforms. A process builds one read-only channel a key:
     the file's text (read every call), the seed or the inline matrix's float64
-    bytes, with m and condition_limit. Refused ones are not kept; the least
-    recently used go while the kept hold over ``precoders.SEARCH_BUDGET`` entries.
+    bytes, with m and condition_limit. Refused ones are not kept; the least recently used go
+    while the kept, max(m^2, ``theory.GROUP_ENTRIES``) each, hold over ``precoders.SEARCH_BUDGET``.
     """
     global _channel_entries
     kind, h = _channel_kind(source)
@@ -340,10 +340,10 @@ def load_channel(
             if h.shape != (m, m):
                 raise ConfigError(f"channel is {h.shape} but config says m = {m}")
             ch = theory.build_channel(h, condition_limit=condition_limit)
-            _channel_entries += ch.m ** 2
+            _channel_entries += max(ch.m ** 2, theory.GROUP_ENTRIES)
         _channels[key] = ch
         while _channel_entries > precoders.SEARCH_BUDGET:
-            _channel_entries -= _channels.pop(next(iter(_channels))).m ** 2
+            _channel_entries -= max(_channels.pop(next(iter(_channels))).m ** 2, theory.GROUP_ENTRIES)
     return ch
 
 

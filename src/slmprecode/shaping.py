@@ -11,8 +11,6 @@ the transmitter searches the coset {u(payload, c) : c in C} for the vector
 minimizing gamma = u^T Q u. A codeword bit flips the sign of its symbol,
 so u(payload, c) = u0 * (1 - 2c) with u0 = u(payload, 0) the zero-codeword
 point, and the codewords are indexed by the encoder's free input bits.
-Ties go to the smallest codeword, then the smallest input index (see
-``trellis_shape``).
 
 The search is ``trellis_shape``. Because Q couples all dimensions, branch
 metrics come from the triangular factorization Q = L L^T: with G = L^T,
@@ -23,11 +21,11 @@ stack that expands a batch of nodes per array operation, bounded by
 ``SEARCH_BUDGET`` nodes). ``shape_rows`` gives the same chosen vectors for
 each row of a (T, M) array of zero-codeword points, and is the one place
 that picks how: a code tree of at most ``_SCAN_LIMIT`` = 2^14 codewords
-((7,5) up to M = 32) is scanned whole: a codeword's metric adds two halves
-that meet in the middle on the encoder state, and only prunes, within a
-rounding bound, so the winners are those of scoring every candidate with
-``ChannelMatrix.energies``; a larger tree is searched one row at a time.
-Scan groups and search batches hold at most ``theory.GROUP_ENTRIES`` entries.
+((7,5) up to M = 32) is scanned whole, a codeword's metric two halves that
+meet in the middle on the encoder state; a larger tree is searched one row
+at a time. Either metric only prunes, by one rounding bound and one keep
+rule, so both send the smallest (``ChannelMatrix.energy``, codeword, input
+index). Scan groups and search batches hold at most ``theory.GROUP_ENTRIES``.
 
 Like the precoders, both searches take the data vector: ``trellis_shape``
 the zero-codeword point u0, ``nested_select`` the M-vector of the users'
@@ -303,27 +301,37 @@ def _half_signs(code: ShapingCode, n_steps: int) -> Tuple[np.ndarray, np.ndarray
     return low, high, b - a
 
 
+def _rounding_bound(ch: ChannelMatrix, u0) -> float | np.ndarray:
+    """32 M 2^-53 ||a||^2, a = |u0| |L|, of one u0 or each row: inf where 2 ||a||^2 overflows.
+
+    A leaf u = u0 * s has |u| = |u0|, so each component of its exact w = u L is at most a.
+    Its ``ch.energy``, search path metric and scan metric each sum at most M products a
+    component and M terms a metric, so each is within (3 M + 2) 2^-53 ||a||^2 of gamma =
+    ||w||^2 to first order, a quarter of the bound. A winner v's energy is at most that of
+    the leaf x of the lowest metric, and of an incumbent, so metric(v) <= metric(x) + bound
+    and <= incumbent + bound / 2; a path metric only grows towards its leaves. So no leaf
+    that ``_kept`` rules out could win by ``ch.energy``.
+    """
+    a = np.abs(u0) @ np.abs(ch.chol)
+    return 16 * ch.m * 2.0**-53 * np.einsum("...i,...i->...", 2.0 * a, a)
+
+
+def _kept(lowest, bound):
+    """The highest metric a winner may have, given the lowest metric or energy and the bound."""
+    return lowest + 2e-9 * (1.0 + np.abs(lowest)) + bound
+
+
 def shape_rows(ch: ChannelMatrix, u0_rows: np.ndarray, code: ShapingCode) -> np.ndarray:
     """The minimum-energy coset member of each row of ``u0_rows``, a (T, M) array of u0 rows.
 
-    Row i of the result is ``trellis_shape(ch, u0_rows[i], code).u_chosen`` on every channel
-    tried within the default ``condition_limit``; at cond(Q) near 2e16 the two can pick
-    different winners until they share one near-set rule. The rows are not checked. A tree
-    of at most ``_SCAN_LIMIT`` codewords is scanned, in groups of at most
+    Row i of the result is ``trellis_shape(ch, u0_rows[i], code).u_chosen``; the rows are not
+    checked. A tree of at most ``_SCAN_LIMIT`` codewords is scanned, in groups of at most
     ``theory.GROUP_ENTRIES`` leaves (one row at least), meet in the middle on the state S of
     ``_half_signs``: leaf (P, S, R) sends w = (u0 * s) L = w_low(P, S) + w_high(S, R), so
     its metric ||w_low||^2 + ||w_high||^2 + 2 w_low . w_high takes one product per half and
-    one per state, 2^F * M multiply-adds a row, not 2^F * M^2.
-
-    The metric only prunes. A row keeps the leaves within 2e-9 * (1 + low)
-    of its lowest plus 32 M 2^-53 || |u0| |L| ||^2, which bounds the rounding
-    of this metric and of ``ch.energies``, so it keeps every leaf that
-    ``ch.energies`` of all candidates puts within 1e-9 * (1 + low) of their
-    lowest; a row that keeps one sends it. The kept leaves of other rows are
-    scored with ``ch.energies``, whose rows keep their bits in any call of
-    two rows or more below M = 708, and the near ones rescored in one
-    ``ch.energy`` call: the smallest (gamma, codeword, input index) wins, as
-    in the search. A larger tree is searched, one ``trellis_shape`` call per row.
+    one per state, 2^F * M multiply-adds a row, not 2^F * M^2. The metric only prunes: a row
+    sends its one ``_kept`` leaf, or the group scores its rows' kept leaves in one
+    ``ch.energy`` call. A larger tree is searched, one ``trellis_shape`` call per row.
     """
     n_steps = ch.m // code.n_s
     leaves = code.codeword_count(n_steps)
@@ -333,10 +341,6 @@ def shape_rows(ch: ChannelMatrix, u0_rows: np.ndarray, code: ShapingCode) -> np.
     t, n_low, n_high = low.shape[1], len(low) >> state_bits, len(high) >> state_bits
     def signs(v):  # the signs of the leaves of input indices v
         return np.hstack([low[v // n_high], high[v % len(high)]])
-    # the rounding bound 32 M 2^-53 ||a||^2, a = |u0| |L|: inf (every leaf kept) where 2 ||a||^2
-    # overflows, as a leaf's metric then could
-    a = np.abs(u0_rows) @ np.abs(ch.chol)
-    bound = 16 * ch.m * 2.0**-53 * np.einsum("ij,ij->i", 2.0 * a, a)[:, None]
     chosen = np.empty(u0_rows.shape)
     size = theory.group_rows(leaves)
     for start in range(0, len(u0_rows), size):
@@ -350,19 +354,17 @@ def shape_rows(ch: ChannelMatrix, u0_rows: np.ndarray, code: ShapingCode) -> np.
         metric += np.einsum("gsri,gsri->gsr", w_high, w_high)[:, None]
         metric = metric.reshape(len(u0), leaves)
         lowest = metric.min(axis=1, keepdims=True)
-        keep = ~(metric > lowest + 2e-9 * (1.0 + np.abs(lowest)) + bound[start:start + size])
+        keep = ~(metric > _kept(lowest, _rounding_bound(ch, u0)[:, None]))
         best = keep.argmax(axis=1)  # a row's one kept leaf is its winner
         ties = np.flatnonzero(np.count_nonzero(keep, axis=1) > 1)
-        if ties.size:  # the kept leaves of the group's other rows, in one energies call
+        if ties.size:  # the kept leaves of the group's other rows, in one energy call
             row, leaf = np.nonzero(keep[ties])
             flips = signs(leaf)
-            energies = ch.energies(u0[ties[row]] * flips)
+            energy = ch.energy(u0[ties[row]] * flips)
             for j, i in enumerate(ties):
                 k = np.flatnonzero(row == j)
-                k = k[energies[k] <= energies[k].min() + 1e-9 * (1.0 + abs(energies[k].min()))]
                 # a codeword's bits are its sign flips; a leaf's key is (gamma, codeword, index)
-                best[i] = min(zip(ch.energy(u0[i] * flips[k]).tolist(), (flips[k] < 0).tolist(),
-                                  leaf[k].tolist()))[2]
+                best[i] = min(zip(energy[k].tolist(), (flips[k] < 0).tolist(), leaf[k].tolist()))[2]
         chosen[start:start + size] = u0 * signs(best)
     return chosen
 
@@ -386,19 +388,18 @@ def trellis_shape(ch: ChannelMatrix, u0, code: ShapingCode) -> PrecodeResult:
     explicit stack of batches of nodes at one step, and expands all nodes
     of a batch with array operations; a node keeps only the components of
     G u that are not yet complete. A node is pruned when its partial metric
-    exceeds the incumbent energy by more than 1e-9 * (1 + incumbent). Live
-    children go back on the stack sorted by partial metric, the best batch
-    on top. Once its free inputs are set a node is a leaf, and its forced
-    steps are scored in one step; the leaves within the slack of their
-    batch's best are scored in one ``ch.energy`` call. ``meta["nodes"]`` counts
-    the unpruned nodes, the root and the forced ones included, at every
-    tree size.
+    exceeds ``_kept`` of the incumbent energy. Live children go back on the
+    stack sorted by partial metric, the best batch on top. Once its free
+    inputs are set a node is a leaf, and its forced steps are scored in one
+    step; the leaves ``_kept`` of their batch's best are scored in one
+    ``ch.energy`` call. ``meta["nodes"]`` counts the unpruned nodes, the
+    root and the forced ones included, at every tree size.
 
-    The winner has the smallest (gamma, codeword, input index), where the
-    input index reads x_0..x_{F-1} as a binary number with x_0 most
+    The winner has the smallest (``ch.energy``, codeword, input index), where
+    the input index reads x_0..x_{F-1} as a binary number with x_0 most
     significant, so the result equals an exhaustive scan of the codewords at
-    every tree size; a count of more than ``SEARCH_BUDGET`` nodes raises
-    SearchBudgetExceededError.
+    every tree size and conditioning; a count of more than ``SEARCH_BUDGET``
+    nodes raises SearchBudgetExceededError.
     """
     if ch.m % code.n_s:
         raise DimensionMismatchError(
@@ -412,6 +413,7 @@ def trellis_shape(ch: ChannelMatrix, u0, code: ShapingCode) -> PrecodeResult:
     gen = _generator_matrix(code, n_steps)
     # Row j of scaled is u0_j * G[:, j]: symbol j's share of G u, unflipped.
     scaled = u0[:, None] * ch.chol
+    rounding = _rounding_bound(ch, u0)
 
     best_key = best_u = best_metric = None
     best_gamma = math.inf
@@ -424,7 +426,7 @@ def trellis_shape(ch: ChannelMatrix, u0, code: ShapingCode) -> PrecodeResult:
     nodes = 0
     while stack:
         t, partial, resid, bits = stack.pop()
-        bound = best_gamma + 1e-9 * (1.0 + abs(best_gamma))
+        bound = _kept(best_gamma, rounding)
         if partial[-1] > bound:
             n_live = partial.searchsorted(bound, "right")
             if not n_live:
@@ -444,17 +446,14 @@ def trellis_shape(ch: ChannelMatrix, u0, code: ShapingCode) -> PrecodeResult:
                 f"trellis search visited more than {SEARCH_BUDGET} nodes"
             )
         if leaf:
-            low = metric.min()
-            near = np.flatnonzero(metric <= min(bound, low + 1e-9 * (1.0 + abs(low))))
+            near = np.flatnonzero(metric <= min(bound, _kept(metric.min(), rounding)))
             codewords = bits[near] @ gen & 1
             us = u0 * _SIGN[codewords]
             for k, x, codeword, u, gamma in zip(near, bits[near], codewords, us,
                                                 ch.energy(us).tolist()):
-                if gamma <= best_gamma:
-                    key = (gamma, codeword.tolist(), x.tolist() + [0] * (n_steps - free))
-                    if best_key is None or key < best_key:
-                        best_key, best_u, best_metric = key, u, float(metric[k])
-                        best_gamma = gamma
+                key = (gamma, codeword.tolist(), x.tolist() + [0] * (n_steps - free))
+                if best_key is None or key < best_key:
+                    best_key, best_u, best_metric, best_gamma = key, u, float(metric[k]), gamma
             continue
         s = t - 1
         lo, hi = s * n_s, t * n_s

@@ -5,10 +5,8 @@ one data vector at a time, for comparison with the harness, which runs its
 trials a group at a time. ``exhaustive_shape`` enumerates every terminated
 codeword of a shaping code and scans for the minimum-energy coset member; it
 builds each codeword with ``conv_encode``, a bit-serial shift-register
-encoder, so it shares no code with ``shaping.trellis_shape``.
-``scan_rows_reference`` is the whole-tree scan that ``shaping.shape_rows``
-replaced: every codeword's candidate row of a group of rows scored in one
-``ChannelMatrix.energies`` call, with the same near-set rescore.
+encoder, so it shares no code with ``shaping.trellis_shape``, and it is the
+one oracle of both trellis kernels, the search and ``shaping.shape_rows``.
 ``lattice_offsets`` lists a nested-lattice partition's shift vectors for
 scans that do not go through ``vector_perturb``, and ``reconstruct``
 multiplies an eigensystem back out.
@@ -23,7 +21,7 @@ import math
 
 import numpy as np
 
-from slmprecode import regions, shaping, theory
+from slmprecode import regions, shaping
 from slmprecode.errors import (
     DimensionMismatchError,
     LengthMismatchError,
@@ -97,9 +95,10 @@ def conv_encode(code, bits) -> np.ndarray:
 def exhaustive_shape(ch, u0, code):
     """Enumerate every terminated codeword and scan for the minimum.
 
-    Semantics are identical to ``trellis_shape`` (same tie-break: the
-    smallest (gamma, codeword), then the smallest input index); refused
-    beyond ``ORACLE_BUDGET`` codewords.
+    The winner has the smallest (``ch.energy``, codeword, input index), each
+    codeword's energy from its own ``ch.energy`` call, as ``trellis_shape``
+    and ``shape_rows`` promise at every conditioning; refused beyond
+    ``ORACLE_BUDGET`` codewords.
     """
     if ch.m % code.n_s:
         raise DimensionMismatchError(
@@ -129,39 +128,6 @@ def exhaustive_shape(ch, u0, code):
         codeword=codeword,
         inputs=np.array(in_bits, dtype=np.int64),
     )
-
-
-def scan_rows_reference(ch, u0_rows, code) -> np.ndarray:
-    """``shaping.shape_rows`` of a tree it scans, from every codeword's candidate row.
-
-    The rows run in groups of ``theory.energy_block(M) // 2^F`` rows, one at
-    least; the candidates u0 * (1 - 2c) of a group, in input-index order, are
-    scored in one ``ch.energies`` call. The leaves within 1e-9 * (1 + low) of
-    a row's lowest are near; where more than one is, the winner has the
-    smallest (``ch.energy``, codeword, input index). The codewords come from
-    ``conv_encode``.
-    """
-    n_steps = ch.m // code.n_s
-    free = max(0, n_steps - code.memory)
-    signs = np.array([
-        1.0 - 2.0 * conv_encode(code, [(v >> (free - 1 - t)) & 1 for t in range(free)]
-                                + [0] * (n_steps - free))
-        for v in range(1 << free)
-    ])
-    chosen = np.empty(u0_rows.shape)
-    size = max(1, theory.energy_block(ch.m) // len(signs))
-    for start in range(0, len(u0_rows), size):
-        rows = slice(start, start + size)
-        candidates = u0_rows[rows][:, None, :] * signs
-        metric = ch.energies(candidates.reshape(-1, ch.m)).reshape(len(candidates), -1)
-        low = metric.min(axis=1, keepdims=True)
-        near = metric <= low + 1e-9 * (1.0 + np.abs(low))
-        best = near.argmax(axis=1)
-        for i in np.flatnonzero(near.sum(axis=1) > 1):
-            k = np.flatnonzero(near[i])
-            best[i] = min(zip(ch.energy(candidates[i, k]).tolist(), (signs[k] < 0).tolist(), k))[2]
-        chosen[rows] = candidates[np.arange(len(candidates)), best]
-    return chosen
 
 
 def _lex_rows(values, width) -> np.ndarray:

@@ -3,7 +3,8 @@
 (7,5) PAM 4 trellis reports on random channels at M = 16, 20, 26 and 32,
 whose whole code trees of 2^6 to 2^14 codewords are scanned a group of
 trials at a time (the trees at M = 26 and 32 were searched when their
-entries were captured); vector perturbation at b = 2, M = 12 (2^12
+entries were captured), and at M = 34, whose 2^15 codewords, the smallest
+tree past the scan's limit, are searched a trial at a time; vector perturbation at b = 2, M = 12 (2^12
 candidates a trial) and b = 3, M = 10 (3^10, a group of its own); nested
 K = 3, n_u = 2, q = 2 at M = 12; and ``slm_random`` on the expanded
 hypercube at M = 20, N = 4096 and at M = 64, N = 1024, whose candidates
@@ -46,6 +47,7 @@ CONFIGS = {
     "vector_perturb_b3_m10": (10, 10, {"kind": "vector_perturb", "b": 3}),
     "nested_k3_m12": (12, 13, {"kind": "nested", "k": 3, "n_u": 2, "q": 2}),
     "trellis_m32": (32, 32, _TRELLIS),
+    "trellis_m34": (34, 34, _TRELLIS),
     "slm_random_m20_n4096": (20, 20, {"kind": "slm_random", "n": 4096}),
     "slm_random_m64_n1024": (64, 64, {"kind": "slm_random", "n": 1024}),
 }

@@ -8,6 +8,7 @@ import json
 import math
 import os
 import pickle
+import sys
 import tracemalloc
 import types
 from pathlib import Path
@@ -342,6 +343,7 @@ def test_loaded_channel_is_read_only():
 def test_kept_channels_hold_at_most_the_budget(monkeypatch):
     built = _counting_builds(monkeypatch)
     monkeypatch.setattr(precoders, "SEARCH_BUDGET", 40)  # two 4 x 4 channels
+    monkeypatch.setattr(theory, "GROUP_ENTRIES", 1)  # a channel is charged its m^2 entries
 
     def load(seed, m=4):
         ch = harness.load_channel({"kind": "random", "seed": seed}, m)
@@ -356,6 +358,17 @@ def test_kept_channels_hold_at_most_the_budget(monkeypatch):
     assert load(2) is not two and len(built) == 4
     load(4, m=7)  # 49 entries alone: used, but not kept
     assert harness._channels == {} and len(built) == 5
+
+
+def test_kept_small_channels_are_charged_group_entries():
+    # a kept channel holds its factors and its key besides its m^2 entries, so
+    # each is charged theory.GROUP_ENTRIES at least: 2^20 / 2^13 = 128 channels
+    assert precoders.SEARCH_BUDGET // theory.GROUP_ENTRIES == 128
+    for seed in range(200):
+        harness.load_channel({"kind": "random", "seed": seed}, 1)
+    assert len(harness._channels) == 128
+    assert harness._channel_entries == 128 * theory.GROUP_ENTRIES
+    assert list(harness._channels)[0][1] == 72  # the least recently used went first
 
 
 # ---------------------------------------------------------------------------
@@ -747,8 +760,8 @@ def test_benchmark_trace_hooks_install(monkeypatch):
     # "rows." (the chosen rows' ChannelMatrix.gamma is not traced)
     assert counts["nested"]["rows."] == 3 * 2**8 + 3
     # the M = 8 trellis trials' 4 leaves are scored by the scan's own metric,
-    # and no trial keeps two of them, so none reaches ChannelMatrix.energies;
-    # each unselected row reaches ChannelMatrix.energy, outside any traced span
+    # and no trial keeps two of them, so none reaches ChannelMatrix.energy;
+    # each unselected row does, outside any traced span
     assert counts["trellis"]["rows."] == 3
     assert "codewords" not in counts["trellis"]
     # perfbench's shaping.leaves_per_trial reads these two counters, which a
@@ -859,19 +872,28 @@ def test_trellis_trial_maps_payload_once(monkeypatch):
         assert rows == want, (m, precoder["kind"])
 
 
+def _spy_scan_energy(monkeypatch, record):
+    """Call ``record`` with the rows of each ``ChannelMatrix.energy`` call that ``shape_rows`` makes.
+
+    The harness's own energy calls, a chunk's unselected rows, are not recorded.
+    """
+    real = theory.ChannelMatrix.energy
+
+    def counting(self, u_rows):
+        if sys._getframe(1).f_code is shaping.shape_rows.__code__:
+            record(len(u_rows))
+        return real(self, u_rows)
+
+    monkeypatch.setattr(theory.ChannelMatrix, "energy", counting)
+
+
 def test_trellis_group_stays_within_group_rows(monkeypatch):
     # a scan group holds at most theory.GROUP_ENTRIES = 2^13 leaf metrics,
     # one row at least. H = I ties every leaf, so each group scores all its
-    # rows' leaves in one energies call: (7,5) has 2^8 codewords at M = 20,
+    # rows' leaves in one energy call: (7,5) has 2^8 codewords at M = 20,
     # so 40 trials are groups of 32 + 8, and 2^14 at M = 32, one trial a group
     calls = []
-    real = theory.ChannelMatrix.energies
-
-    def counting(self, u_rows):
-        calls.append(len(u_rows))
-        return real(self, u_rows)
-
-    monkeypatch.setattr(theory.ChannelMatrix, "energies", counting)
+    _spy_scan_energy(monkeypatch, calls.append)
     assert theory.GROUP_ENTRIES == 2**13
     for m, trials, want in ((20, 40, [32 * 2**8, 8 * 2**8]), (32, 2, [2**14] * 2)):
         calls.clear()
@@ -888,7 +910,8 @@ class _SearchSpy:
 
     A popped batch of n nodes storing c components sums its children's new
     components over a view of their (2n, c) array, and at the leaves its
-    (n, c) completed tails, each with ``einsum("ij,ij->i")``.
+    (n, c) completed tails, each with ``einsum("ij,ij->i")``. The rounding
+    bound's sum over the one M-vector |u0| |L| holds no batch.
     """
 
     def __init__(self, held):
@@ -898,9 +921,10 @@ class _SearchSpy:
         return getattr(np, name)
 
     def einsum(self, spec, x, y):
-        rows = x if x.base is None else x.base
-        n = len(rows) // (1 if x.base is None else 2)
-        self.held.append((n * rows.shape[1], n))
+        if x.ndim == 2:
+            rows = x if x.base is None else x.base
+            n = len(rows) // (1 if x.base is None else 2)
+            self.held.append((n * rows.shape[1], n))
         return np.einsum(spec, x, y)
 
 
@@ -936,13 +960,20 @@ def _held(kernel, monkeypatch):
         "scan": (20, {"kind": "trellis", "generators": "7,5", "pam": 4}, 2**8,
                  {"kind": "inline", "matrix": np.eye(20).tolist()}),
     }[kernel]
-    real = theory.ChannelMatrix.energies
 
-    def counting(self, u_rows):
-        held.append((len(u_rows), len(u_rows) // per_row))
-        return real(self, u_rows)
+    def record(rows):
+        held.append((rows, rows // per_row))
 
-    monkeypatch.setattr(theory.ChannelMatrix, "energies", counting)
+    if kernel == "scan":  # the kept leaves the scan scores in ch.energy
+        _spy_scan_energy(monkeypatch, record)
+    else:
+        real = theory.ChannelMatrix.energies
+
+        def counting(self, u_rows):
+            record(len(u_rows))
+            return real(self, u_rows)
+
+        monkeypatch.setattr(theory.ChannelMatrix, "energies", counting)
     harness.run_experiment(harness.ExperimentConfig.from_dict(
         _base_cfg(m=m, channel_source=source, trials=300, precoder=precoder)))
     return held, per_row
@@ -999,8 +1030,8 @@ def _chunk_cases():
     cases.append((1, {"kind": "vector_perturb", "b": 3}, range(2731), 4 * theory.energy_block(1),
                   None))
     trellis = {"kind": "trellis", "generators": "7,5", "k_s": 1, "pam": 4}
-    # H = I: every leaf ties, so every trial rescores its whole near set, in
-    # the scan against the search's leaves at 2^2, 2^6 and 2^8 codewords
+    # H = I: every leaf ties, so every trial scores all its leaves with
+    # ch.energy, in the scan as in the search, at 2^2, 2^6 and 2^8 codewords
     for m in (8, 16, 20):
         cases.append((m, trellis, range(7, 60), None, "identity"))
     # groups of 16 leaves: 4 trials of 4 codewords, so a chunk is many groups

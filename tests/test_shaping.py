@@ -25,7 +25,6 @@ from oracles import (
     exhaustive_shape,
     lattice_offsets,
     offset_grid,
-    scan_rows_reference,
 )
 
 
@@ -405,6 +404,10 @@ def _scan_channel(rng, m, kind):
 _TIE_CHANNELS = ("identity", "signed_permutation", "diagonal")
 
 
+def _exhaustive_rows(ch, u0_rows, code):
+    return np.array([exhaustive_shape(ch, u0, code).u_chosen for u0 in u0_rows])
+
+
 @pytest.mark.parametrize("channel", ("random", "ill_conditioned") + _TIE_CHANNELS)
 @pytest.mark.parametrize(
     "spec, symbols",
@@ -421,11 +424,10 @@ _TIE_CHANNELS = ("identity", "signed_permutation", "diagonal")
 )
 def test_shape_rows_equals_the_whole_tree_scan(spec, symbols, channel, monkeypatch):
     # the meet-in-the-middle metric only prunes: row for row, shape_rows sends
-    # what the scan of every candidate row sent, and what the exhaustive
-    # oracle picks. A tie row keeps all its tied leaves and scores them in
-    # ch.energies; a clean row makes no energies call
+    # what the exhaustive oracle picks. A tie row keeps all its tied leaves and
+    # scores them in ch.energy; a clean row makes no energy call
     calls = []
-    real = theory.ChannelMatrix.energies
+    real = theory.ChannelMatrix.energy
 
     def counting(self, u_rows):
         calls.append(len(u_rows))
@@ -437,14 +439,11 @@ def test_shape_rows_equals_the_whole_tree_scan(spec, symbols, channel, monkeypat
         ch = _scan_channel(rng, m, channel)
         con = shaping.pam_constellation(int(rng.choice([2, 4, 8])), spacing=0.5)
         u0_rows = shaping._pam_map(rng.integers(0, 2, size=(12, m * con.bits_per_symbol)), con)
-        want = scan_rows_reference(ch, u0_rows, code)
         calls.clear()
-        monkeypatch.setattr(theory.ChannelMatrix, "energies", counting)
+        monkeypatch.setattr(theory.ChannelMatrix, "energy", counting)
         got = shaping.shape_rows(ch, u0_rows, code)
         monkeypatch.undo()
-        assert got.tobytes() == want.tobytes(), m
-        for row, u0 in zip(got, u0_rows):
-            assert np.array_equal(row, exhaustive_shape(ch, u0, code).u_chosen), m
+        assert got.tobytes() == _exhaustive_rows(ch, u0_rows, code).tobytes(), m
         leaves = code.codeword_count(m // code.n_s)
         if leaves == 1:
             assert calls == [], m
@@ -469,7 +468,7 @@ def test_shape_rows_groups_cross_the_chunk(entries, monkeypatch):
             u0_rows = shaping._pam_map(rng.integers(0, 2, size=(37, 2 * m)), con)
             # equal magnitudes tie every leaf of these rows on any channel with H = I
             u0_rows[::5] = 0.25 * np.sign(u0_rows[::5])
-            want = scan_rows_reference(ch, u0_rows, code)
+            want = _exhaustive_rows(ch, u0_rows, code)
             monkeypatch.setattr(theory, "GROUP_ENTRIES", entries)
             got = shaping.shape_rows(ch, u0_rows, code)
             monkeypatch.undo()
@@ -487,7 +486,7 @@ def _rank_one_channel(seed, k_low, k_high, m=12):
     k = rng.uniform(k_low, k_high)
     h_inv = np.eye(m)
     h_inv[rng.integers(m)] += k * rng.choice([-1.0, 1.0], m)
-    ch = theory.build_channel(np.linalg.inv(h_inv), condition_limit=1e16)
+    ch = theory.build_channel(np.linalg.inv(h_inv), condition_limit=1e18)
     return ch, 0.25 * rng.choice([-1.0, 1.0], (64, m))
 
 
@@ -495,17 +494,45 @@ def _rank_one_channel(seed, k_low, k_high, m=12):
     # cond(Q) = 9.6e9: the scan's half metrics cancel to M / 16 with errors
     # past 1e-9 (1 + low), so the tied winner is kept by the rounding bound alone
     pytest.param(0, 5e3, 1e4, id="rounding_bound"),
-    # cond(Q) = 7.4e15: energies and energy round the tied leaves apart, and
-    # a row's winner is the lowest energy of energies' near set, not of every kept leaf
+    # cond(Q) = 7.4e15: energies, energy and the search's path metric round the tied
+    # leaves apart, and a near set within 1e-9 (1 + low) of the lowest energies or path
+    # metric drops one row's winner by energy
     pytest.param(1235, 1e7, 5e7, id="energies_near_set"),
+    # cond(Q) = 3.1e17: such a near set of energies drops the winner on 18 of the 64 rows
+    pytest.param(115, 1e7, 5e7, id="energies_near_set_18_rows"),
 ])
 def test_shape_rows_keeps_the_tied_winner_where_rounding_decides(seed, k_low, k_high):
+    # every kernel sends the smallest (ch.energy, codeword, input index)
     ch, u0_rows = _rank_one_channel(seed, k_low, k_high)
     code = shaping.default_code()
-    got = shaping.shape_rows(ch, u0_rows, code)
-    assert got.tobytes() == scan_rows_reference(ch, u0_rows, code).tobytes()
-    for row, u0 in zip(got, u0_rows):
-        assert np.array_equal(row, shaping.trellis_shape(ch, u0, code).u_chosen)
+    want = _exhaustive_rows(ch, u0_rows, code)
+    assert shaping.shape_rows(ch, u0_rows, code).tobytes() == want.tobytes()
+    searched = np.array([shaping.trellis_shape(ch, u0, code).u_chosen for u0 in u0_rows])
+    assert searched.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("entries", [None, 1])
+def test_every_kernel_keeps_the_winner_within_the_rounding_bound(entries, monkeypatch):
+    # the rounding bound covers an energy that errs by an eighth of it: lower each
+    # leaf's ch.energy by a fraction of that fixed by its signs, as rounding might,
+    # and both kernels still send the oracle's winner by the lowered energy. On the
+    # rank-one channel the bound is 3.4e-5 of gamma, past the 2e-9 slack; groups of
+    # one entry make the search meet its incumbent leaf by leaf and prune against it
+    ch, u0_rows = _rank_one_channel(0, 5e3, 1e4)
+    real = theory.ChannelMatrix.energy
+
+    def lowered(self, u):
+        frac = (np.asarray(u) < 0) @ (np.arange(self.m) * 37 % 11) % 7 / 6
+        return real(self, u) - frac * shaping._rounding_bound(self, u) / 8
+
+    monkeypatch.setattr(theory.ChannelMatrix, "energy", lowered)
+    if entries:
+        monkeypatch.setattr(theory, "GROUP_ENTRIES", entries)
+    code = shaping.default_code()
+    want = _exhaustive_rows(ch, u0_rows, code)
+    assert shaping.shape_rows(ch, u0_rows, code).tobytes() == want.tobytes()
+    searched = np.array([shaping.trellis_shape(ch, u0, code).u_chosen for u0 in u0_rows])
+    assert searched.tobytes() == want.tobytes()
 
 
 def test_half_signs_compose_every_codeword():
