@@ -3,17 +3,19 @@
 An experiment fixes one channel and one precoder, runs ``trials``
 independent trials (trial t draws everything it needs from the counter
 stream keyed by (master_seed, t)), and aggregates the empirical transmit
-energy against the closed-form references. Trials are chunked into
-fixed-size blocks reduced in block order, so reports are byte-identical
-for any worker count and across reruns. A config is checked when it is
-built, an inline matrix's entries too, and holds its own copy of its two
-dicts and the matrix's rows; a report runs one snapshot of it, built before
-any report runs, whose trial serial and pooled chunks run, on the one read-only
-channel ``load_channel`` keeps. ``trials`` is at most ``precoders.SEARCH_BUDGET``
-(2^20); a process pool gets no more processes than the largest config has
-chunks or than there are usable CPUs.
+energy against the closed-form references. Trials are reduced in chunks of
+``TRIAL_CHUNK``, each chunk's sums running in trial order and the chunks'
+in chunk order, so reports are byte-identical for any worker count and
+across reruns. The chunks run in tasks, runs of whole chunks (see ``_run``).
+A config is checked when it is built, an inline matrix's entries too, and
+holds its own copy of its two dicts and the matrix's rows; a report runs
+one snapshot of it, built before any report runs, whose trial serial and
+pooled tasks run, on the one read-only channel ``load_channel`` keeps.
+``trials`` is at most ``precoders.SEARCH_BUDGET`` (2^20); a process pool
+gets no more processes than the largest config has chunks or than there
+are usable CPUs.
 
-A chunk draws every trial's data row at once, in vectorized Philox passes
+A task draws every trial's data row at once, in vectorized Philox passes
 with numpy's bits (``regions.draw_rows``, ``regions.integer_rows``), so no
 trial builds a generator: row i holds what trial ``trials[i]`` draws
 (trellis payload bits as uint8). The hypercube map, the PAM map behind
@@ -24,7 +26,7 @@ takes the whole array and sizes its own groups of trials. ``slm_random``
 draws one large block a trial from ``regions.make_stream(master_seed, t)``
 and selects once per trial. A trial returns the rows it sends and would
 send with no selection, and ``ChannelMatrix.gamma`` and ``energy`` give
-their energies, one call per array for a chunk's rows (see ``theory``).
+their energies, one call per array for a task's rows (see ``theory``).
 
 Config files are JSON mirroring ExperimentConfig field names::
 
@@ -465,26 +467,33 @@ def _scheme(cfg: ExperimentConfig) -> Tuple[int, float, _Trial]:
 
 def _run_chunk(
     trial: _Trial, seed: int, ch: ChannelMatrix, k: int, trials: range
-) -> Tuple[float, float, float]:
-    """Worker entry point: sums of gamma / 2^k, its square and plain gamma / 2^k over trials.
+) -> List[List[float]]:
+    """Worker entry point: each chunk's sums of gamma / 2^k, its square and plain gamma / 2^k.
 
-    Trial t draws what ``regions.make_stream(seed, t)`` would: the small
-    draws of every trial in one vectorized Philox pass (``regions.draw_rows``,
+    ``trials`` is a task, a run of trials from a chunk's first one; its
+    ``TRIAL_CHUNK``-trial pieces, the last maybe short, are its chunks. Trial
+    t draws what ``regions.make_stream(seed, t)`` would: the small draws of
+    the whole task in vectorized Philox passes (``regions.draw_rows``,
     ``regions.integer_rows``), ``slm_random``'s large one from that stream.
-    Gammas of the chosen rows and energies of the unselected rows are summed
-    in trial order, one running sum each. An energy that overflows a float,
-    or its scaled square, sums to inf, which ``_run`` refuses, so numpy's
-    overflow warning is not raised here.
+    The task's rows are selected in one kernel call, and the gammas of the
+    chosen rows and the energies of the unselected rows come from one call
+    each. A chunk's three sums each run from 0.0 in trial order. An energy
+    that overflows a float, or its scaled square, sums to inf, which ``_run``
+    refuses, so numpy's overflow warning is not raised here.
     """
     with np.errstate(over="ignore"):
         chosen, unselected = trial(ch, seed, trials)
         gammas = ch.gamma(chosen)
         plain = gammas if unselected is chosen else ch.energy(unselected)  # plain: 0 dB
         g = np.ldexp(gammas, -k)
-        terms = np.zeros((3, len(g) + 1))
-        terms[:, 1:] = g, g * g, np.ldexp(plain, -k)
-        # a running sum adds in order: from a leading 0.0 it is 0.0 + x_1 + ... + x_T, bit for bit
-        return tuple(np.cumsum(terms, axis=1)[:, -1].tolist())
+        chunks = -(-len(g) // TRIAL_CHUNK)
+        body = np.zeros((3, chunks * TRIAL_CHUNK))
+        body[:, :len(g)] = g, g * g, np.ldexp(plain, -k)
+        terms = np.zeros((3, chunks, TRIAL_CHUNK + 1))
+        terms[:, :, 1:] = body.reshape(3, chunks, TRIAL_CHUNK)
+        # a running sum adds in order: from a leading 0.0 it is 0.0 + x_1 + ... + x_T, bit for
+        # bit, and the short last chunk's trailing zeros leave its sums as they are
+        return np.cumsum(terms, axis=2)[:, :, -1].T.tolist()
 
 
 @dataclass(frozen=True)
@@ -516,7 +525,9 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentReport:
 
     Trial t draws from the stream keyed by (master_seed, t); trials are
     grouped into fixed chunks of 256 whose partial sums are reduced in
-    chunk order, so scheduling cannot change the result.
+    chunk order, so scheduling cannot change the result. The chunks run in
+    tasks of several at once (see ``_run``), which leaves every chunk's sums
+    as they are.
     """
     return _run_all([_fields(cfg)], workers)[0]
 
@@ -548,32 +559,40 @@ def _run_all(points: Sequence[Dict], workers: int) -> List[ExperimentReport]:
     processes = min(workers, most_chunks, _usable_cpus())
     if processes > 1:
         with ProcessPoolExecutor(max_workers=processes) as pool:
-            return [_run(c, pool) for c in cfgs]
-    return [_run(c, None) for c in cfgs]
+            return [_run(c, pool, processes) for c in cfgs]
+    return [_run(c, None, 1) for c in cfgs]
 
 
-def _run(cfg: ExperimentConfig, pool: Optional[ProcessPoolExecutor]) -> ExperimentReport:
-    """The report of ``cfg``; its chunks run in ``pool`` if given.
+def _run(
+    cfg: ExperimentConfig, pool: Optional[ProcessPoolExecutor], processes: int
+) -> ExperimentReport:
+    """The report of ``cfg``; its tasks run in ``pool``, of ``processes`` processes, if given.
 
-    Energies are summed divided by 2^k, k the binary exponent of e_opt, so their
-    squares stay in the float range; that scaling is exact, so it leaves the
-    report's bytes as they are.
+    A chunk of ``TRIAL_CHUNK`` trials is the unit of reduction and a task, a
+    run of whole chunks, the unit of work: at most ``theory.group_rows(TRIAL_CHUNK
+    * m)`` chunks, so a task's rows hold at most max(TRIAL_CHUNK * m,
+    ``theory.GROUP_ENTRIES``) entries, and at most ceil(chunks / processes)
+    chunks, so each process gets work. Energies are summed divided by 2^k, k the
+    binary exponent of e_opt, so their squares stay in the float range; that
+    scaling is exact, so it leaves the report's bytes as they are.
     """
     ch = load_channel(cfg.channel_source, cfg.m, cfg.condition_limit)
     n_candidates, sigma2, trial = cfg._built_scheme
     rep = theory.theory_report(ch, sigma2)
     k = math.frexp(rep.e_opt)[1]
     n = cfg.trials
-    chunks = (range(s, min(s + TRIAL_CHUNK, n)) for s in range(0, n, TRIAL_CHUNK))
-    chunk = functools.partial(_run_chunk, trial, cfg.master_seed, ch, k)
-    partials = (map if pool is None else pool.map)(chunk, chunks)
+    chunks = -(-n // TRIAL_CHUNK)
+    step = TRIAL_CHUNK * min(theory.group_rows(TRIAL_CHUNK * cfg.m), -(-chunks // processes))
+    tasks = (range(s, min(s + step, n)) for s in range(0, n, step))
+    task = functools.partial(_run_chunk, trial, cfg.master_seed, ch, k)
     sum_g = 0.0
     sum_g2 = 0.0
     sum_plain = 0.0
-    for cg, cg2, cp in partials:  # not sum(): from Python 3.12 it compensates floats
-        sum_g += cg
-        sum_g2 += cg2
-        sum_plain += cp
+    for sums in (map if pool is None else pool.map)(task, tasks):
+        for cg, cg2, cp in sums:  # in chunk order; not sum(): from Python 3.12 it compensates
+            sum_g += cg
+            sum_g2 += cg2
+            sum_plain += cp
     mean = sum_g / n
     mean_plain = sum_plain / n
     if not (math.isfinite(mean) and math.isfinite(mean_plain)):

@@ -9,7 +9,7 @@ Two realizations are implemented:
   candidate vectors (the random-coding picture behind the asymptotic laws);
 * ``vector_perturb`` — the candidates are u + tau * l for integer offset
   vectors l in a centered box, undone at each receiver by a modulo-tau fold,
-  searched in groups of a chunk's rows, at most ``theory.GROUP_ENTRIES`` candidates.
+  searched in groups of a task's rows, at most ``theory.GROUP_ENTRIES`` candidates.
 
 Receivers act independently per coordinate; ``receiver_verify`` checks that
 noiseless reception followed by the per-user fold recovers the original
@@ -115,7 +115,7 @@ def _offset_grid(b: int, m: int) -> np.ndarray:
     """The b^m offset vectors as float rows, the first coordinate varying slowest.
 
     A grid may be as large as SEARCH_BUDGET rows, so ``_perturb_rows`` builds
-    it once per call, for one search or one chunk of trials, and keeps none.
+    it once per call, for one search or one task of trials, and keeps none.
     """
     return lex_digits(np.arange(b**m), b, m) + float(offset_range(b)[0])
 
@@ -128,13 +128,18 @@ def _perturb_rows(ch: ChannelMatrix, u: np.ndarray, tau: float, b: int) -> np.nd
     ``theory.GROUP_ENTRIES`` candidates, one row at least; the energies of a
     group's candidates come from one ``ch.energies`` call, whose rows keep
     their bits whatever rows share the call, and ties go to the lowest index.
+    A group is filled with the grid, then adds its folds in place: the same
+    adds as ``scaled + base``, but each add runs over a whole candidate row.
     """
     scaled = tau * _offset_grid(b, ch.m)
     base = fold_interval(u, tau)
     chosen = np.empty(base.shape)
     size = theory.group_rows(len(scaled))
     for start in range(0, len(u), size):
-        candidates = scaled + base[start:start + size, None, :]
+        rows = base[start:start + size]
+        candidates = np.empty((len(rows),) + scaled.shape)
+        candidates[...] = scaled
+        candidates += rows[:, None, :]
         energies = ch.energies(candidates.reshape(-1, ch.m)).reshape(len(candidates), -1)
         chosen[start:start + size] = candidates[np.arange(len(candidates)), energies.argmin(axis=1)]
     return chosen

@@ -14,9 +14,9 @@ without any coordination. ``make_stream`` builds one such stream. ``draw``
 is the one sampling law of a region, used by ``Sampler`` and by
 ``slm_random``'s trials on ``make_stream(master_seed, t)``.
 
-A chunk's small draws skip the generators: ``draw_rows`` (hypercube rows)
+A task's small draws skip the generators: ``draw_rows`` (hypercube rows)
 and ``integer_rows`` (bounded integers) run Philox4x64-10 in numpy uint64
-arrays over the chunk's trials in passes of whole rows, each at most
+arrays over the task's trials in passes of whole rows, each at most
 ``theory.GROUP_ENTRIES`` words (one row at least), keyed by ``stream_key`` from
 counter 1 as numpy's Philox is, and map its words by numpy's own laws for
 doubles and for 32-bit bounded integers. Row i is then what
@@ -194,8 +194,9 @@ def _cube(region: Region, uniform: np.ndarray) -> np.ndarray:
     return uniform
 
 
-# Philox4x64-10 as numpy runs it: its multipliers, whole and in 32-bit halves, and key bumps
-_M32, _S32 = np.uint64(0xFFFF_FFFF), np.uint64(32)
+# Philox4x64-10 as numpy runs it: its multipliers, whole and in 32-bit halves, and key bumps.
+# The uint64 constants are 0-d arrays: a numpy scalar operand slows a small ufunc call.
+_M32, _S32, _S11 = (np.array(c, dtype=np.uint64) for c in (0xFFFF_FFFF, 32, 11))
 _MUL = np.array([0xD2E7_470E_E14C_6C93, 0xCA5A_8263_9512_1157], dtype=np.uint64)[:, None, None]
 _MUL_LO, _MUL_HI = _MUL & _M32, _MUL >> _S32
 _BUMPS = np.arange(10, dtype=np.uint64)[:, None, None, None] * np.array(
@@ -208,15 +209,17 @@ def _philox(key: np.ndarray, n: int) -> np.ndarray:
     Words 0 and 2 (``a``) and words 1 and 3 (``b``) are (2, rows, n) arrays,
     so one ufunc serves both lanes. A round maps them to ``hi(M a)`` and
     ``lo(M a)``, lanes swapped, the first XOR ``b`` and the round's key; the
-    128-bit product's high word is summed from 32-bit halves.
+    128-bit product's high word is summed from 32-bit halves. The multipliers
+    are spread to the pass's shape once, since a broadcast operand slows each call.
     """
     a, b = np.zeros((2, 2, key.shape[1], n), dtype=np.uint64)
     a[0] = np.arange(1, 1 + n)
+    mul, mul_lo, mul_hi = (np.broadcast_to(c, a.shape).copy() for c in (_MUL, _MUL_LO, _MUL_HI))
     for k in key[:, :, None] + _BUMPS:
         low, high = a & _M32, a >> _S32
-        mid = high * _MUL_LO + (low * _MUL_LO >> _S32)
-        hi = high * _MUL_HI + (mid >> _S32) + (low * _MUL_HI + (mid & _M32) >> _S32)
-        a, b = hi[::-1] ^ b ^ k, (a * _MUL)[::-1]
+        mid = high * mul_lo + (low * mul_lo >> _S32)
+        hi = high * mul_hi + (mid >> _S32) + (low * mul_hi + (mid & _M32) >> _S32)
+        a, b = hi[::-1] ^ b ^ k, (a * mul)[::-1]
     return np.stack((a, b), axis=-1).transpose(1, 2, 0, 3).reshape(key.shape[1], 4 * n)
 
 
@@ -246,7 +249,7 @@ def draw_rows(region: Region, seed: int, trials: range) -> np.ndarray:
         raise ValueError(f"draw_rows draws from a hypercube, got {region.kind}")
     uniform = np.empty((len(trials), region.dim))
     for rows, words in _values(seed, trials, region.dim, False):
-        np.multiply(words >> np.uint64(11), 2.0**-53, out=uniform[rows])
+        np.multiply(words >> _S11, 2.0**-53, out=uniform[rows])
     return _cube(region, uniform)
 
 
@@ -262,9 +265,10 @@ def integer_rows(seed: int, trials: range, high: int, size: int, dtype) -> np.nd
         raise ValueError(f"integer_rows draws below at most 2^32, got {high}")
     out = np.empty((len(trials), size), dtype=dtype)
     threshold = (2**32 - high) % high
+    multiplier = np.array(high, dtype=np.uint64)
     redraw = np.zeros(len(trials), dtype=bool)
     for rows, u32 in _values(seed, trials, size, True):
-        product = u32 * np.uint64(high)
+        product = u32 * multiplier
         out[rows] = product >> _S32
         redraw[rows] |= ((product & _M32) < threshold).any(axis=1)
     for i in np.flatnonzero(redraw):

@@ -417,7 +417,7 @@ def test_run_experiment_plain_identity():
         assert not np.array_equal(gammas, ch.energy(chosen)), m
         # each trial's sums, as the chunk makes them (k = 0: not scaled)
         for t in range(64):
-            g, _, g_plain = harness._run_chunk(trial, cfg.master_seed, ch, 0, range(t, t + 1))
+            [(g, _, g_plain)] = harness._run_chunk(trial, cfg.master_seed, ch, 0, range(t, t + 1))
             assert g == g_plain, (m, t)
 
 
@@ -430,12 +430,15 @@ def _ldexp(x, e):
 
 
 def test_chunk_sums_are_the_trial_order_loop():
-    # _run_chunk's running sums equal, bit for bit, the loop that adds each
-    # trial's gamma / 2^k, its square and plain gamma / 2^k to 0.0 in trial
-    # order: over magnitudes from subnormal to overflow, and an empty chunk
+    # a task's sums are, chunk by chunk, bit for bit, the loop that adds each
+    # of the chunk's trials' gamma / 2^k, its square and plain gamma / 2^k to
+    # 0.0 in trial order: tasks of 1 to 3 chunks, the last short or whole, over
+    # magnitudes from subnormal to overflow, and an empty task
+    size = harness.TRIAL_CHUNK
     rng = np.random.default_rng(11)
     for case in range(300):
-        n = int(rng.integers(0, 300))
+        last = size if case % 7 == 0 else int(rng.integers(1, size))
+        n = case % 3 * size + last if case else 0
         gammas = rng.exponential(10.0 ** rng.uniform(-320, 300), n)
         plain = rng.exponential(10.0 ** rng.uniform(-320, 300), n)
         if n and case % 5 == 0:
@@ -445,11 +448,15 @@ def test_chunk_sums_are_the_trial_order_loop():
         ch = types.SimpleNamespace(gamma=lambda _u, g=gammas: g, energy=lambda _u, p=plain: p)
         rows = np.zeros((n, 1)), np.ones((n, 1))
         got = harness._run_chunk(lambda *_args, r=rows: r, 0, ch, k, range(n))
-        want = [0.0, 0.0, 0.0]
-        for g, g_plain in zip(gammas.tolist(), plain.tolist()):
-            g = _ldexp(g, -k)
-            want = [want[0] + g, want[1] + g * g, want[2] + _ldexp(g_plain, -k)]
-        assert [x.hex() for x in got] == [x.hex() for x in want], case
+        want = []
+        for start in range(0, n, size):
+            sums = [0.0, 0.0, 0.0]
+            for g, g_plain in zip(gammas[start:start + size].tolist(),
+                                  plain[start:start + size].tolist()):
+                g = _ldexp(g, -k)
+                sums = [sums[0] + g, sums[1] + g * g, sums[2] + _ldexp(g_plain, -k)]
+            want.append(sums)
+        assert [[x.hex() for x in c] for c in got] == [[x.hex() for x in c] for c in want], case
 
 
 def test_run_experiment_deterministic_rerun():
@@ -839,12 +846,13 @@ def test_run_experiment_trellis_smoke():
 
 
 def test_trellis_trial_maps_payload_once(monkeypatch):
-    # a chunk draws its trials' rows, and maps trellis payloads to their
+    # a task draws its trials' rows, and maps trellis payloads to their
     # zero-codeword points by the PAM map behind payload_to_coset, once for
-    # every trial of the chunk; the kernel that selects, scanning (M = 8, and
+    # every trial of the task; the kernel that selects, scanning (M = 8, and
     # M = 24 a trial a group) or searching (M = 40) a code tree or perturbing
-    # (50 trials a group at b = 3, M = 4), splits the rows into groups and
-    # does not map them again
+    # (101 trials a group at b = 3, M = 4, where a task holds both of a
+    # 512-trial report's chunks), splits the rows into groups and does not
+    # map them again
     rows = []
 
     def counting(real):
@@ -861,7 +869,7 @@ def test_trellis_trial_maps_payload_once(monkeypatch):
         (8, 3, 5, trellis, [5]),
         (24, 23, 16, trellis, [16]),
         (40, 23, 3, trellis, [3]),
-        (4, 3, 512, {"kind": "vector_perturb", "b": 3}, [256, 256]),
+        (4, 3, 512, {"kind": "vector_perturb", "b": 3}, [512]),
     ):
         rows.clear()
         cfg = harness.ExperimentConfig.from_dict(
@@ -1367,10 +1375,9 @@ def test_sweep_of_a_deeply_nested_matrix_is_a_parse_error():
         harness.ExperimentConfig.from_dict(d)
 
 
-def test_pool_sized_by_chunks_and_cpus(monkeypatch):
-    # a fake executor records the process count asked for and maps in this
-    # process, so no real pool with a large count is ever started
-    sizes = []
+def _recording_pool(sizes):
+    """A fake executor that appends the process count asked for to ``sizes`` and maps in this
+    process, so no real pool is started."""
 
     class RecordingPool:
         def __init__(self, max_workers):
@@ -1385,7 +1392,13 @@ def test_pool_sized_by_chunks_and_cpus(monkeypatch):
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    return RecordingPool
+
+
+def test_pool_sized_by_chunks_and_cpus(monkeypatch):
+    # no real pool with a large count is ever started
+    sizes = []
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", _recording_pool(sizes))
     cfg = harness.ExperimentConfig.from_dict(_base_cfg(trials=600))  # 3 chunks
     serial = harness.write_report(harness.run_experiment(cfg), "csv", None)
     for cpus, expected in ((64, [3]), (2, [2]), (1, [])):
@@ -1401,6 +1414,53 @@ def test_pool_sized_by_chunks_and_cpus(monkeypatch):
     )
     harness.sweep_experiment(small, "n", [4, 16], workers=8)
     assert sizes == []
+
+
+@pytest.mark.parametrize("m,precoder", [
+    (4, {"kind": "plain"}), (4, {"kind": "vector_perturb", "b": 3}),
+    (4, {"kind": "nested", "k": 2, "n_u": 1, "q": 2}), (4, {"kind": "trellis"}),
+    (8, {"kind": "plain"}), (8, {"kind": "vector_perturb", "b": 2}),
+    (8, {"kind": "nested", "k": 2, "n_u": 2, "q": 2}), (8, {"kind": "trellis"}),
+], ids=lambda v: v if isinstance(v, int) else v["kind"])
+def test_tasks_of_several_chunks_leave_the_report(monkeypatch, m, precoder):
+    # 2049 trials are 9 chunks, the last of one trial. A task holds at most
+    # theory.group_rows(256 * M) chunks (8 at M = 4, 4 at M = 8), and pooled
+    # at most ceil(9 / processes): with GROUP_ENTRIES = 1 a task is one chunk,
+    # and by default and at 2 and 3 CPUs tasks of 3 to 8 chunks split the
+    # report in other places; every run gives the same bytes, and a task's
+    # rows hold at most max(256 * M, GROUP_ENTRIES) entries
+    held = []
+    real = harness._run_chunk
+
+    def spying(trial, *args):
+        def spy(*trial_args):
+            chosen, unselected = trial(*trial_args)
+            held.append(chosen.size)
+            return chosen, unselected
+        return real(spy, *args)
+
+    sizes = []
+    monkeypatch.setattr(harness, "_run_chunk", spying)
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", _recording_pool(sizes))
+    cfg = harness.ExperimentConfig.from_dict(_base_cfg(
+        m=m, channel_source={"kind": "random", "seed": 5}, tau=3.0, trials=2049,
+        precoder=precoder))
+    reports = []
+    for entries, cpus in ((1, 1), (None, 1), (None, 2), (None, 3)):
+        held.clear()
+        with monkeypatch.context() as patch:
+            if entries:
+                patch.setattr(theory, "GROUP_ENTRIES", entries)
+            patch.setattr(harness, "_usable_cpus", lambda: cpus)
+            reports.append(harness.write_report(harness.run_experiment(cfg, 3), "json", None))
+            limit = max(harness.TRIAL_CHUNK * m, theory.GROUP_ENTRIES)
+        assert sum(held) == 2049 * m and max(held) <= limit, (entries, cpus, held)
+        if entries:
+            assert held == [harness.TRIAL_CHUNK * m] * 8 + [m]
+    # the 3-CPU run's tasks hold ceil(9 / 3) chunks, its last two and one trial
+    assert held == [3 * harness.TRIAL_CHUNK * m] * 2 + [(2 * harness.TRIAL_CHUNK + 1) * m]
+    assert sizes == [2, 3]
+    assert reports[1:] == reports[:1] * 3
 
 
 @pytest.mark.parametrize("value", [2.5, True], ids=["fraction", "boolean"])
