@@ -35,7 +35,10 @@ signs, u0 * (1 - 2c), so they take none.
 
 Each parameter is stated once: a code is its tap masks (n_s and the memory
 follow), and a constellation is its level count and spacing (the modulo
-period tau = n_levels * spacing and the bits per symbol follow).
+period tau = n_levels * spacing and the bits per symbol follow). The three
+scheme types check their own fields however they are built (constructor or
+``dataclasses.replace``); ``pam_constellation`` and ``lattice_partition`` are
+two of the classes.
 
 Nested-lattice selection gives each user K a partition Lambda/Lambda' of a
 scaled integer lattice in 2*n_u dimensions; shifting a user's block by any
@@ -95,9 +98,19 @@ class ShapingCode:
     delayed by d steps (the usual most-significant-digit-first octal
     convention, e.g. 0o7 = 1 + D + D^2 and 0o5 = 1 + D^2 at memory 2). The
     encoder state is the shift register of the last ``memory`` input bits.
+    The masks are ints in numeric form (write them as octal literals); fewer
+    than two, or one that is not a non-negative integer, raise ConfigError.
     """
 
     generators: Tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        masks = tuple(self.generators)
+        if any(not isinstance(g, (int, np.integer)) or g < 0 for g in masks):
+            raise ConfigError(f"tap masks must be non-negative integers, got {reprlib.repr(masks)}")
+        if len(masks) < 2:
+            raise ConfigError(f"need n_s >= 2 output streams, got {len(masks)}")
+        object.__setattr__(self, "generators", tuple(int(g) for g in masks))
 
     @functools.cached_property
     def n_s(self) -> int:
@@ -116,20 +129,6 @@ class ShapingCode:
         return 1 << max(0, n_steps - self.memory)
 
 
-def shaping_code(generators) -> ShapingCode:
-    """Build a ShapingCode from its n_s tap masks.
-
-    The masks are ints, already in numeric form (write them as octal
-    literals).
-    """
-    masks = tuple(generators)
-    if any(not isinstance(g, (int, np.integer)) or g < 0 for g in masks):
-        raise ConfigError(f"tap masks must be non-negative integers, got {reprlib.repr(masks)}")
-    if len(masks) < 2:
-        raise ConfigError(f"need n_s >= 2 output streams, got {len(masks)}")
-    return ShapingCode(generators=tuple(int(g) for g in masks))
-
-
 def code_from_octal(spec: str) -> ShapingCode:
     """Parse a comma-separated octal generator string, e.g. "7,5"."""
     toks = [t.strip() for t in str(spec).split(",") if t.strip()]
@@ -139,7 +138,7 @@ def code_from_octal(spec: str) -> ShapingCode:
         masks = [int(t, 8) for t in toks]
     except ValueError:
         raise ConfigError(f"bad octal generator in {reprlib.repr(spec)}") from None
-    return shaping_code(masks)
+    return ShapingCode(masks)
 
 
 DEFAULT_CODE_SPEC = "7,5"
@@ -163,10 +162,17 @@ class PartitionedConstellation:
     negatives, filling the modulo period ``tau`` = n_levels*spacing. A symbol
     carries ``bits_per_symbol`` = log2(n_levels) bits: a sign bit (1 means
     negative), then magnitude bits (natural binary, 0 = innermost level).
+    ``n_levels`` is checked by ``pam_levels``; ``spacing`` must be positive.
     """
 
     n_levels: int
-    spacing: float
+    spacing: float = 1.0
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "n_levels", pam_levels(self.n_levels))
+        if self.spacing <= 0.0:
+            raise ConfigError("spacing must be positive")
+        object.__setattr__(self, "spacing", float(self.spacing))
 
     @property
     def tau(self) -> float:
@@ -175,6 +181,10 @@ class PartitionedConstellation:
     @property
     def bits_per_symbol(self) -> int:
         return self.n_levels.bit_length() - 1
+
+
+# The name the harness builds a constellation by: perfbench's tracer wraps it.
+pam_constellation = PartitionedConstellation
 
 
 def pam_levels(n_levels: int, name: str = "n_levels") -> int:
@@ -188,17 +198,6 @@ def pam_levels(n_levels: int, name: str = "n_levels") -> int:
         got = reprlib.repr(n_levels)
         raise ConfigError(f"{name} must be a power of two from 2 to 2^53, got {got}")
     return n_levels
-
-
-def pam_constellation(n_levels: int, spacing: float = 1.0) -> PartitionedConstellation:
-    """Symmetric uniform PAM with a sign/magnitude bit labeling.
-
-    ``n_levels`` is checked by ``pam_levels``; ``spacing`` must be positive.
-    """
-    n_levels = pam_levels(n_levels)
-    if spacing <= 0.0:
-        raise ConfigError("spacing must be positive")
-    return PartitionedConstellation(n_levels=n_levels, spacing=float(spacing))
 
 
 def payload_to_coset(payload_bits, cons: PartitionedConstellation) -> np.ndarray:
@@ -508,7 +507,18 @@ class LatticePartition:
 
     n_u: int
     q: int
-    spacing: float
+    spacing: float = 1.0
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "n_u", int(self.n_u))
+        object.__setattr__(self, "q", int(self.q))
+        if self.n_u < 1:
+            raise ConfigError("n_u must be >= 1")
+        if self.q < 1:
+            raise ConfigError("q must be >= 1")
+        if self.spacing <= 0.0:
+            raise ConfigError("spacing must be positive")
+        object.__setattr__(self, "spacing", float(self.spacing))
 
     def representatives(self, idx) -> np.ndarray:
         """One row per coset index 0 .. q^(2 n_u) - 1, in lexicographic order.
@@ -532,17 +542,8 @@ class LatticePartition:
         return self.q * self.spacing
 
 
-def lattice_partition(n_u: int, q: int, spacing: float = 1.0) -> LatticePartition:
-    """Build the self-similar partition Lambda / q*Lambda in 2*n_u dimensions."""
-    n_u = int(n_u)
-    q = int(q)
-    if n_u < 1:
-        raise ConfigError("n_u must be >= 1")
-    if q < 1:
-        raise ConfigError("q must be >= 1")
-    if spacing <= 0.0:
-        raise ConfigError("spacing must be positive")
-    return LatticePartition(n_u=n_u, q=q, spacing=float(spacing))
+# The name the harness builds a partition by: perfbench's tracer wraps it.
+lattice_partition = LatticePartition
 
 
 def nested_select(ch: ChannelMatrix, u, part: LatticePartition) -> PrecodeResult:

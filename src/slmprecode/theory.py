@@ -185,23 +185,18 @@ def _geomean_eigenvalues(eigenvalues: np.ndarray) -> float:
 
 def equivalent_radius_sq(ch: ChannelMatrix, sigma2: float) -> float:
     """Per-component variance r_eq2 = (prod lambda)^(1/M) sigma^2 of the whitened data."""
-    if sigma2 <= 0.0:
-        raise ValueError("sigma2 must be positive")
-    return _geomean_eigenvalues(ch.eigenvalues) * sigma2
+    return theory_report(ch, sigma2).r_eq2
 
 
 def optimal_covariance(ch: ChannelMatrix, sigma2: float) -> np.ndarray:
     """Energy-minimizing data covariance (prod lambda)^(1/M) sigma^2 * H H^T."""
-    if sigma2 <= 0.0:
-        raise ValueError("sigma2 must be positive")
-    scale = _geomean_eigenvalues(ch.eigenvalues) * sigma2
-    sig = scale * (ch.h @ ch.h.T)
+    sig = equivalent_radius_sq(ch, sigma2) * (ch.h @ ch.h.T)
     return (sig + sig.T) / 2.0
 
 
 def e_opt(ch: ChannelMatrix, sigma2: float) -> float:
     """Minimum average transmit energy M * (prod lambda)^(1/M) * sigma^2."""
-    return ch.m * equivalent_radius_sq(ch, sigma2)
+    return theory_report(ch, sigma2).e_opt
 
 
 def average_energy(ch: ChannelMatrix, mu, sigma) -> float:
@@ -276,7 +271,7 @@ def e_slm(ch: ChannelMatrix, sigma2: float) -> float:
     This is the sphere-region evaluation of the uniform selection limit; it
     exceeds e_opt by exactly Gamma(1 + 2/M) and approaches it as M grows.
     """
-    return math.gamma(1.0 + 2.0 / ch.m) * ch.m * equivalent_radius_sq(ch, sigma2)
+    return theory_report(ch, sigma2).e_slm_limit
 
 
 @dataclass(frozen=True)
@@ -293,7 +288,8 @@ class TheoryReport:
 
 
 def theory_report(ch: ChannelMatrix, sigma2: float) -> TheoryReport:
-    """Evaluate all closed-form references for one channel, each with the bits of its function."""
+    """Evaluate all closed-form references for one channel; ``e_opt``, ``e_slm`` and
+    ``equivalent_radius_sq`` return its fields."""
     if sigma2 <= 0.0:
         raise ValueError("sigma2 must be positive")
     gm = _geomean_eigenvalues(ch.eigenvalues)

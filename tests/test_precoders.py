@@ -1,5 +1,6 @@
 """Tests for plain inversion, random selection, and lattice perturbation."""
 
+import dataclasses
 import itertools
 import math
 from fractions import Fraction
@@ -320,6 +321,26 @@ def test_receiver_verify_detects_corruption():
     ch = theory.build_channel(np.eye(2))
     res = precoders.invert_precode(ch, np.array([0.3, 0.1]))
     assert not precoders.receiver_verify(ch, res, np.array([0.3, 0.4]), tau=2.0)
+
+
+@pytest.mark.parametrize("s", [[math.nan, 0.1], [math.inf, 0.1], [-math.inf, math.inf],
+                               [1e308, 1e308]])
+def test_receiver_verify_rejects_a_non_finite_signal(s):
+    # NaN compares false with everything, so it must fail the check, not pass it, and warn
+    # nothing (numpy warnings are errors here)
+    ch = theory.build_channel(np.array([[1.0, 0.5], [0.5, 1.0]]))
+    res = precoders.invert_precode(ch, np.array([0.3, 0.1]))
+    assert precoders.receiver_verify(ch, res, np.array([0.3, 0.1]), tau=2.0)
+    bad = dataclasses.replace(res, s=np.array(s))
+    assert not precoders.receiver_verify(ch, bad, np.array([0.3, 0.1]), tau=2.0)
+
+
+def test_receiver_verify_wraps_the_period_edge():
+    # -tau/2 and tau/2 are one point: a fold just below tau/2 recovers -tau/2
+    ch = theory.build_channel(np.eye(2))
+    res = precoders.invert_precode(ch, np.array([1.0 - 1e-12, 0.2]))
+    assert precoders.receiver_verify(ch, res, np.array([-1.0, 0.2]), tau=2.0)
+    assert not precoders.receiver_verify(ch, res, np.array([-1.0 + 1e-6, 0.2]), tau=2.0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Tests for convolutional sign shaping and nested-lattice selection."""
 
+import dataclasses
 import itertools
 import math
 import sys
@@ -66,10 +67,55 @@ def test_code_from_octal():
 def test_shaping_code_validation():
     with pytest.raises(ConfigError):
         # single output stream cannot shape
-        shaping.shaping_code([0o7])
+        shaping.ShapingCode([0o7])
     with pytest.raises(ConfigError):
         # each generator is one tap mask
-        shaping.shaping_code([[1], [1, 1], [1, 1]])
+        shaping.ShapingCode([[1], [1, 1], [1, 1]])
+
+
+# (class, fields of a good instance, field, a value the class refuses, the ConfigError's text)
+_REFUSED = [
+    (shaping.PartitionedConstellation, (4, 1.0), "n_levels", 3, "power of two"),
+    (shaping.PartitionedConstellation, (4, 1.0), "n_levels", 2**54, "power of two"),
+    (shaping.PartitionedConstellation, (4, 1.0), "spacing", 0.0, "spacing must be positive"),
+    (shaping.PartitionedConstellation, (4, 1.0), "spacing", -1.0, "spacing must be positive"),
+    (shaping.LatticePartition, (1, 2, 1.0), "n_u", 0, "n_u must be >= 1"),
+    (shaping.LatticePartition, (1, 2, 1.0), "q", 0, "q must be >= 1"),
+    (shaping.LatticePartition, (1, 2, 1.0), "spacing", 0.0, "spacing must be positive"),
+    (shaping.LatticePartition, (1, 2, 1.0), "spacing", -0.5, "spacing must be positive"),
+    (shaping.ShapingCode, ((0o7, 0o5),), "generators", (0o7,), "n_s >= 2"),
+    (shaping.ShapingCode, ((0o7, 0o5),), "generators", (7.0, 5), "non-negative integers"),
+    (shaping.ShapingCode, ((0o7, 0o5),), "generators", (7, -5), "non-negative integers"),
+    (shaping.ShapingCode, ((0o7, 0o5),), "generators", ([1], [1, 1]), "non-negative integers"),
+]
+
+
+@pytest.mark.parametrize("cls, fields, name, bad, text", _REFUSED,
+                         ids=[f"{c.__name__}.{n}={b!r}" for c, _, n, b, _ in _REFUSED])
+def test_scheme_types_refuse_bad_fields_however_built(cls, fields, name, bad, text):
+    # the constructor and dataclasses.replace run the same checks, with the same message
+    kwargs = dict(zip([f.name for f in dataclasses.fields(cls)], fields), **{name: bad})
+    messages = []
+    for build in (lambda: cls(**kwargs), lambda: dataclasses.replace(cls(*fields), **{name: bad})):
+        with pytest.raises(ConfigError, match=text) as err:
+            build()
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+
+
+def test_scheme_types_normalize_their_fields():
+    code = shaping.ShapingCode([7, np.int64(5)])
+    assert code.generators == (7, 5) and type(code.generators[1]) is int
+    assert code == shaping.code_from_octal("7,5") and hash(code) == hash(shaping.default_code())
+    assert shaping._generator_matrix(code, 4).shape == (2, 8)  # a cache key
+    assert dataclasses.replace(code, generators=[0o17, 0o13]) == shaping.code_from_octal("17,13")
+    cons = shaping.PartitionedConstellation(np.int64(8))
+    assert (type(cons.n_levels), cons.spacing, type(cons.spacing)) == (int, 1.0, float)
+    part = shaping.LatticePartition(np.int64(1), 3.0, 1)
+    assert (type(part.n_u), type(part.q), part.q, type(part.spacing)) == (int, int, 3, float)
+    # the names the harness builds by are the classes
+    assert shaping.pam_constellation is shaping.PartitionedConstellation
+    assert shaping.lattice_partition is shaping.LatticePartition
 
 
 def test_codeword_count():
@@ -239,7 +285,7 @@ def test_payload_to_coset_takes_bits_of_any_numeric_type():
 def test_trellis_shape_memoryless_zero_code():
     # a memory-0 code with zero generators always emits the zero codeword,
     # so the search must return the zero-codeword coset point unchanged
-    code = shaping.shaping_code([0, 0])
+    code = shaping.ShapingCode([0, 0])
     assert code.memory == 0
     con = shaping.pam_constellation(4, spacing=1.0)
     rng = _rng()

@@ -410,8 +410,13 @@ def test_theory_report_fields_equal_their_functions():
             assert rep.channel_gain == theory.channel_gain(ch.eig)
             assert rep.r_eq2 == theory.equivalent_radius_sq(ch, sigma2)
             assert rep.e_slm_limit == theory.e_slm(ch, sigma2)
-    with pytest.raises(ValueError, match="sigma2 must be positive"):
-        theory.theory_report(ch, 0.0)
+            sig = rep.r_eq2 * (ch.h @ ch.h.T)
+            assert np.array_equal(theory.optimal_covariance(ch, sigma2), (sig + sig.T) / 2.0)
+    for fn in (theory.theory_report, theory.e_opt, theory.e_slm, theory.equivalent_radius_sq,
+               theory.optimal_covariance):
+        for sigma2 in (0.0, -1.0):
+            with pytest.raises(ValueError, match="sigma2 must be positive"):
+                fn(ch, sigma2)
 
 
 def test_channel_and_eigensystem_equal_only_themselves():
