@@ -73,7 +73,6 @@ import numbers
 import os
 import reprlib
 import sys
-import threading
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
@@ -306,9 +305,9 @@ def _parse_channel_csv(text: str, path: str) -> np.ndarray:
     return np.array(rows, dtype=np.float64)
 
 
-_channels: Dict[tuple, ChannelMatrix] = {}  # load_channel's, least recently used first
-_channel_entries = 0
-_channels_lock = threading.Lock()
+# Channels a process keeps: perfbench's cheap_kinds alternates two channel files, and
+# every other workload, sweep and CLI run loads one channel
+KEPT_CHANNELS = 2
 
 
 def load_channel(
@@ -319,34 +318,30 @@ def load_channel(
     File format: plain CSV, M rows of M comma-separated decimals, no
     header. Random channels draw i.i.d. standard normal entries from a
     dedicated counter stream of the seed, so the same seed is bit-identical
-    across runs and platforms. A process builds one read-only channel a key:
-    the file's text (read every call), the seed or the inline matrix's float64
-    bytes, with m and condition_limit. Refused ones are not kept; the least recently used go
-    while the kept, max(m^2, ``theory.GROUP_ENTRIES``) each, hold over ``precoders.SEARCH_BUDGET``.
+    across runs and platforms. A process keeps the ``KEPT_CHANNELS`` most recently
+    used read-only channels, keyed by the file's path and text (read every call),
+    the seed or the inline matrix's shape and float64 bytes, with m and
+    condition_limit. A refused channel is not kept, so it raises on every call.
     """
-    global _channel_entries
     kind, h = _channel_kind(source)
     text = _read_text(source["path"], "channel file") if kind == "file" else None
-    seed = int(source["seed"]) if kind == "random" else None
     matrix = (h.shape, h.astype(np.float64).tobytes()) if kind == "inline" else None
-    key = (text, seed, matrix, m, condition_limit)
-    with _channels_lock:
-        ch = _channels.pop(key, None)  # put back last, as the most recently used
-        if ch is None:
-            if kind == "file":
-                h = _parse_channel_csv(text, source["path"])
-            elif kind == "random":
-                h = regions.channel_stream(seed).standard_normal((m, m))
-            if not np.all(np.isfinite(h)):
-                raise ParseError("channel matrix has non-finite entries")
-            if h.shape != (m, m):
-                raise ConfigError(f"channel is {h.shape} but config says m = {m}")
-            ch = theory.build_channel(h, condition_limit=condition_limit)
-            _channel_entries += max(ch.m ** 2, theory.GROUP_ENTRIES)
-        _channels[key] = ch
-        while _channel_entries > precoders.SEARCH_BUDGET:
-            _channel_entries -= max(_channels.pop(next(iter(_channels))).m ** 2, theory.GROUP_ENTRIES)
-    return ch
+    return _kept_channel(source.get("path"), text, source.get("seed"), matrix, m, condition_limit)
+
+
+@functools.lru_cache(maxsize=KEPT_CHANNELS)  # stores no exception, so no refused channel
+def _kept_channel(path, text, seed, matrix, m: int, condition_limit: float) -> ChannelMatrix:
+    if path is not None:
+        h = _parse_channel_csv(text, path)
+    elif seed is not None:
+        h = regions.channel_stream(int(seed)).standard_normal((m, m))
+    else:
+        h = np.frombuffer(matrix[1]).reshape(matrix[0])
+    if not np.all(np.isfinite(h)):
+        raise ParseError("channel matrix has non-finite entries")
+    if h.shape != (m, m):
+        raise ConfigError(f"channel is {h.shape} but config says m = {m}")
+    return theory.build_channel(h, condition_limit=condition_limit)
 
 
 # ---------------------------------------------------------------------------

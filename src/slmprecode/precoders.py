@@ -188,8 +188,8 @@ def fold_interval(x, tau: float):
     Uses floor((x + tau/2)/tau), so the boundary x = tau/2 wraps to -tau/2,
     matching the half-open sampling interval.
     """
-    if tau <= 0.0:
-        raise ValueError("tau must be positive")
+    if not 0.0 < tau < np.inf:
+        raise ValueError("tau must be positive and finite")
     x = np.asarray(x, dtype=np.float64)
     r = x - tau * np.floor(x / tau + 0.5)
     edge = (r < -tau / 2) | (r >= tau / 2)

@@ -90,8 +90,8 @@ class Region:
 def hypercube(tau: float, m: int) -> Region:
     """Centered hypercube [-tau/2, tau/2)^M."""
     tau = float(tau)
-    if tau <= 0.0:
-        raise ValueError("tau must be positive")
+    if not 0.0 < tau < math.inf:
+        raise ValueError("tau must be positive and finite")
     if m < 1:
         raise ValueError("dimension must be >= 1")
     return Region(
@@ -105,8 +105,8 @@ def hypercube(tau: float, m: int) -> Region:
 def ball(radius: float, m: int) -> Region:
     """Solid origin-centered M-ball of the given radius."""
     radius = float(radius)
-    if radius <= 0.0:
-        raise ValueError("radius must be positive")
+    if not 0.0 < radius < math.inf:
+        raise ValueError("radius must be positive and finite")
     if m < 1:
         raise ValueError("dimension must be >= 1")
     # log2 of the linear form wherever that is a positive float, so those

@@ -99,14 +99,14 @@ class ShapingCode:
     convention, e.g. 0o7 = 1 + D + D^2 and 0o5 = 1 + D^2 at memory 2). The
     encoder state is the shift register of the last ``memory`` input bits.
     The masks are ints in numeric form (write them as octal literals); fewer
-    than two, or one that is not a non-negative integer, raise ConfigError.
+    than two, or one that is not a non-negative integer (a bool is not), raise ConfigError.
     """
 
     generators: Tuple[int, ...]
 
     def __post_init__(self) -> None:
         masks = tuple(self.generators)
-        if any(not isinstance(g, (int, np.integer)) or g < 0 for g in masks):
+        if any(not isinstance(g, (int, np.integer)) or isinstance(g, bool) or g < 0 for g in masks):
             raise ConfigError(f"tap masks must be non-negative integers, got {reprlib.repr(masks)}")
         if len(masks) < 2:
             raise ConfigError(f"need n_s >= 2 output streams, got {len(masks)}")
@@ -162,7 +162,7 @@ class PartitionedConstellation:
     negatives, filling the modulo period ``tau`` = n_levels*spacing. A symbol
     carries ``bits_per_symbol`` = log2(n_levels) bits: a sign bit (1 means
     negative), then magnitude bits (natural binary, 0 = innermost level).
-    ``n_levels`` is checked by ``pam_levels``; ``spacing`` must be positive.
+    ``n_levels`` is checked by ``pam_levels``; ``spacing`` must be positive and finite.
     """
 
     n_levels: int
@@ -170,8 +170,8 @@ class PartitionedConstellation:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "n_levels", pam_levels(self.n_levels))
-        if self.spacing <= 0.0:
-            raise ConfigError("spacing must be positive")
+        if not 0.0 < self.spacing < math.inf:
+            raise ConfigError("spacing must be positive and finite")
         object.__setattr__(self, "spacing", float(self.spacing))
 
     @property
@@ -516,8 +516,8 @@ class LatticePartition:
             raise ConfigError("n_u must be >= 1")
         if self.q < 1:
             raise ConfigError("q must be >= 1")
-        if self.spacing <= 0.0:
-            raise ConfigError("spacing must be positive")
+        if not 0.0 < self.spacing < math.inf:
+            raise ConfigError("spacing must be positive and finite")
         object.__setattr__(self, "spacing", float(self.spacing))
 
     def representatives(self, idx) -> np.ndarray:

@@ -141,6 +141,8 @@ def build_channel(h, condition_limit: float = CONDITION_LIMIT) -> ChannelMatrix:
     inversion energies become numerically meaningless. It is the only
     conditioning limit.
     """
+    if not condition_limit > 1.0:  # also nan, which every spread would pass
+        raise ValueError(f"condition_limit must exceed 1, got {condition_limit}")
     h = linalg.as_matrix(h, "channel matrix")
     if h.shape[0] != h.shape[1]:
         raise NonSquareError(f"channel matrix must be square, got {h.shape}")
@@ -245,10 +247,10 @@ def slm_limit_uniform(m: int, r: float, region_volume: float) -> float:
     origin, the scaled minimum r-th-power norm converges to
     B_M^(-r/M) * Gamma(1 + r/M) * V^(r/M), in the log domain: finite for M <= 1024.
     """
-    if region_volume <= 0.0:
-        raise ValueError("region_volume must be positive")
-    if r <= 0.0:
-        raise ValueError("order r must be positive")
+    if not 0.0 < region_volume < math.inf:
+        raise ValueError("region_volume must be positive and finite")
+    if not 0.0 < r < math.inf:
+        raise ValueError("order r must be positive and finite")
     rm = r / m
     return math.exp(math.lgamma(1.0 + rm) + rm * (math.log(region_volume) - log_ball_volume(m)))
 
@@ -260,8 +262,8 @@ def slm_limit_general(m: int, r: float, g_rho: float) -> float:
     probability mass per unit volume; for a uniform distribution over a
     region of volume V it equals 1/V: this is ``slm_limit_uniform`` at V = 1/g_rho.
     """
-    if g_rho <= 0.0:
-        raise ValueError("g_rho must be positive")
+    if not 0.0 < g_rho < math.inf:
+        raise ValueError("g_rho must be positive and finite")
     return slm_limit_uniform(m, r, 1.0 / g_rho)
 
 
@@ -290,8 +292,8 @@ class TheoryReport:
 def theory_report(ch: ChannelMatrix, sigma2: float) -> TheoryReport:
     """Evaluate all closed-form references for one channel; ``e_opt``, ``e_slm`` and
     ``equivalent_radius_sq`` return its fields."""
-    if sigma2 <= 0.0:
-        raise ValueError("sigma2 must be positive")
+    if not 0.0 < sigma2 < math.inf:
+        raise ValueError("sigma2 must be positive and finite")
     gm = _geomean_eigenvalues(ch.eigenvalues)
     r_eq2 = gm * sigma2
     return TheoryReport(

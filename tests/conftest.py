@@ -6,8 +6,7 @@ from slmprecode import harness
 
 
 @pytest.fixture(autouse=True)
-def no_kept_channels(monkeypatch):
+def no_kept_channels():
     """Each test starts with no channel kept by ``harness.load_channel``,
     so the order tests run in cannot hide a stale channel."""
-    monkeypatch.setattr(harness, "_channels", {})
-    monkeypatch.setattr(harness, "_channel_entries", 0)
+    harness._kept_channel.cache_clear()

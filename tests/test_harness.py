@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from slmprecode import harness, precoders, regions, shaping, theory
+from slmprecode import harness, regions, shaping, theory
 from slmprecode.errors import (
     ConfigError,
     IllConditionedError,
@@ -324,7 +324,8 @@ def test_load_channel_keeps_no_refused_channel(monkeypatch, tmp_path):
     with pytest.raises(IllConditionedError):
         harness.load_channel(spread_1e10, 2)
     assert built[-1] is None and len(built) == 6
-    assert list(harness._channels.values()) == [built[-2]]
+    assert harness._kept_channel.cache_info().currsize == 1
+    assert harness.load_channel(spread_1e10, 2, 1e12) is built[-2] and len(built) == 6
 
 
 def test_loaded_channel_is_read_only():
@@ -340,35 +341,21 @@ def test_loaded_channel_is_read_only():
     h[0, 0] = 2.0  # the caller's array stays its own, and writeable
 
 
-def test_kept_channels_hold_at_most_the_budget(monkeypatch):
+def test_kept_channels_are_the_two_most_recently_used(monkeypatch):
     built = _counting_builds(monkeypatch)
-    monkeypatch.setattr(precoders, "SEARCH_BUDGET", 40)  # two 4 x 4 channels
-    monkeypatch.setattr(theory, "GROUP_ENTRIES", 1)  # a channel is charged its m^2 entries
+    assert harness.KEPT_CHANNELS == 2
 
-    def load(seed, m=4):
-        ch = harness.load_channel({"kind": "random", "seed": seed}, m)
-        kept = [c.m ** 2 for c in harness._channels.values()]
-        assert sum(kept) == harness._channel_entries <= 40
-        return ch
+    def load(seed):
+        return harness.load_channel({"kind": "random", "seed": seed}, 4)
 
     one, two = load(1), load(2)
-    assert load(1) is one  # now the most recently used
-    load(3)  # 48 entries: the least recently used, seed 2, goes
+    assert load(1) is one and len(built) == 2  # a hit: seed 1 is now the most recently used
+    load(3)  # a third channel drops the least recently used, seed 2
+    assert harness._kept_channel.cache_info().currsize == 2
     assert load(1) is one and len(built) == 3
-    assert load(2) is not two and len(built) == 4
-    load(4, m=7)  # 49 entries alone: used, but not kept
-    assert harness._channels == {} and len(built) == 5
-
-
-def test_kept_small_channels_are_charged_group_entries():
-    # a kept channel holds its factors and its key besides its m^2 entries, so
-    # each is charged theory.GROUP_ENTRIES at least: 2^20 / 2^13 = 128 channels
-    assert precoders.SEARCH_BUDGET // theory.GROUP_ENTRIES == 128
-    for seed in range(200):
-        harness.load_channel({"kind": "random", "seed": seed}, 1)
-    assert len(harness._channels) == 128
-    assert harness._channel_entries == 128 * theory.GROUP_ENTRIES
-    assert list(harness._channels)[0][1] == 72  # the least recently used went first
+    again = load(2)  # rebuilt on its next load, which drops seed 3
+    assert again is not two and again.h.tobytes() == two.h.tobytes() and len(built) == 4
+    assert load(1) is one and len(built) == 4
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ import tempfile
 import numpy as np
 import pytest
 
-from slmprecode import cli, linalg, regions, theory
+from slmprecode import cli, linalg, precoders, regions, theory
 from slmprecode.errors import NonSquareError, NotSymmetricError
 
 
@@ -34,6 +34,9 @@ def _volume(region):
     return region.volume
 
 
+_EYE2 = theory.build_channel(np.eye(2))
+
+
 # name: (function, its arguments, the exception it raises or the value it returns)
 CASES = {
     "as_matrix_1d": (linalg.as_matrix, ([1.0, 2.0],), ValueError("must be 2-D")),
@@ -43,6 +46,18 @@ CASES = {
     "as_vector_nan": (linalg.as_vector, ([1.0, math.nan],), ValueError("non-finite")),
     "as_vector_inf": (linalg.as_vector, ([math.inf],), ValueError("non-finite")),
     "ball_dimension_0": (regions.ball, (1.0, 0), ValueError("dimension must be >= 1")),
+    "ball_radius_nan": (regions.ball, (math.nan, 2),
+                        ValueError("radius must be positive and finite")),
+    "ball_radius_inf": (regions.ball, (math.inf, 2),
+                        ValueError("radius must be positive and finite")),
+    "hypercube_tau_nan": (regions.hypercube, (math.nan, 2),
+                          ValueError("tau must be positive and finite")),
+    "hypercube_tau_inf": (regions.hypercube, (math.inf, 2),
+                          ValueError("tau must be positive and finite")),
+    "fold_interval_tau_nan": (precoders.fold_interval, ([0.1, 0.2], math.nan),
+                              ValueError("tau must be positive and finite")),
+    "fold_interval_tau_inf": (precoders.fold_interval, ([0.1, 0.2], math.inf),
+                              ValueError("tau must be positive and finite")),
     "gaussian_not_square": (regions.gaussian, (np.ones((2, 3)),),
                             ValueError("covariance must be square")),
     "draw_rows_ball": (regions.draw_rows, (regions.ball(1.0, 2), 1, range(2)),
@@ -51,6 +66,10 @@ CASES = {
     "volume_overflow": (_volume, (regions.hypercube(2.0**600, 2),), math.inf),
     "build_channel_not_square": (theory.build_channel, (np.ones((2, 3)),),
                                  NonSquareError("must be square")),
+    "build_channel_limit_nan": (theory.build_channel, (np.diag([1.0, 1e-9]), math.nan),
+                                ValueError("condition_limit must exceed 1")),
+    "build_channel_limit_1": (theory.build_channel, (np.eye(2), 1.0),
+                              ValueError("condition_limit must exceed 1")),
     "sigma_from_entropy_inf": (theory.sigma_from_entropy, (math.inf,),
                                ValueError("entropy must be finite")),
     "average_energy_skew": (theory.average_energy,
@@ -60,8 +79,24 @@ CASES = {
     "log_ball_volume_0": (theory.log_ball_volume, (0,), ValueError("dimension must be >= 1")),
     "slm_limit_uniform_r_0": (theory.slm_limit_uniform, (2, 0.0, 1.0),
                               ValueError("order r must be positive")),
+    "slm_limit_uniform_r_nan": (theory.slm_limit_uniform, (2, math.nan, 1.0),
+                                ValueError("order r must be positive and finite")),
+    "slm_limit_uniform_r_inf": (theory.slm_limit_uniform, (2, math.inf, 1.0),
+                                ValueError("order r must be positive and finite")),
+    "slm_limit_uniform_volume_nan": (theory.slm_limit_uniform, (2, 2.0, math.nan),
+                                     ValueError("region_volume must be positive and finite")),
+    "slm_limit_uniform_volume_inf": (theory.slm_limit_uniform, (2, 2.0, math.inf),
+                                     ValueError("region_volume must be positive and finite")),
     "slm_limit_general_g_0": (theory.slm_limit_general, (2, 2.0, 0.0),
                               ValueError("g_rho must be positive")),
+    "slm_limit_general_g_nan": (theory.slm_limit_general, (2, 2.0, math.nan),
+                                ValueError("g_rho must be positive and finite")),
+    "slm_limit_general_g_inf": (theory.slm_limit_general, (2, 2.0, math.inf),
+                                ValueError("g_rho must be positive and finite")),
+    "theory_report_sigma2_nan": (theory.theory_report, (_EYE2, math.nan),
+                                 ValueError("sigma2 must be positive and finite")),
+    "theory_report_sigma2_inf": (theory.theory_report, (_EYE2, math.inf),
+                                 ValueError("sigma2 must be positive and finite")),
     "sweep_values_empty": (_sweep_exit, (",",), SystemExit("^2: error: --values is empty\n$")),
 }
 

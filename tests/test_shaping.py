@@ -79,14 +79,19 @@ _REFUSED = [
     (shaping.PartitionedConstellation, (4, 1.0), "n_levels", 2**54, "power of two"),
     (shaping.PartitionedConstellation, (4, 1.0), "spacing", 0.0, "spacing must be positive"),
     (shaping.PartitionedConstellation, (4, 1.0), "spacing", -1.0, "spacing must be positive"),
+    (shaping.PartitionedConstellation, (4, 1.0), "spacing", math.nan, "positive and finite"),
+    (shaping.PartitionedConstellation, (4, 1.0), "spacing", math.inf, "positive and finite"),
     (shaping.LatticePartition, (1, 2, 1.0), "n_u", 0, "n_u must be >= 1"),
     (shaping.LatticePartition, (1, 2, 1.0), "q", 0, "q must be >= 1"),
     (shaping.LatticePartition, (1, 2, 1.0), "spacing", 0.0, "spacing must be positive"),
     (shaping.LatticePartition, (1, 2, 1.0), "spacing", -0.5, "spacing must be positive"),
+    (shaping.LatticePartition, (1, 2, 1.0), "spacing", math.nan, "positive and finite"),
+    (shaping.LatticePartition, (1, 2, 1.0), "spacing", math.inf, "positive and finite"),
     (shaping.ShapingCode, ((0o7, 0o5),), "generators", (0o7,), "n_s >= 2"),
     (shaping.ShapingCode, ((0o7, 0o5),), "generators", (7.0, 5), "non-negative integers"),
     (shaping.ShapingCode, ((0o7, 0o5),), "generators", (7, -5), "non-negative integers"),
     (shaping.ShapingCode, ((0o7, 0o5),), "generators", ([1], [1, 1]), "non-negative integers"),
+    (shaping.ShapingCode, ((0o7, 0o5),), "generators", (True, 5), "non-negative integers"),
 ]
 
 
